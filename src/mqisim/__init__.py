@@ -48,7 +48,6 @@ from .fock import (
     displacement,
     embed_operator,
     expectation,
-    mean_photon,
     mode_ops,
     number_expectation,
     partial_trace,

@@ -237,21 +237,24 @@ def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str
     return values
 
 
-def _sweep_values(p: dict, what: str) -> list[float]:
+def _sweep_fields(p: dict, base: dict, what: str) -> list[dict]:
+    """Scenario fields per point: ``[base]`` without a sweep, else base with each sweep value."""
     if p["sweep_var"] is None:
         for key in ("sweep_values", "sweep_from", "sweep_to", "sweep_steps"):
             if p[key] is not None:
                 raise InvalidArgumentError(f"--{key.replace('_', '-')} requires --sweep-var")
-        return []
+        return [base]
     if p["sweep_values"] is not None:
-        return list(p["sweep_values"])
-    if p["sweep_from"] is None or p["sweep_to"] is None or p["sweep_steps"] is None:
+        values = p["sweep_values"]
+    elif p["sweep_from"] is None or p["sweep_to"] is None or p["sweep_steps"] is None:
         raise InvalidArgumentError(
             f"{what} sweep needs --sweep-values or --sweep-from/--sweep-to/--sweep-steps"
         )
-    if p["sweep_steps"] < 2:
+    elif p["sweep_steps"] < 2:
         raise InvalidArgumentError("--sweep-steps must be >= 2")
-    return [float(v) for v in np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])]
+    else:
+        values = [float(v) for v in np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])]
+    return [{**base, p["sweep_var"]: value} for value in values]
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +339,13 @@ def _detect_pulses(p: dict, scn: DetectionScenario) -> float:
 
 
 def _run_detect(p: dict):
-    sweep = _sweep_values(p, "detect")
     base = {
         "eta": p["eta"], "n_s": p["n_s"], "n_b": p["n_b"],
         "t_int": p["t_int"] if p["t_int"] is not None else 0.0,
         "bandwidth": p["bandwidth"] if p["bandwidth"] is not None else 0.0,
     }
-    points = sweep if sweep else [None]
     rows = []
-    for value in points:
-        fields = dict(base)
-        if value is not None:
-            fields[p["sweep_var"]] = value
+    for fields in _sweep_fields(p, base, "detect"):
         scn = DetectionScenario(**fields)
         pulses = _detect_pulses(p, scn)
         r_cl = classical_error_rate(scn)
@@ -380,10 +378,7 @@ def _qcb_signal(p: dict) -> float:
 
 def _run_qcb(p: dict):
     transmitter = p["transmitter"]
-    n_s0 = _qcb_signal(p)
-    sweep = _sweep_values(p, "qcb")
-    points = sweep if sweep else [None]
-    base = {"eta": p["eta"], "n_s": n_s0, "n_b": p["n_b"]}
+    base = {"eta": p["eta"], "n_s": _qcb_signal(p), "n_b": p["n_b"]}
     meta = {
         "cutoff_signal": p["cutoff_signal"],
         "cutoff_idler": p["cutoff_idler"],
@@ -391,11 +386,8 @@ def _run_qcb(p: dict):
         "cutoff_classical": p["cutoff"],
     }
     rows = []
-    for value in points:
-        fields = dict(base)
-        if value is not None:
-            fields[p["sweep_var"]] = value
-        scn = DetectionScenario(eta=fields["eta"], n_s=fields["n_s"], n_b=fields["n_b"])
+    for fields in _sweep_fields(p, base, "qcb"):
+        scn = DetectionScenario(**fields)
         row = [scn.eta, scn.n_s, scn.n_b]
         qi = cl = None
         if transmitter in ("qi", "both"):
@@ -408,19 +400,16 @@ def _run_qcb(p: dict):
         if transmitter in ("classical", "both"):
             pair = build_classical_hypotheses(scn.n_s, scn.eta, scn.n_b, p["cutoff"])
             cl = chernoff_exponent(pair)
-        if transmitter == "qi":
-            rate = quantum_error_rate(scn)
-            row += [qi.s_star, qi.q_min, qi.exponent, rate, _safe_ratio(qi.exponent, rate),
-                    qi.diagnostics["clipped_mass_rho0"], qi.diagnostics["clipped_mass_rho1"]]
-        elif transmitter == "classical":
-            rate = classical_error_rate(scn)
-            row += [cl.s_star, cl.q_min, cl.exponent, rate, _safe_ratio(cl.exponent, rate),
-                    cl.diagnostics["clipped_mass_rho0"], cl.diagnostics["clipped_mass_rho1"]]
-        else:
+        if transmitter == "both":
             rate_q = quantum_error_rate(scn)
             rate_cl = classical_error_rate(scn)
             row += [qi.s_star, qi.exponent, rate_q, cl.s_star, cl.exponent, rate_cl,
                     _safe_ratio(qi.exponent, cl.exponent), _safe_ratio(rate_q, rate_cl)]
+        else:
+            res, rate = ((qi, quantum_error_rate(scn)) if transmitter == "qi"
+                         else (cl, classical_error_rate(scn)))
+            row += [res.s_star, res.q_min, res.exponent, rate, _safe_ratio(res.exponent, rate),
+                    res.diagnostics["clipped_mass_rho0"], res.diagnostics["clipped_mass_rho1"]]
         rows.append(row)
     if transmitter == "both":
         columns = ["eta", "n_s", "n_b", "s_star_qi", "exponent_qi", "rate_q",

@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import InvalidArgumentError, TruncationError
 from .gaussian import SqueezeParam
@@ -165,6 +162,10 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
         amp = np.zeros((d, d), dtype=complex)
         amp[0, 0] = 1.0
         return amp
+    # only caller of scipy.sparse; importing here keeps scipy off the CLI import path
+    import scipy.sparse as sparse
+    from scipy.sparse.linalg import expm_multiply
+
     a = sparse.diags(np.sqrt(np.arange(1.0, cutoff + 1)), 1, format="csr")
     eye = sparse.identity(d, format="csr")
     mode_a = sparse.kron(a, eye, format="csr")
@@ -178,11 +179,6 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
     out = expm_multiply(gen, vac)
     out = out / np.linalg.norm(out)
     return out.reshape(d, d)
-
-
-def mean_photon(sq: SqueezeParam) -> float:
-    """Mean photon number per TMSV mode, sinh^2(kappa)."""
-    return math.sinh(sq.kappa) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +279,12 @@ def unitarity_defect(u: np.ndarray) -> float:
     )
 
 
+def _expm_antihermitian(gen: np.ndarray) -> np.ndarray:
+    """exp(G) for anti-Hermitian G, from the eigendecomposition of i G = V diag(w) V'."""
+    w, v = np.linalg.eigh(1j * gen)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
 def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated displacement unitary exp(alpha a' - alpha* a).
 
@@ -295,7 +297,7 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     if abs(alpha) ** 2 > 0.25 * (cutoff + 1):
         raise TruncationError(f"|alpha|^2 = {abs(alpha) ** 2:.3g} too large for cutoff {cutoff}")
     ops = mode_ops(cutoff)
-    d = sla.expm(alpha * ops.adag - np.conj(alpha) * ops.a)
+    d = _expm_antihermitian(alpha * ops.adag - np.conj(alpha) * ops.a)
     defect = unitarity_defect(d)
     if defect > _UNITARITY_TOL:
         raise TruncationError(
@@ -309,7 +311,7 @@ def _bs_sector(total: int, dim_a: int, dim_b: int, theta: float):
 
     The generator theta (a'b - ab') conserves n_a + n_b, so the unitary
     decomposes into one orthogonal block per sector; within a sector the
-    generator is real antisymmetric tridiagonal.
+    generator is real antisymmetric tridiagonal, so its exponential is real.
     """
     s_lo = max(0, total - (dim_b - 1))
     s_hi = min(total, dim_a - 1)
@@ -321,7 +323,7 @@ def _bs_sector(total: int, dim_a: int, dim_b: int, theta: float):
         g = math.sqrt((s + 1.0) * (total - s))
         gen[idx + 1, idx] = g
         gen[idx, idx + 1] = -g
-    return s_vals, sla.expm(theta * gen)
+    return s_vals, _expm_antihermitian(theta * gen).real
 
 
 def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:

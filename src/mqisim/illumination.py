@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError
 from .fock import (
@@ -173,6 +172,8 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError("failed to bracket the envelope inversion")
+    from scipy.optimize import brentq  # only caller; keeps scipy off the CLI import path
+
     x = brentq(log_resid, lo, hi, xtol=1e-300, rtol=8.9e-16)
     resid = abs(error_probability(r, x / r) / p - 1.0)
     if resid > 1e-10:

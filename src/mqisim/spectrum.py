@@ -75,7 +75,7 @@ class SpectrumProfile:
 def kappa_profile(nu_s, profile: SpectrumProfile):
     """Squeezing modulus at signal frequency nu_s (vectorized over nu_s).
 
-    parabolic:     kappa_max (1 - u^2) clipped at 0, u = (nu - center)/(width/2)
+    parabolic:     kappa_max (1 - u^2), u = (nu - center)/(width/2)
     raised_cosine: kappa_max (1 + cos(pi u)) / 2 inside the band
     rectangular:   kappa_max inside the band
 
@@ -83,14 +83,13 @@ def kappa_profile(nu_s, profile: SpectrumProfile):
     """
     nu = np.asarray(nu_s, dtype=float)
     u = (nu - profile.band_center) / (profile.band_width / 2.0)
-    inside = np.abs(u) <= 1.0
     if profile.shape == "parabolic":
-        val = profile.kappa_max * np.clip(1.0 - u**2, 0.0, None)
+        val = profile.kappa_max * (1.0 - u**2)
     elif profile.shape == "raised_cosine":
-        val = np.where(inside, profile.kappa_max * 0.5 * (1.0 + np.cos(np.pi * np.clip(u, -1, 1))), 0.0)
+        val = profile.kappa_max * 0.5 * (1.0 + np.cos(np.pi * u))
     else:  # rectangular
-        val = np.where(inside, profile.kappa_max, 0.0)
-    val = np.where(inside, val, 0.0)
+        val = profile.kappa_max
+    val = np.where(np.abs(u) <= 1.0, val, 0.0)
     return float(val) if np.isscalar(nu_s) else val
 
 
@@ -112,29 +111,34 @@ def _conjugate_frequency(nu_s, profile: SpectrumProfile):
     return 2.0 * profile.pump_freq - nu_s
 
 
-def squeezing_magnitude_db(kappa: float) -> float:
+def _check_kappa(kappa):
+    k = np.asarray(kappa, dtype=float)
+    if np.any(k < 0.0):
+        raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
+    return k
+
+
+def squeezing_magnitude_db(kappa):
     """Squeezed joint-quadrature variance relative to vacuum, in dB.
 
     10 log10(e^{-2 kappa}) = -(20 log10 e) kappa, computed in closed
     form so that it cancels :func:`antisqueezing_magnitude_db` exactly.
+    Vectorized over kappa; a scalar kappa gives a float.
     """
-    if kappa < 0.0:
-        raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
-    return 0.0 - _DB_PER_KAPPA * kappa
+    val = 0.0 - _DB_PER_KAPPA * _check_kappa(kappa)
+    return float(val) if np.isscalar(kappa) else val
 
 
 def antisqueezing_magnitude_db(kappa: float) -> float:
     """Anti-squeezed joint-quadrature variance relative to vacuum, in dB."""
-    if kappa < 0.0:
-        raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
+    _check_kappa(kappa)
     return _DB_PER_KAPPA * kappa
 
 
-def gain_db(kappa: float) -> float:
-    """Phase-preserving amplifier gain 10 log10(cosh^2 kappa) in dB."""
-    if kappa < 0.0:
-        raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
-    return 20.0 * math.log10(math.cosh(kappa))
+def gain_db(kappa):
+    """Phase-preserving amplifier gain 10 log10(cosh^2 kappa) in dB (vectorized over kappa)."""
+    val = 20.0 * np.log10(np.cosh(_check_kappa(kappa)))
+    return float(val) if np.isscalar(kappa) else val
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,7 @@ def spectrum_sweep(
     nu_s = np.linspace(lo, hi, int(steps))
     kap = kappa_profile(nu_s, profile)
     nu_i = _conjugate_frequency(nu_s, profile)
-    sq_db = 0.0 - _DB_PER_KAPPA * kap
-    g_db = 20.0 * np.log10(np.cosh(kap))
     return SpectrumTable(
-        profile=profile, nu_s=nu_s, nu_i=nu_i, kappa=kap, squeezing_db=sq_db, gain_db=g_db
+        profile=profile, nu_s=nu_s, nu_i=nu_i, kappa=kap,
+        squeezing_db=squeezing_magnitude_db(kap), gain_db=gain_db(kap),
     )

@@ -257,3 +257,10 @@ class TestCliContract:
     def test_unknown_subcommand_rejected(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
+
+    def test_import_loads_no_scipy(self):
+        # scipy serves only squeeze_vacuum_operator and required_pulses, never the CLI
+        probe = "import sys, mqisim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

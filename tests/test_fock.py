@@ -15,7 +15,6 @@ from mqisim import (
     displacement,
     embed_operator,
     expectation,
-    mean_photon,
     mode_ops,
     number_expectation,
     partial_trace,
@@ -107,19 +106,19 @@ class TestSqueezeVacuumOperator:
 
 class TestMeanPhoton:
     def test_values(self):
-        assert mean_photon(SqueezeParam(0.0)) == 0.0
-        assert mean_photon(SqueezeParam(0.5)) == pytest.approx(0.271540317408, rel=1e-12)
-        assert mean_photon(SqueezeParam(3.0)) == pytest.approx(100.357818061, rel=1e-10)
+        assert SqueezeParam(0.0).mean_photon == 0.0
+        assert SqueezeParam(0.5).mean_photon == pytest.approx(0.271540317408, rel=1e-12)
+        assert SqueezeParam(3.0).mean_photon == pytest.approx(100.357818061, rel=1e-10)
 
     def test_gain_consistency(self):
         # cosh^2(3) ~ 20.06 dB of phase-preserving gain
-        gain_db = 10.0 * math.log10(1.0 + mean_photon(SqueezeParam(3.0)))
+        gain_db = 10.0 * math.log10(1.0 + SqueezeParam(3.0).mean_photon)
         assert gain_db == pytest.approx(20.0585725288, abs=1e-8)
 
     def test_matches_number_sum(self):
         coeffs = tmsv_fock(SqueezeParam(0.5), 40).coeffs
         from_sum = float(np.sum(np.arange(41) * np.abs(coeffs) ** 2))
-        assert from_sum == pytest.approx(mean_photon(SqueezeParam(0.5)), abs=1e-12)
+        assert from_sum == pytest.approx(SqueezeParam(0.5).mean_photon, abs=1e-12)
 
 
 class TestThermalDensity:

@@ -13,7 +13,6 @@ from mqisim import (
     gain_db,
     idler_frequency,
     kappa_profile,
-    mean_photon,
     spectrum_sweep,
     squeezing_magnitude_db,
 )
@@ -130,7 +129,7 @@ class TestDecibelMaps:
     def test_gain_photon_number_identity(self):
         for kappa in (0.2, 1.0, 2.5):
             linear_gain = math.cosh(kappa) ** 2
-            assert mean_photon(SqueezeParam(kappa)) == pytest.approx(linear_gain - 1.0, rel=1e-12)
+            assert SqueezeParam(kappa).mean_photon == pytest.approx(linear_gain - 1.0, rel=1e-12)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(InvalidArgumentError):
