@@ -209,18 +209,11 @@ class DensityMatrix:
             raise InvalidArgumentError(
                 f"matrix shape {m.shape} does not match mode_dims product {total}"
             )
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > _HERMITICITY_TOL:
-            raise InvalidArgumentError(
-                f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvalidArgumentError(f"trace must be 1 within {_TRACE_TOL}, got {tr}")
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
+        herm = _hermitian_part(m)
+        _check_unit_trace(complex(np.trace(m)))
+        herm.setflags(write=False)
         object.__setattr__(self, "mode_dims", dims)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", herm)
 
     @property
     def dim(self) -> int:
@@ -238,6 +231,21 @@ class DensityMatrix:
         v = np.asarray(vec, dtype=complex).ravel()
         v = v / np.linalg.norm(v)
         return cls(tuple(int(d) for d in mode_dims), np.outer(v, v.conj()))
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m') / 2, after checking that m is Hermitian within 1e-10."""
+    herm = np.max(np.abs(m - m.conj().T))
+    if herm > _HERMITICITY_TOL:
+        raise InvalidArgumentError(
+            f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}"
+        )
+    return (m + m.conj().T) / 2.0
+
+
+def _check_unit_trace(tr: complex):
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise InvalidArgumentError(f"trace must be 1 within {_TRACE_TOL}, got {tr}")
 
 
 def thermal_probabilities(nbar: float, cutoff: int) -> tuple[np.ndarray, float]:

@@ -30,18 +30,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError
+from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError, TruncationError
 from .fock import (
     DensityMatrix,
     _bs_sector,
+    _check_unit_trace,
+    _hermitian_part,
     displacement,
-    thermal_density,
     thermal_probabilities,
     tmsv_fock,
 )
 from .gaussian import SqueezeParam
 
 _PSD_TOL = -1e-9
+_DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
 
 
 @dataclass(frozen=True)
@@ -189,18 +191,85 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """Target-absent / target-present states for one transmitter."""
+    """Target-absent / target-present states for one transmitter.
 
-    rho0: DensityMatrix
-    rho1: DensityMatrix
+    Both states are stored block-diagonally over one shared partition of
+    the basis: each entry of ``blocks`` is ``(index, rho0_block,
+    rho1_block)``, where ``index`` lists the flat basis positions
+    (``mode_dims`` order, first mode slowest) of the block's rows and
+    columns, and every entry outside the blocks is zero.  Construction
+    checks each block Hermitian within 1e-10 and each state's total
+    trace 1 within 1e-8 and symmetrizes the blocks, as
+    :class:`DensityMatrix` does for a dense state.  :meth:`from_states`
+    wraps a dense pair as a single block; ``rho0`` and ``rho1`` assemble
+    the dense states on access.
+    """
+
+    mode_dims: tuple[int, ...]
+    blocks: tuple
     label: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.rho0.matrix.shape != self.rho1.matrix.shape:
+        dims = tuple(int(d) for d in self.mode_dims)
+        blocks = []
+        traces = [0.0, 0.0]
+        for index, *states in self.blocks:
+            index = np.asarray(index, dtype=int)
+            for k, b in enumerate(states):
+                b = np.asarray(b, dtype=complex)
+                if b.shape != (index.size, index.size):
+                    raise InvalidArgumentError(
+                        f"block of shape {b.shape} does not match its {index.size} indices"
+                    )
+                states[k] = _hermitian_part(b)
+                states[k].setflags(write=False)
+                traces[k] += complex(np.trace(states[k]))
+            blocks.append((index, *states))
+        covered = np.sort(np.concatenate([b[0] for b in blocks]))
+        if not np.array_equal(covered, np.arange(int(np.prod(dims)))):
+            raise InvalidArgumentError(f"block indices must partition the space of mode_dims {dims}")
+        for tr in traces:
+            _check_unit_trace(tr)
+        object.__setattr__(self, "mode_dims", dims)
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    @classmethod
+    def from_states(cls, rho0: DensityMatrix, rho1: DensityMatrix, label: str = "",
+                    params: dict | None = None) -> "HypothesisPair":
+        """One-block pair of two dense states on the same space."""
+        if rho0.mode_dims != rho1.mode_dims:
             raise InvalidArgumentError(
-                f"hypotheses must share a dimension, got {self.rho0.dim} and {self.rho1.dim}"
+                f"hypotheses must share a dimension, got {rho0.mode_dims} and {rho1.mode_dims}"
             )
+        blocks = ((np.arange(rho0.dim), rho0.matrix, rho1.matrix),)
+        return cls(rho0.mode_dims, blocks, label, dict(params or {}))
+
+    @property
+    def dim(self) -> int:
+        return int(np.prod(self.mode_dims))
+
+    def _assemble(self, which: int) -> DensityMatrix:
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for block in self.blocks:
+            m[np.ix_(block[0], block[0])] = block[which]
+        return DensityMatrix(self.mode_dims, m)
+
+    @property
+    def rho0(self) -> DensityMatrix:
+        return self._assemble(1)
+
+    @property
+    def rho1(self) -> DensityMatrix:
+        return self._assemble(2)
+
+
+def _check_discarded(name: str, discarded: float, cutoff: int):
+    if discarded > _DISCARD_TOL:
+        raise TruncationError(
+            f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
+            f"above the tolerance {_DISCARD_TOL}; raise the cutoff"
+        )
 
 
 def build_qi_hypotheses(
@@ -221,9 +290,23 @@ def build_qi_hypotheses(
     Fock basis, so the mix is applied exactly, one noise Fock component
     at a time, using the sector decomposition of the beam splitter.
 
+    Both states are block-diagonal in d = s - i (return photons minus
+    idler photons), d = -idler_cutoff .. signal_cutoff: the beam
+    splitter conserves signal + noise photons, the TMSV pairs signal
+    photon i with idler photon i, and the noise is Fock-diagonal.  Block
+    d of rho1 is V V' with V[k, m] = c_i sqrt(p_noise[m])
+    B^{(i+m)}[i+d, i], where k runs over the idler numbers i of the
+    block, m is the noise photon number, c_i the TMSV coefficient and
+    B^{(t)} the beam-splitter block of total photon number t; block d of
+    rho0 is the matching slice of the diagonal p_ret (x) p_idl.  No
+    dense state is formed, and no block is larger than idler_cutoff + 1.
+
     The signal cutoff bounds the return mode and must accommodate the
     output occupancy eta sinh^2(kappa) + n_b; it must be at least the
-    idler cutoff.  Mode order of the result: (return, idler).
+    idler cutoff.  Each truncated distribution (noise, return, idler and
+    the TMSV pair expansion) may discard at most 1e-3 of its mass, else
+    :class:`TruncationError` is raised.  Mode order of the result:
+    (return, idler).
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
@@ -240,38 +323,38 @@ def build_qi_hypotheses(
         )
 
     state = tmsv_fock(sq, n_idl)
-    coeffs = state.coeffs / np.linalg.norm(state.coeffs)
     nbar_noise = n_b / (1.0 - eta) if eta < 1.0 else 0.0
     p_noise, noise_renorm = thermal_probabilities(nbar_noise, n_noise)
-    theta = math.acos(math.sqrt(eta))
-
-    rows = (n_sig + 1) * (n_idl + 1)
-    cols = (n_noise + 1) * (n_noise + 1)
-    amp = np.zeros((rows, cols), dtype=complex)
-    sqrt_p = np.sqrt(p_noise)
-    for total in range(n_idl + n_noise + 1):
-        s_vals, block = _bs_sector(total, n_sig + 1, n_noise + 1, theta)
-        offset = int(s_vals[0])
-        flat_rows = s_vals * (n_idl + 1)
-        flat_cols = (total - s_vals) * (n_noise + 1)
-        for i in range(max(0, total - n_noise), min(total, n_idl) + 1):
-            m = total - i
-            weight = coeffs[i] * sqrt_p[m]
-            amp[flat_rows + i, flat_cols + m] = weight * block[:, i - offset]
-    rho1_mat = amp @ amp.conj().T
-
     p_ret0, ret_renorm = thermal_probabilities(n_b, n_sig)
     p_idl0, idl_renorm = thermal_probabilities(math.sinh(sq.kappa) ** 2, n_idl)
-    rho0_mat = np.diag(np.kron(p_ret0, p_idl0).astype(complex))
+    for name, renorm, cutoff in (("noise", noise_renorm, n_noise),
+                                 ("return", ret_renorm, n_sig),
+                                 ("idler", idl_renorm, n_idl)):
+        _check_discarded(name, 1.0 - 1.0 / renorm, cutoff)
+    _check_discarded("TMSV pair", state.norm_deficit, n_idl)
 
-    dims = (n_sig + 1, n_idl + 1)
-    rho1 = DensityMatrix(dims, rho1_mat)
-    rho0 = DensityMatrix(dims, rho0_mat)
-    diag1 = np.real(np.diagonal(rho1.matrix))
-    boundary = float(np.sum(diag1[n_sig * (n_idl + 1):]))
+    coeffs = state.coeffs / np.linalg.norm(state.coeffs)
+    weight = coeffs[:, None] * np.sqrt(p_noise)[None, :]
+    theta = math.acos(math.sqrt(eta))
+    # amp[s, i, m]: amplitude of return s with idler i and noise input m;
+    # the noise output i + m - s is implied by photon-number conservation
+    amp = np.zeros((n_sig + 1, n_idl + 1, n_noise + 1), dtype=complex)
+    for total in range(n_idl + n_noise + 1):
+        s_vals, block = _bs_sector(total, n_sig + 1, n_noise + 1, theta)
+        i = np.arange(max(0, total - n_noise), min(total, n_idl) + 1)
+        amp[s_vals[:, None], i, total - i] = weight[i, total - i] * block[:, i - s_vals[0]]
+
+    diag0 = np.kron(p_ret0, p_idl0)
+    blocks = []
+    for d in range(-n_idl, n_sig + 1):
+        i = np.arange(max(0, -d), min(n_idl, n_sig - d) + 1)
+        index = (i + d) * (n_idl + 1) + i
+        v = amp[i + d, i, :]
+        blocks.append((index, np.diag(diag0[index]), v @ v.conj().T))
+    boundary = float(np.sum(np.abs(amp[n_sig]) ** 2))
     return HypothesisPair(
-        rho0=rho0,
-        rho1=rho1,
+        mode_dims=(n_sig + 1, n_idl + 1),
+        blocks=tuple(blocks),
         label="tmsv",
         params={
             "kappa": sq.kappa,
@@ -295,7 +378,9 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     """Hypothesis pair for the coherent-state transmitter (single mode).
 
     H0 is thermal(n_b); H1 is the same thermal state displaced by
-    alpha = sqrt(eta n_s), giving mean photon number eta n_s + n_b.
+    alpha = sqrt(eta n_s), giving mean photon number eta n_s + n_b.  The
+    pair is a single block.  The truncated thermal law may discard at
+    most 1e-3 of its mass, else :class:`TruncationError` is raised.
     """
     if n_s < 0.0 or not math.isfinite(n_s):
         raise InvalidArgumentError(f"n_s must be finite and >= 0, got {n_s}")
@@ -304,13 +389,15 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     if n_b < 0.0 or not math.isfinite(n_b):
         raise InvalidArgumentError(f"n_b must be finite and >= 0, got {n_b}")
     cutoff = int(cutoff)
+    p0, renorm = thermal_probabilities(n_b, cutoff)
+    _check_discarded("thermal background", 1.0 - 1.0 / renorm, cutoff)
     alpha = math.sqrt(eta * n_s)
-    rho0 = thermal_density(n_b, cutoff)
+    rho0 = DensityMatrix((cutoff + 1,), np.diag(p0.astype(complex)))
     disp = displacement(alpha, cutoff)
     rho1 = DensityMatrix((cutoff + 1,), disp @ rho0.matrix @ disp.conj().T)
-    return HypothesisPair(
-        rho0=rho0,
-        rho1=rho1,
+    return HypothesisPair.from_states(
+        rho0,
+        rho1,
         label="coherent",
         params={"n_s": n_s, "eta": eta, "n_b": n_b, "cutoff": cutoff, "alpha": alpha},
     )
@@ -331,35 +418,46 @@ class ChernoffResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _clipped_spectrum(rho: DensityMatrix, name: str):
-    eigvals, eigvecs = np.linalg.eigh(rho.matrix)
-    worst = float(eigvals[0])
+def _clipped_spectrum(eigvals: np.ndarray, name: str):
+    worst = float(np.min(eigvals))
     if worst < _PSD_TOL:
         raise InvalidStateError(f"{name} has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}")
     clipped = float(-np.sum(np.minimum(eigvals, 0.0)))
-    return np.clip(eigvals, 0.0, None), eigvecs, clipped, worst
+    return np.clip(eigvals, 0.0, None), clipped, worst
 
 
 def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-6) -> ChernoffResult:
     """Brute-force quantum Chernoff bound for a hypothesis pair.
 
-    Eigendecomposes both states (tiny negative eigenvalues from
-    truncation are clipped at zero and recorded), evaluates
-    Q(s) = tr(rho0^s rho1^{1-s}) through the eigenbasis overlap matrix,
-    and minimizes over s in (0, 1) by golden-section search to
-    |delta s| <= s_tol.  Q(s) is log-convex on (0, 1), so the local
-    minimum is global; an 11-point grid of Q values is kept in the
-    diagnostics so that convexity can be audited.
+    Eigendecomposes both states block by block (tiny negative
+    eigenvalues from truncation are clipped at zero and recorded, summed
+    over blocks; positivity is checked on the smallest eigenvalue of any
+    block) and evaluates Q(s) = tr(rho0^s rho1^{1-s}) as the sum over
+    blocks d of lam0_d^s |U0_d' U1_d|^2 lam1_d^{1-s}, where U0_d, U1_d
+    are the blocks' eigenvectors.  Q is minimized over s in (0, 1) by
+    golden-section search to |delta s| <= s_tol.  Q(s) is log-convex on
+    (0, 1), so the local minimum is global; an 11-point grid of Q values
+    is kept in the diagnostics so that convexity can be audited.
 
     Returns q_min = 0 with an infinite exponent for (numerically)
     orthogonal states.
     """
-    lam0, vec0, clip0, worst0 = _clipped_spectrum(pair.rho0, "rho0")
-    lam1, vec1, clip1, worst1 = _clipped_spectrum(pair.rho1, "rho1")
-    overlap = np.abs(vec0.conj().T @ vec1) ** 2
+    spectra0, spectra1, overlaps = [], [], []
+    start = 0
+    for _, block0, block1 in pair.blocks:
+        lam0, vec0 = np.linalg.eigh(block0)
+        lam1, vec1 = np.linalg.eigh(block1)
+        spectra0.append(lam0)
+        spectra1.append(lam1)
+        overlaps.append((slice(start, start + lam0.size), np.abs(vec0.conj().T @ vec1) ** 2))
+        start += lam0.size
+    lam0, clip0, worst0 = _clipped_spectrum(np.concatenate(spectra0), "rho0")
+    lam1, clip1, worst1 = _clipped_spectrum(np.concatenate(spectra1), "rho1")
 
     def q_of(s: float) -> float:
-        val = float(lam0**s @ overlap @ lam1 ** (1.0 - s))
+        pow0 = lam0**s
+        pow1 = lam1 ** (1.0 - s)
+        val = float(sum(pow0[sl] @ overlap @ pow1[sl] for sl, overlap in overlaps))
         if not math.isfinite(val):
             raise ConvergenceError(f"Q({s}) is not finite")
         return val
@@ -403,7 +501,7 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-6) -> ChernoffResu
             "clipped_mass_rho1": clip1,
             "min_eigenvalue_rho0": worst0,
             "min_eigenvalue_rho1": worst1,
-            "dim": pair.rho0.dim,
+            "dim": pair.dim,
             "s_grid": s_grid,
             "q_grid": q_grid,
             "evaluations": evals + len(s_grid),

@@ -27,6 +27,7 @@ MIXING_TYPES = ("3wm", "4wm")
 PROFILE_SHAPES = ("parabolic", "raised_cosine", "rectangular")
 
 _DB_PER_KAPPA = 20.0 * math.log10(math.e)
+_GAIN_CLOSED_FORM_KAPPA = 20.0
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,18 @@ def antisqueezing_magnitude_db(kappa: float) -> float:
 
 
 def gain_db(kappa):
-    """Phase-preserving amplifier gain 10 log10(cosh^2 kappa) in dB (vectorized over kappa)."""
-    val = 20.0 * np.log10(np.cosh(_check_kappa(kappa)))
+    """Phase-preserving amplifier gain 10 log10(cosh^2 kappa) in dB (vectorized over kappa).
+
+    From kappa = 20 on, cosh kappa = e^kappa / 2 to double precision, so
+    the gain is (20 log10 e) kappa - 20 log10 2 there; cosh, which
+    overflows near kappa = 710, is evaluated only below 20.
+    """
+    k = _check_kappa(kappa)
+    val = np.where(
+        k < _GAIN_CLOSED_FORM_KAPPA,
+        20.0 * np.log10(np.cosh(np.minimum(k, _GAIN_CLOSED_FORM_KAPPA))),
+        _DB_PER_KAPPA * k - 20.0 * math.log10(2.0),
+    )
     return float(val) if np.isscalar(kappa) else val
 
 

@@ -172,6 +172,22 @@ class TestQcbCommand:
         assert code == 2
         assert "exactly one" in err
 
+    @pytest.mark.parametrize(
+        "n_s, n_b",
+        [("0.1", "100"), ("0.1", "20"), ("2", "1")],
+        ids=["n_b_100", "n_b_20", "n_s_2"],
+    )
+    def test_truncated_distribution_fails_loudly(self, n_s, n_b):
+        # these once exited 0 with exponents up to 450x off: the default
+        # cutoffs discard 0.65, 0.12 and 5e-3 of a distribution's mass
+        code, out, err = run_cli(
+            "qcb", "--transmitter", "both", "--n-s", n_s, "--eta", "0.1",
+            "--n-b", n_b, "--cutoff-idler", "12",
+        )
+        assert code == 3
+        assert "discards" in err
+        assert out == ""
+
     def test_truncation_exit_code(self):
         code, _, err = run_cli(
             "qcb", "--transmitter", "classical", "--n-s", "10",

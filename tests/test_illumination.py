@@ -11,7 +11,9 @@ from mqisim import (
     InvalidArgumentError,
     InvalidStateError,
     SqueezeParam,
+    TruncationError,
     advantage_db,
+    beam_splitter,
     build_classical_hypotheses,
     build_qi_hypotheses,
     chernoff_exponent,
@@ -19,10 +21,13 @@ from mqisim import (
     error_probability,
     is_asymptotic,
     number_expectation,
+    partial_trace,
     pulse_count,
     quantum_error_rate,
     required_pulses,
     thermal_density,
+    thermal_probabilities,
+    tmsv_fock,
 )
 from mqisim.illumination import HypothesisPair
 from conftest import trace_distance
@@ -198,6 +203,39 @@ class TestHypothesisBuilders:
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-8
             assert rho.min_eigenvalue() >= -1e-9
 
+    def test_qi_rho1_matches_dense_engine(self):
+        # independent construction: the dense beam splitter acts on
+        # signal (x) idler (x) noise, then the noise mode is traced out
+        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
+        eta, n_b, n_sig, n_idl, n_noise = 0.3, 0.5, 10, 4, 10
+        pair = build_qi_hypotheses(sq, eta, n_b, n_sig, n_idl, n_noise)
+        coeffs = tmsv_fock(sq, n_idl).coeffs
+        psi = np.zeros((n_sig + 1, n_idl + 1), dtype=complex)
+        psi[np.arange(n_idl + 1), np.arange(n_idl + 1)] = coeffs / np.linalg.norm(coeffs)
+        p_noise, _ = thermal_probabilities(n_b / (1.0 - eta), n_noise)
+        rho_in = np.kron(np.outer(psi.ravel(), psi.ravel().conj()), np.diag(p_noise))
+        dims = (n_sig + 1, n_idl + 1, n_noise + 1)
+        mixed = beam_splitter(DensityMatrix(dims, rho_in), eta, modes=(0, 2))
+        ref = partial_trace(mixed, (0, 1)).matrix
+        np.testing.assert_allclose(pair.rho1.matrix, ref, rtol=0.0, atol=1e-12)
+        s, i = np.divmod(np.arange(ref.shape[0]), n_idl + 1)
+        off_block = (s - i)[:, None] != (s - i)[None, :]
+        assert np.all(ref[off_block] == 0.0)
+        p_ret, _ = thermal_probabilities(n_b, n_sig)
+        p_idl, _ = thermal_probabilities(0.1, n_idl)
+        np.testing.assert_allclose(pair.rho0.matrix, np.diag(np.kron(p_ret, p_idl)),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_qi_blocks_bounded_by_idler_cutoff(self):
+        pair = build_qi_hypotheses(SqueezeParam(0.3), 0.2, 0.7, 36, 8, 36)
+        assert len(pair.blocks) == 36 + 8 + 1
+        assert max(len(index) for index, _, _ in pair.blocks) == 8 + 1
+        assert sum(len(index) for index, _, _ in pair.blocks) == pair.dim == 37 * 9
+
+    def test_classical_truncation_rejected(self):
+        with pytest.raises(TruncationError, match="discards"):
+            build_classical_hypotheses(0.1, 0.1, 100.0, 48)
+
     def test_qi_invalid_inputs(self):
         sq = SqueezeParam(0.3)
         with pytest.raises(InvalidArgumentError):
@@ -219,22 +257,33 @@ class TestHypothesisBuilders:
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-8
             assert rho.min_eigenvalue() >= -1e-9
 
+    def test_blocks_must_partition_the_space(self):
+        rho = thermal_density(0.5, 3)
+        half = np.diag(rho.matrix)[:2]
+        with pytest.raises(InvalidArgumentError):
+            HypothesisPair((4,), ((np.arange(2), np.diag(half), np.diag(half)),))
+
+    def test_non_hermitian_block_rejected(self):
+        block = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(InvalidArgumentError):
+            HypothesisPair((2,), ((np.arange(2), block, np.eye(2) / 2),))
+
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            HypothesisPair(rho0=thermal_density(0.5, 4), rho1=thermal_density(0.5, 5))
+            HypothesisPair.from_states(thermal_density(0.5, 4), thermal_density(0.5, 5))
 
 
 class TestChernoffExponent:
     def test_identical_states(self):
         rho = thermal_density(0.8, 25)
-        result = chernoff_exponent(HypothesisPair(rho0=rho, rho1=rho))
+        result = chernoff_exponent(HypothesisPair.from_states(rho, rho))
         assert result.q_min == pytest.approx(1.0, abs=1e-12)
         assert result.exponent == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
         zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
         one = DensityMatrix.from_pure(np.array([0.0, 1.0]), (2,))
-        result = chernoff_exponent(HypothesisPair(rho0=zero, rho1=one))
+        result = chernoff_exponent(HypothesisPair.from_states(zero, one))
         assert result.q_min == 0.0
         assert math.isinf(result.exponent)
 
@@ -247,7 +296,7 @@ class TestChernoffExponent:
     def test_swap_symmetry(self):
         pair = build_classical_hypotheses(0.2, 0.5, 1.0, 30)
         fwd = chernoff_exponent(pair)
-        rev = chernoff_exponent(HypothesisPair(rho0=pair.rho1, rho1=pair.rho0))
+        rev = chernoff_exponent(HypothesisPair.from_states(pair.rho1, pair.rho0))
         assert rev.q_min == pytest.approx(fwd.q_min, rel=1e-9)
         assert rev.s_star == pytest.approx(1.0 - fwd.s_star, abs=2e-6)
 
@@ -264,6 +313,15 @@ class TestChernoffExponent:
         cl = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, 1.0, 36))
         assert qi.exponent / cl.exponent > 1.0
 
+    def test_block_sum_matches_dense_pair(self):
+        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
+        pair = build_qi_hypotheses(sq, 0.1, 1.0, 48, 10, 48)
+        dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
+        blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
+        assert blocked.diagnostics["dim"] == single.diagnostics["dim"] == 49 * 11
+        assert blocked.exponent == pytest.approx(single.exponent, rel=1e-12)
+        assert blocked.s_star == pytest.approx(single.s_star, abs=1e-9)
+
     def test_non_psd_rejected(self):
         bad = np.diag([1.4, -0.4]).astype(complex)
         rho = DensityMatrix.__new__(DensityMatrix)
@@ -271,4 +329,4 @@ class TestChernoffExponent:
         object.__setattr__(rho, "matrix", bad)
         good = thermal_density(0.5, 1)
         with pytest.raises(InvalidStateError):
-            chernoff_exponent(HypothesisPair(rho0=rho, rho1=good))
+            chernoff_exponent(HypothesisPair.from_states(rho, good))

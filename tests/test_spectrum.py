@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,14 @@ class TestDecibelMaps:
         # cosh^2 k -> e^{2k}/4, so G(k) approaches 8.6859 k - 6.0206 dB
         diff = gain_db(3.0) - (antisqueezing_magnitude_db(3.0) - 10.0 * math.log10(4.0))
         assert abs(diff) < 0.1
+
+    def test_gain_finite_beyond_cosh_overflow(self):
+        # cosh overflows near kappa = 710; above kappa = 20 the gain is closed form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gain_db(800.0) == pytest.approx(6942.69111, abs=1e-5)
+            below, at = gain_db(np.array([np.nextafter(20.0, 0.0), 20.0]))
+        assert at == pytest.approx(below, rel=1e-14)
 
     def test_gain_photon_number_identity(self):
         for kappa in (0.2, 1.0, 2.5):
