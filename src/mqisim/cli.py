@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -286,10 +287,11 @@ def _run_wigner(p: dict):
         state, plane=plane, x_range=x_range, y_range=y_range,
         samples=(nx, ny), fixed_values=p["fixed"],
     )
-    rows = []
-    for ix, x in enumerate(grid.x_axis):
-        for iy, y in enumerate(grid.y_axis):
-            rows.append([float(x), float(y), float(grid.values[ix, iy])])
+    rows = list(zip(
+        np.repeat(grid.x_axis, len(grid.y_axis)).tolist(),
+        np.tile(grid.y_axis, len(grid.x_axis)).tolist(),
+        grid.values.ravel().tolist(),
+    ))
     fixed_names = [QUADRATURE_NAMES[k] for k in range(4) if k not in plane]
     meta = {
         "fixed_" + fixed_names[0]: grid.fixed_values[0],
@@ -313,11 +315,10 @@ def _run_spectrum(p: dict):
     start = p["nu_start"] if p["nu_start"] is not None else lo
     stop = p["nu_stop"] if p["nu_stop"] is not None else hi
     table = spectrum_sweep(profile, (start, stop), p["steps"])
-    rows = [
-        [float(table.nu_s[i]), float(table.nu_i[i]), float(table.kappa[i]),
-         float(table.squeezing_db[i]), float(table.gain_db[i])]
-        for i in range(len(table))
-    ]
+    rows = list(zip(*(
+        col.tolist()
+        for col in (table.nu_s, table.nu_i, table.kappa, table.squeezing_db, table.gain_db)
+    )))
     meta = {
         "band_center_effective": profile.band_center,
         "nu_start_effective": start,
@@ -328,26 +329,21 @@ def _run_spectrum(p: dict):
     return ["nu_s_hz", "nu_i_hz", "kappa", "squeezing_db", "gain_db"], rows, meta
 
 
-def _detect_pulses(p: dict, scn: DetectionScenario) -> float:
-    if p["pulses"] is not None:
-        if p["sweep_var"] in ("t_int", "bandwidth"):
-            raise InvalidArgumentError("--pulses conflicts with sweeping t-int or bandwidth")
-        return float(p["pulses"])
-    if p["t_int"] is None or p["bandwidth"] is None:
-        raise InvalidArgumentError("provide --pulses or both --t-int and --bandwidth")
-    return scn.pulses
-
-
 def _run_detect(p: dict):
     base = {
         "eta": p["eta"], "n_s": p["n_s"], "n_b": p["n_b"],
         "t_int": p["t_int"] if p["t_int"] is not None else 0.0,
         "bandwidth": p["bandwidth"] if p["bandwidth"] is not None else 0.0,
     }
+    points = _sweep_fields(p, base, "detect")
+    if p["pulses"] is not None and p["sweep_var"] in ("t_int", "bandwidth"):
+        raise InvalidArgumentError("--pulses conflicts with sweeping t-int or bandwidth")
+    if p["pulses"] is None and (p["t_int"] is None or p["bandwidth"] is None):
+        raise InvalidArgumentError("provide --pulses or both --t-int and --bandwidth")
     rows = []
-    for fields in _sweep_fields(p, base, "detect"):
+    for fields in points:
         scn = DetectionScenario(**fields)
-        pulses = _detect_pulses(p, scn)
+        pulses = float(p["pulses"]) if p["pulses"] is not None else scn.pulses
         r_cl = classical_error_rate(scn)
         r_q = quantum_error_rate(scn)
         rows.append([
@@ -434,14 +430,65 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.9g}"
-    return str(v)
+# first match wins; bool comes before int because bool is an int subclass
+_CELL_KINDS = (
+    ((bool, np.bool_), "bool"),
+    ((int, np.integer), "int"),
+    ((float, np.floating), "float"),
+)
+# rows formatted at a time: bounds the cell strings alive at once
+_BLOCK_ROWS = 4096
+
+
+def _column_kind(col) -> str:
+    """The one kind (bool, int or float) of every cell of a column."""
+    kinds = set()
+    for cell_type in set(map(type, col)):
+        kind = next((k for types, k in _CELL_KINDS if issubclass(cell_type, types)), None)
+        if kind is None:
+            raise TypeError(f"unsupported cell type {cell_type.__name__}")
+        kinds.add(kind)
+    if len(kinds) != 1:
+        raise TypeError(f"column mixes cell kinds {sorted(kinds)}")
+    return kinds.pop()
+
+
+def _format_cells(kind: str, cells, json_floats: bool) -> list[str]:
+    if kind == "bool":
+        return ["true" if v else "false" for v in cells]
+    if kind == "int":
+        return list(map(str, cells))
+    out = list(map(format, cells, repeat(".9g")))
+    return list(map(_json_float, out)) if json_floats else out
+
+
+def _row_cells(rows, json_floats: bool):
+    """Formatted cells of each row, formatted one column of a block of rows at a time."""
+    cols = list(zip(*rows))
+    kinds = [_column_kind(col) for col in cols]
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield from zip(*(_format_cells(k, col[start:stop], json_floats)
+                         for k, col in zip(kinds, cols)))
+
+
+def _json_float(cell: str) -> str:
+    """JSON token of a ``%.9g`` cell: the shortest repr of the double it names.
+
+    A fixed-notation cell already is that repr, given a ``.0`` when it has
+    no fraction, and so is a cell with a negative two-digit exponent.  repr
+    switches to exponent notation at 1e16 rather than 1e9, and subnormals
+    (below 1e-307) can round-trip with fewer than 9 digits, so ``e+`` and
+    ``e-3..`` cells are re-formatted.  JSON has no inf/nan token; those
+    become strings.
+    """
+    if "." in cell and "e" not in cell:
+        return cell
+    if cell[-1] in "fn":
+        return f'"{cell}"'
+    if "e+" in cell or "e-3" in cell:
+        return repr(float(cell))
+    return cell if "e" in cell else cell + ".0"
 
 
 def _meta_value(v) -> str:
@@ -456,24 +503,17 @@ def _meta_value(v) -> str:
 
 def emit_csv(columns, rows, meta) -> str:
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
+    lines.extend(map(",".join, _row_cells(rows, json_floats=False)))
     lines.extend(f"# {k} = {_meta_value(meta[k])}" for k in sorted(meta))
     return "\n".join(lines) + "\n"
 
 
 def emit_json(columns, rows, meta) -> str:
-    def cell(v):
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        if isinstance(v, (float, np.floating)):
-            # JSON has no inf/nan tokens; fall back to strings for those
-            if not math.isfinite(float(v)):
-                return f"{float(v):.9g}"
-            return float(f"{float(v):.9g}")
-        return v
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, rows written directly.
 
+    Rows come last in key order, so the document is dumped without them and
+    the rows block is appended in the same layout.
+    """
     def mval(v):
         if isinstance(v, (np.integer,)):
             return int(v)
@@ -483,12 +523,19 @@ def emit_json(columns, rows, meta) -> str:
             return [mval(x) for x in v]
         return v
 
-    doc = {
-        "metadata": {k: mval(meta[k]) for k in sorted(meta)},
-        "columns": list(columns),
-        "rows": [[cell(v) for v in row] for row in rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    head = json.dumps(
+        {"metadata": {k: mval(meta[k]) for k in sorted(meta)}, "columns": list(columns)},
+        indent=2, sort_keys=True,
+    )
+    if not rows:
+        return head[:-2] + ',\n  "rows": []\n}\n'
+    row_texts = map(",\n      ".join, _row_cells(rows, json_floats=True))
+    return "".join([
+        head[:-2],
+        ',\n  "rows": [\n    [\n      ',
+        "\n    ],\n    [\n      ".join(row_texts),
+        "\n    ]\n  ]\n}\n",
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -422,7 +422,8 @@ def _clipped_spectrum(eigvals: np.ndarray, name: str):
     worst = float(np.min(eigvals))
     if worst < _PSD_TOL:
         raise InvalidStateError(f"{name} has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}")
-    clipped = float(-np.sum(np.minimum(eigvals, 0.0)))
+    # 0.0 - x rather than -x: nothing clipped is +0.0, not -0.0
+    clipped = 0.0 - float(np.sum(np.minimum(eigvals, 0.0)))
     return np.clip(eigvals, 0.0, None), clipped, worst
 
 

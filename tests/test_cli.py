@@ -1,10 +1,29 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from mqisim.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of the CSV output of each preset in configs/
+PRESET_SHA256 = {
+    "detect_background_sweep": "e51b98fe1faa504c7d050e811092a11b37855d2710d0a60207828c0c058c36f5",
+    "qcb_background_sweep": "524ebb8a9d9add2337c79a0df90c0b51678d3cd9e40840d9c382a5c1f642d06c",
+    "spectrum_k05": "6b206b66f2bdc9b3eba10527c4869b19252636e966c5612e727d8f626bb6a6b4",
+    "spectrum_k15": "33efa41760036715e151f9ce77c3fe3a38eb2b85c779bf5f7e34926c1cf03277",
+    "spectrum_k30": "c01f27035ee8352d91f27f1af233296d246fb9d76400180cf735f9500112ac59",
+    "wigner_tmsv_k05_qs_pi": "2e6b8c5afd5313a8b28d99c46d6cd2a9db8141cd1d127ca238ff2d3319b8ba95",
+    "wigner_tmsv_k05_qs_ps": "66ae30479e23494ec4ca70ecde38bd63648c6da1c03f4715ad4b1010fd82f675",
+    "wigner_tmsv_k15_qs_pi": "2e9bee0ba58ae37e70a76641f105032af24acf4a900ed623329dbf7a22d709e8",
+    "wigner_tmsv_k15_qs_ps": "1536c051a05100a64eac6b17bff95cb9e2c26913989788ae2cf34c45bb449abb",
+}
 
 
 def run_cli(*args, cwd=None):
@@ -129,6 +148,14 @@ class TestDetectCommand:
         assert code == 2
         assert "pulses" in err
 
+    def test_pulses_conflict_with_swept_pulse_count(self):
+        code, _, err = run_cli(
+            "detect", "--eta", "1", "--n-s", "1", "--n-b", "1", "--pulses", "10",
+            "--t-int", "1e-3", "--sweep-var", "bandwidth", "--sweep-values", "1e9,2e9",
+        )
+        assert code == 2
+        assert "conflicts" in err
+
 
 class TestQcbCommand:
     def test_classical_against_closed_form(self):
@@ -141,6 +168,8 @@ class TestQcbCommand:
         row = dict(zip(header, rows[0]))
         assert float(row["exponent"]) == pytest.approx(0.00857864376269, rel=1e-4)
         assert float(row["s_star"]) == pytest.approx(0.5, abs=1e-4)
+        # nothing is clipped: +0, never -0
+        assert (row["clipped_rho0"], row["clipped_rho1"]) == ("0", "0")
         meta = csv_meta(out)
         assert meta["cutoff_classical"] == "30"
 
@@ -273,6 +302,16 @@ class TestCliContract:
     def test_unknown_subcommand_rejected(self):
         code, _, _ = run_cli("frobnicate")
         assert code == 2
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_preset_outputs_pinned(self, tmp_path, name):
+        # byte-identical at 9 significant digits; a change that moves a digit
+        # updates the digest and says why
+        path = tmp_path / f"{name}.csv"
+        argv = [name.split("_")[0], "--config", str(CONFIGS / f"{name}.cfg"),
+                "--output", str(path), "--quiet"]
+        assert main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_SHA256[name]
 
     def test_import_loads_no_scipy(self):
         # scipy serves only squeeze_vacuum_operator and required_pulses, never the CLI
