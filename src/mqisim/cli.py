@@ -126,8 +126,15 @@ class Param(NamedTuple):
     help: str = ""
 
 
-_SWEEPABLE_DETECT = ("eta", "n_s", "n_b", "t_int", "bandwidth")
-_SWEEPABLE_QCB = ("eta", "n_s", "n_b")
+def _sweep_params(*sweepable: str) -> list[Param]:
+    return [
+        Param("sweep-var", _parse_choice(*sweepable), help="scenario variable to sweep"),
+        Param("sweep-values", _parse_float_list, help="explicit sweep values"),
+        Param("sweep-from", _parse_float, help="sweep start"),
+        Param("sweep-to", _parse_float, help="sweep stop"),
+        Param("sweep-steps", _parse_int, help="sweep point count"),
+    ]
+
 
 _SPECS: dict[str, list[Param]] = {
     "state": [
@@ -165,11 +172,7 @@ _SPECS: dict[str, list[Param]] = {
         Param("t-int", _parse_float, help="integration time (s)"),
         Param("bandwidth", _parse_float, help="source bandwidth (Hz)"),
         Param("pulses", _parse_float, help="pulse count M (overrides t-int * bandwidth)"),
-        Param("sweep-var", _parse_choice(*_SWEEPABLE_DETECT), help="scenario variable to sweep"),
-        Param("sweep-values", _parse_float_list, help="explicit sweep values"),
-        Param("sweep-from", _parse_float, help="sweep start"),
-        Param("sweep-to", _parse_float, help="sweep stop"),
-        Param("sweep-steps", _parse_int, help="sweep point count"),
+        *_sweep_params("eta", "n_s", "n_b", "t_int", "bandwidth"),
     ],
     "qcb": [
         Param("transmitter", _parse_choice("qi", "classical", "both"), required=True,
@@ -182,11 +185,7 @@ _SPECS: dict[str, list[Param]] = {
         Param("cutoff-idler", _parse_int, default=12, help="idler mode cutoff"),
         Param("cutoff-noise", _parse_int, default=48, help="noise mode cutoff"),
         Param("cutoff", _parse_int, default=48, help="single-mode cutoff (classical)"),
-        Param("sweep-var", _parse_choice(*_SWEEPABLE_QCB), help="scenario variable to sweep"),
-        Param("sweep-values", _parse_float_list, help="explicit sweep values"),
-        Param("sweep-from", _parse_float, help="sweep start"),
-        Param("sweep-to", _parse_float, help="sweep stop"),
-        Param("sweep-steps", _parse_int, help="sweep point count"),
+        *_sweep_params("eta", "n_s", "n_b"),
     ],
 }
 
@@ -238,40 +237,55 @@ def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str
     return values
 
 
-def _sweep_fields(p: dict, base: dict, what: str) -> list[dict]:
-    """Scenario fields per point: ``[base]`` without a sweep, else base with each sweep value."""
+def _sweep_fields(p: dict, base: dict, what: str) -> dict:
+    """Scenario fields: ``base``, with the swept field, if any, an array of the sweep values."""
+    bounds = ("sweep_from", "sweep_to", "sweep_steps")
     if p["sweep_var"] is None:
-        for key in ("sweep_values", "sweep_from", "sweep_to", "sweep_steps"):
+        for key in ("sweep_values", *bounds):
             if p[key] is not None:
                 raise InvalidArgumentError(f"--{key.replace('_', '-')} requires --sweep-var")
-        return [base]
+        return base
     if p["sweep_values"] is not None:
-        values = p["sweep_values"]
-    elif p["sweep_from"] is None or p["sweep_to"] is None or p["sweep_steps"] is None:
+        if any(p[key] is not None for key in bounds):
+            raise InvalidArgumentError(
+                "--sweep-values conflicts with --sweep-from/--sweep-to/--sweep-steps"
+            )
+        values = np.array(p["sweep_values"])
+    elif any(p[key] is None for key in bounds):
         raise InvalidArgumentError(
             f"{what} sweep needs --sweep-values or --sweep-from/--sweep-to/--sweep-steps"
         )
     elif p["sweep_steps"] < 2:
         raise InvalidArgumentError("--sweep-steps must be >= 2")
     else:
-        values = [float(v) for v in np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])]
-    return [{**base, p["sweep_var"]: value} for value in values]
+        values = np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])
+    return {**base, p["sweep_var"]: values}
+
+
+def _sweep_table(columns: dict) -> dict:
+    """The columns as a table, scalars repeated: one row per sweep point, or one row."""
+    shape = np.broadcast_shapes((1,), *map(np.shape, columns.values()))
+    return {name: np.broadcast_to(value, shape) for name, value in columns.items()}
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (columns, rows, extra metadata)
+# Subcommand implementations: (table, extra metadata); a table maps each
+# column name to a 1-D numpy array
 # ---------------------------------------------------------------------------
 
 
 def _run_state(p: dict):
     sq = SqueezeParam(p["kappa"], p["phase"])
     state = tmsv_fock(sq, p["cutoff"])
-    rows = [
-        [int(n), float(c.real), float(c.imag), float(abs(c) ** 2)]
-        for n, c in enumerate(state.coeffs)
-    ]
+    coeffs = state.coeffs
+    table = {
+        "n": np.arange(coeffs.size),
+        "re_c": coeffs.real,
+        "im_c": coeffs.imag,
+        "prob": np.abs(coeffs) ** 2,
+    }
     meta = {"norm_deficit": state.norm_deficit, "mean_photon": sq.mean_photon}
-    return ["n", "re_c", "im_c", "prob"], rows, meta
+    return table, meta
 
 
 def _run_wigner(p: dict):
@@ -287,11 +301,11 @@ def _run_wigner(p: dict):
         state, plane=plane, x_range=x_range, y_range=y_range,
         samples=(nx, ny), fixed_values=p["fixed"],
     )
-    rows = list(zip(
-        np.repeat(grid.x_axis, len(grid.y_axis)).tolist(),
-        np.tile(grid.y_axis, len(grid.x_axis)).tolist(),
-        grid.values.ravel().tolist(),
-    ))
+    table = {
+        xname: np.repeat(grid.x_axis, len(grid.y_axis)),
+        yname: np.tile(grid.y_axis, len(grid.x_axis)),
+        "wigner": grid.values.ravel(),
+    }
     fixed_names = [QUADRATURE_NAMES[k] for k in range(4) if k not in plane]
     meta = {
         "fixed_" + fixed_names[0]: grid.fixed_values[0],
@@ -299,7 +313,7 @@ def _run_wigner(p: dict):
         "slice_mass_analytic": slice_mass(state, plane, grid.fixed_values),
         "layout": "row-major over the first plane axis",
     }
-    return [xname, yname, "wigner"], rows, meta
+    return table, meta
 
 
 def _run_spectrum(p: dict):
@@ -314,19 +328,22 @@ def _run_spectrum(p: dict):
     lo, hi = profile.band_edges
     start = p["nu_start"] if p["nu_start"] is not None else lo
     stop = p["nu_stop"] if p["nu_stop"] is not None else hi
-    table = spectrum_sweep(profile, (start, stop), p["steps"])
-    rows = list(zip(*(
-        col.tolist()
-        for col in (table.nu_s, table.nu_i, table.kappa, table.squeezing_db, table.gain_db)
-    )))
+    sweep = spectrum_sweep(profile, (start, stop), p["steps"])
+    table = {
+        "nu_s_hz": sweep.nu_s,
+        "nu_i_hz": sweep.nu_i,
+        "kappa": sweep.kappa,
+        "squeezing_db": sweep.squeezing_db,
+        "gain_db": sweep.gain_db,
+    }
     meta = {
         "band_center_effective": profile.band_center,
         "nu_start_effective": start,
         "nu_stop_effective": stop,
-        "min_squeezing_db": float(np.min(table.squeezing_db)),
-        "max_gain_db": float(np.max(table.gain_db)),
+        "min_squeezing_db": float(np.min(sweep.squeezing_db)),
+        "max_gain_db": float(np.max(sweep.gain_db)),
     }
-    return ["nu_s_hz", "nu_i_hz", "kappa", "squeezing_db", "gain_db"], rows, meta
+    return table, meta
 
 
 def _run_detect(p: dict):
@@ -335,31 +352,29 @@ def _run_detect(p: dict):
         "t_int": p["t_int"] if p["t_int"] is not None else 0.0,
         "bandwidth": p["bandwidth"] if p["bandwidth"] is not None else 0.0,
     }
-    points = _sweep_fields(p, base, "detect")
+    fields = _sweep_fields(p, base, "detect")
     if p["pulses"] is not None and p["sweep_var"] in ("t_int", "bandwidth"):
         raise InvalidArgumentError("--pulses conflicts with sweeping t-int or bandwidth")
     if p["pulses"] is None and (p["t_int"] is None or p["bandwidth"] is None):
         raise InvalidArgumentError("provide --pulses or both --t-int and --bandwidth")
-    rows = []
-    for fields in points:
-        scn = DetectionScenario(**fields)
-        pulses = float(p["pulses"]) if p["pulses"] is not None else scn.pulses
-        r_cl = classical_error_rate(scn)
-        r_q = quantum_error_rate(scn)
-        rows.append([
-            scn.eta, scn.n_s, scn.n_b, scn.snr, pulses, r_cl, r_q,
-            error_probability(r_cl, pulses), error_probability(r_q, pulses),
-            advantage_db(), is_asymptotic(r_cl, pulses), is_asymptotic(r_q, pulses),
-        ])
-    columns = ["eta", "n_s", "n_b", "snr", "pulses", "r_cl", "r_q",
-               "pe_cl", "pe_q", "advantage_db", "valid_cl", "valid_q"]
-    return columns, rows, {}
+    scn = DetectionScenario(**fields)
+    pulses = p["pulses"] if p["pulses"] is not None else scn.pulses
+    r_cl = classical_error_rate(scn)
+    r_q = quantum_error_rate(scn)
+    table = _sweep_table({
+        "eta": scn.eta, "n_s": scn.n_s, "n_b": scn.n_b, "snr": scn.snr, "pulses": pulses,
+        "r_cl": r_cl, "r_q": r_q,
+        "pe_cl": error_probability(r_cl, pulses), "pe_q": error_probability(r_q, pulses),
+        "advantage_db": advantage_db(),
+        "valid_cl": is_asymptotic(r_cl, pulses), "valid_q": is_asymptotic(r_q, pulses),
+    })
+    return table, {}
 
 
-def _safe_ratio(num: float, den: float) -> float:
-    if den > 0.0:
-        return num / den
-    return math.nan if num == 0.0 else math.inf
+def _safe_ratio(num, den):
+    """num / den, with 0 / 0 = nan and x / 0 = inf, point by point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0.0, np.divide(num, den), np.where(num == 0.0, np.nan, np.inf))
 
 
 def _qcb_signal(p: dict) -> float:
@@ -372,48 +387,59 @@ def _qcb_signal(p: dict) -> float:
     return p["n_s"]
 
 
+def _chernoff_sweep(pairs) -> np.ndarray:
+    """Rows s_star, q_min, exponent, clipped rho0 and clipped rho1 mass, one column per pair."""
+    results = map(chernoff_exponent, pairs)
+    return np.array([
+        (r.s_star, r.q_min, r.exponent,
+         r.diagnostics["clipped_mass_rho0"], r.diagnostics["clipped_mass_rho1"])
+        for r in results
+    ]).T
+
+
 def _run_qcb(p: dict):
     transmitter = p["transmitter"]
     base = {"eta": p["eta"], "n_s": _qcb_signal(p), "n_b": p["n_b"]}
+    scn = DetectionScenario(**_sweep_fields(p, base, "qcb"))
+    rate_q = quantum_error_rate(scn)
+    rate_cl = classical_error_rate(scn)
+    sweep = _sweep_table({"eta": scn.eta, "n_s": scn.n_s, "n_b": scn.n_b})
+    points = list(zip(sweep["eta"].tolist(), sweep["n_s"].tolist(), sweep["n_b"].tolist()))
     meta = {
         "cutoff_signal": p["cutoff_signal"],
         "cutoff_idler": p["cutoff_idler"],
         "cutoff_noise": p["cutoff_noise"],
         "cutoff_classical": p["cutoff"],
     }
-    rows = []
-    for fields in _sweep_fields(p, base, "qcb"):
-        scn = DetectionScenario(**fields)
-        row = [scn.eta, scn.n_s, scn.n_b]
-        qi = cl = None
-        if transmitter in ("qi", "both"):
-            sq = SqueezeParam(math.asinh(math.sqrt(scn.n_s)))
-            pair = build_qi_hypotheses(
-                sq, scn.eta, scn.n_b,
+    if transmitter in ("qi", "both"):
+        qi = _chernoff_sweep(
+            build_qi_hypotheses(
+                SqueezeParam(math.asinh(math.sqrt(n_s))), eta, n_b,
                 p["cutoff_signal"], p["cutoff_idler"], p["cutoff_noise"],
             )
-            qi = chernoff_exponent(pair)
-        if transmitter in ("classical", "both"):
-            pair = build_classical_hypotheses(scn.n_s, scn.eta, scn.n_b, p["cutoff"])
-            cl = chernoff_exponent(pair)
-        if transmitter == "both":
-            rate_q = quantum_error_rate(scn)
-            rate_cl = classical_error_rate(scn)
-            row += [qi.s_star, qi.exponent, rate_q, cl.s_star, cl.exponent, rate_cl,
-                    _safe_ratio(qi.exponent, cl.exponent), _safe_ratio(rate_q, rate_cl)]
-        else:
-            res, rate = ((qi, quantum_error_rate(scn)) if transmitter == "qi"
-                         else (cl, classical_error_rate(scn)))
-            row += [res.s_star, res.q_min, res.exponent, rate, _safe_ratio(res.exponent, rate),
-                    res.diagnostics["clipped_mass_rho0"], res.diagnostics["clipped_mass_rho1"]]
-        rows.append(row)
+            for eta, n_s, n_b in points
+        )
+    if transmitter in ("classical", "both"):
+        cl = _chernoff_sweep(
+            build_classical_hypotheses(n_s, eta, n_b, p["cutoff"]) for eta, n_s, n_b in points
+        )
     if transmitter == "both":
-        columns = ["eta", "n_s", "n_b", "s_star_qi", "exponent_qi", "rate_q",
-                   "s_star_cl", "exponent_cl", "rate_cl", "exponent_ratio", "rate_ratio"]
+        table = _sweep_table({
+            **sweep,
+            "s_star_qi": qi[0], "exponent_qi": qi[2], "rate_q": rate_q,
+            "s_star_cl": cl[0], "exponent_cl": cl[2], "rate_cl": rate_cl,
+            "exponent_ratio": _safe_ratio(qi[2], cl[2]),
+            "rate_ratio": _safe_ratio(rate_q, rate_cl),
+        })
     else:
-        columns = ["eta", "n_s", "n_b", "s_star", "q_min", "exponent",
-                   "rate_ref", "exponent_over_rate", "clipped_rho0", "clipped_rho1"]
-    return columns, rows, meta
+        res, rate = (qi, rate_q) if transmitter == "qi" else (cl, rate_cl)
+        table = _sweep_table({
+            **sweep,
+            "s_star": res[0], "q_min": res[1], "exponent": res[2], "rate_ref": rate,
+            "exponent_over_rate": _safe_ratio(res[2], rate),
+            "clipped_rho0": res[3], "clipped_rho1": res[4],
+        })
+    return table, meta
 
 
 _RUNNERS = {
@@ -430,46 +456,37 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-# first match wins; bool comes before int because bool is an int subclass
-_CELL_KINDS = (
-    ((bool, np.bool_), "bool"),
-    ((int, np.integer), "int"),
-    ((float, np.floating), "float"),
-)
 # rows formatted at a time: bounds the cell strings alive at once
 _BLOCK_ROWS = 4096
 
 
-def _column_kind(col) -> str:
-    """The one kind (bool, int or float) of every cell of a column."""
-    kinds = set()
-    for cell_type in set(map(type, col)):
-        kind = next((k for types, k in _CELL_KINDS if issubclass(cell_type, types)), None)
-        if kind is None:
-            raise TypeError(f"unsupported cell type {cell_type.__name__}")
-        kinds.add(kind)
-    if len(kinds) != 1:
-        raise TypeError(f"column mixes cell kinds {sorted(kinds)}")
-    return kinds.pop()
+def _row_count(table: dict) -> int:
+    """Rows of a table of 1-D bool, integer or float numpy columns of one length."""
+    lengths = set()
+    for name, col in table.items():
+        if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype.kind not in "biuf":
+            raise TypeError(f"column {name!r} is not a 1-D bool, integer or float array")
+        lengths.add(col.size)
+    if len(lengths) > 1:
+        raise TypeError(f"columns of unequal lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
 
 
-def _format_cells(kind: str, cells, json_floats: bool) -> list[str]:
-    if kind == "bool":
+def _format_cells(col: np.ndarray, json_floats: bool) -> list[str]:
+    cells = col.tolist()
+    if col.dtype.kind == "b":
         return ["true" if v else "false" for v in cells]
-    if kind == "int":
+    if col.dtype.kind in "iu":
         return list(map(str, cells))
     out = list(map(format, cells, repeat(".9g")))
     return list(map(_json_float, out)) if json_floats else out
 
 
-def _row_cells(rows, json_floats: bool):
+def _row_cells(table: dict, rows: int, json_floats: bool):
     """Formatted cells of each row, formatted one column of a block of rows at a time."""
-    cols = list(zip(*rows))
-    kinds = [_column_kind(col) for col in cols]
-    for start in range(0, len(rows), _BLOCK_ROWS):
+    for start in range(0, rows, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        yield from zip(*(_format_cells(k, col[start:stop], json_floats)
-                         for k, col in zip(kinds, cols)))
+        yield from zip(*(_format_cells(col[start:stop], json_floats) for col in table.values()))
 
 
 def _json_float(cell: str) -> str:
@@ -501,35 +518,27 @@ def _meta_value(v) -> str:
     return str(v)
 
 
-def emit_csv(columns, rows, meta) -> str:
-    lines = [",".join(columns)]
-    lines.extend(map(",".join, _row_cells(rows, json_floats=False)))
+def emit_csv(table: dict, meta: dict) -> str:
+    rows = _row_count(table)
+    lines = [",".join(table)]
+    lines.extend(map(",".join, _row_cells(table, rows, json_floats=False)))
     lines.extend(f"# {k} = {_meta_value(meta[k])}" for k in sorted(meta))
     return "\n".join(lines) + "\n"
 
 
-def emit_json(columns, rows, meta) -> str:
+def emit_json(table: dict, meta: dict) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, rows written directly.
 
     Rows come last in key order, so the document is dumped without them and
     the rows block is appended in the same layout.
     """
-    def mval(v):
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        if isinstance(v, (tuple, list)):
-            return [mval(x) for x in v]
-        return v
-
-    head = json.dumps(
-        {"metadata": {k: mval(meta[k]) for k in sorted(meta)}, "columns": list(columns)},
-        indent=2, sort_keys=True,
-    )
+    rows = _row_count(table)
+    # tuples dump as lists; numpy scalars, which json does not know, as their Python value
+    head = json.dumps({"metadata": meta, "columns": list(table)},
+                      indent=2, sort_keys=True, default=lambda v: v.item())
     if not rows:
         return head[:-2] + ',\n  "rows": []\n}\n'
-    row_texts = map(",\n      ".join, _row_cells(rows, json_floats=True))
+    row_texts = map(",\n      ".join, _row_cells(table, rows, json_floats=True))
     return "".join([
         head[:-2],
         ',\n  "rows": [\n    [\n      ',
@@ -578,14 +587,15 @@ def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[st
     if fmt not in FORMATS:
         raise InvalidArgumentError(f"format must be one of {FORMATS}, got {fmt!r}")
     params = _resolve(_SPECS[args.subcommand], args, config)
-    columns, rows, extra = _RUNNERS[args.subcommand](params)
+    table, extra = _RUNNERS[args.subcommand](params)
     meta = {"tool": "mqisim", "version": __version__, "subcommand": args.subcommand}
     for key, value in params.items():
         if value is not None:
             meta["param_" + key] = value
     meta.update(extra)
-    content = emit_csv(columns, rows, meta) if fmt == "csv" else emit_json(columns, rows, meta)
-    return content, f"{args.subcommand}: {len(rows)} rows ({fmt})"
+    # called positionally: the traced benchmark worker reads the emitters' arguments by position
+    content = emit_csv(table, meta) if fmt == "csv" else emit_json(table, meta)
+    return content, f"{args.subcommand}: {_row_count(table)} rows ({fmt})"
 
 
 def main(argv=None) -> int:

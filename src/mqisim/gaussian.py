@@ -45,6 +45,9 @@ SYMPLECTIC_FORM.setflags(write=False)
 _SYMMETRY_TOL = 1e-12
 _UNCERTAINTY_TOL = -1e-9
 _DEGENERATE_DET = 1e-300
+# largest eps * cond(cov), the relative error of det and solve (eps e^{4 kappa} for a
+# TMSV): beyond it a density printed to 9 digits is not trustworthy
+_CONDITION_TOL = 1e-8
 
 
 def quadrature_index(name: str) -> int:
@@ -187,6 +190,11 @@ def _check_invertible(cov: np.ndarray) -> float:
     det = float(np.linalg.det(cov))
     if det <= _DEGENERATE_DET:
         raise DegenerateStateError(f"covariance is numerically singular (det = {det:.3e})")
+    error = np.finfo(float).eps * float(np.linalg.cond(cov))
+    if error > _CONDITION_TOL:
+        raise DegenerateStateError(
+            f"covariance is too ill-conditioned: eps * cond = {error:.3e} exceeds {_CONDITION_TOL}"
+        )
     return det
 
 
@@ -300,9 +308,7 @@ def slice_mass(
     i, j = plane
     fixed_idx = [k for k in range(4) if k not in (i, j)]
     sub = state.cov[np.ix_(fixed_idx, fixed_idx)]
-    det = float(np.linalg.det(sub))
-    if det <= _DEGENERATE_DET:
-        raise DegenerateStateError("marginal covariance of the fixed pair is singular")
+    det = _check_invertible(sub)
     d = np.asarray(fixed_values, dtype=float) - state.mean[fixed_idx]
     quad = float(d @ np.linalg.solve(sub, d))
     return math.exp(-0.5 * quad) / (TWO_PI * math.sqrt(det))

@@ -6,11 +6,13 @@ The asymptotic error-probability envelope for M independent pulses is
 
 with rate R = eta N_S / (4 N_B) for a coherent-state transmitter and
 R = eta N_S / N_B for the entangled (TMSV) transmitter, a fixed factor
-4 (6.02 dB) apart.  These envelopes are asymptotic claims; the
-brute-force oracle in this module builds the single-copy hypothesis
-states on a truncated Fock space and minimizes
-Q(s) = tr(rho0^s rho1^{1-s}) directly, which quantifies how fast each
-transmitter actually approaches its envelope rate.
+4 (6.02 dB) apart.  The rate and envelope functions take scalars or 1-D
+arrays (a sweep) and broadcast; scalars give a Python float or bool.
+These envelopes are asymptotic claims; the brute-force oracle in this
+module builds the single-copy hypothesis states on a truncated Fock
+space and minimizes Q(s) = tr(rho0^s rho1^{1-s}) directly, which
+quantifies how fast each transmitter actually approaches its envelope
+rate.
 
 Hypothesis conventions (target absent = H0, present = H1):
 
@@ -46,62 +48,79 @@ _PSD_TOL = -1e-9
 _DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
 
 
+def _floats(value, name: str):
+    """A scalar argument as a float, a 1-D one as a float array (a copy)."""
+    v = np.array(value, dtype=float)
+    if v.ndim > 1:
+        raise InvalidArgumentError(f"{name} must be a scalar or 1-D, got shape {v.shape}")
+    return float(v) if v.ndim == 0 else v
+
+
+def _require(ok, message: str, *values):
+    """Raise unless ``ok`` holds at every point, formatting ``message`` with the
+    ``values`` at the first point where it does not."""
+    bad = np.flatnonzero(np.logical_not(ok))
+    if bad.size:
+        point = (np.broadcast_to(v, np.shape(ok)).flat[bad[0]].item() for v in values)
+        raise InvalidArgumentError(message.format(*point))
+
+
+def _scalar(value):
+    """A 0-d result as a Python float or bool; arrays pass through."""
+    return np.asarray(value).item() if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class DetectionScenario:
-    """Protocol parameters for one interrogation scenario.
+    """Protocol parameters for one interrogation scenario, or a sweep of them.
 
     eta: round-trip target reflectance in [0, 1];
     n_s: signal photons per mode; n_b: background thermal photons per
     mode; t_int: integration time in seconds; bandwidth: source
-    bandwidth in Hz.  Rate formulas additionally require n_b > 0.
+    bandwidth in Hz.  Rate formulas additionally require n_b > 0.  Each
+    field is a float or a 1-D array, and the fields broadcast together.
     """
 
-    eta: float
-    n_s: float
-    n_b: float
-    t_int: float = 0.0
-    bandwidth: float = 0.0
+    eta: float | np.ndarray
+    n_s: float | np.ndarray
+    n_b: float | np.ndarray
+    t_int: float | np.ndarray = 0.0
+    bandwidth: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        checks = [
-            ("eta", self.eta, 0.0, 1.0),
-            ("n_s", self.n_s, 0.0, math.inf),
-            ("n_b", self.n_b, 0.0, math.inf),
-            ("t_int", self.t_int, 0.0, math.inf),
-            ("bandwidth", self.bandwidth, 0.0, math.inf),
-        ]
-        for name, value, lo, hi in checks:
-            v = float(value)
-            if not math.isfinite(v) or v < lo or v > hi:
-                raise InvalidArgumentError(f"{name}={value} outside [{lo}, {hi}]")
+        names = ("eta", "n_s", "n_b", "t_int", "bandwidth")
+        for name in names:
+            v = _floats(getattr(self, name), name)
+            hi = 1.0 if name == "eta" else math.inf
+            _require(np.isfinite(v) & (v >= 0.0) & (v <= hi), f"{name}={{}} outside [0.0, {hi}]", v)
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
             object.__setattr__(self, name, v)
+        try:
+            np.broadcast_shapes(*(np.shape(getattr(self, name)) for name in names))
+        except ValueError:
+            raise InvalidArgumentError("scenario fields must broadcast together") from None
 
     @property
-    def snr(self) -> float:
+    def snr(self) -> float | np.ndarray:
         """Signal-to-noise ratio interpreted as N_S / N_B (reporting only)."""
-        if self.n_b == 0.0:
-            raise InvalidArgumentError("snr undefined for n_b = 0")
+        _require(self.n_b != 0.0, "snr undefined for n_b = 0")
         return self.n_s / self.n_b
 
     @property
-    def pulses(self) -> float:
+    def pulses(self) -> float | np.ndarray:
         return pulse_count(self.t_int, self.bandwidth)
 
 
-def _require_background(scn: DetectionScenario):
-    if scn.n_b == 0.0:
-        raise InvalidArgumentError("rate formulas require n_b > 0")
-
-
-def classical_error_rate(scn: DetectionScenario) -> float:
+def classical_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the coherent-state transmitter."""
-    _require_background(scn)
+    _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
     return scn.eta * scn.n_s / (4.0 * scn.n_b)
 
 
-def quantum_error_rate(scn: DetectionScenario) -> float:
+def quantum_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the entangled transmitter."""
-    _require_background(scn)
+    _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
     return scn.eta * scn.n_s / scn.n_b
 
 
@@ -113,32 +132,32 @@ def advantage_db() -> float:
     return 10.0 * math.log10(4.0)
 
 
-def pulse_count(t_int: float, bandwidth: float) -> float:
+def pulse_count(t_int, bandwidth):
     """Number of independent pulses M = T W (kept real, not floored)."""
-    t = float(t_int)
-    w = float(bandwidth)
-    if not (math.isfinite(t) and math.isfinite(w)) or t < 0.0 or w < 0.0:
-        raise InvalidArgumentError(f"t_int and bandwidth must be finite and >= 0, got {t_int}, {bandwidth}")
+    t = _floats(t_int, "t_int")
+    w = _floats(bandwidth, "bandwidth")
+    _require(np.isfinite(t) & np.isfinite(w) & (t >= 0.0) & (w >= 0.0),
+             "t_int and bandwidth must be finite and >= 0, got {}, {}", t, w)
     return t * w
 
 
-def error_probability(rate: float, pulses: float) -> float:
+def error_probability(rate, pulses):
     """Asymptotic envelope exp(-M R) / (2 sqrt(pi M R)).
 
     Valid as an approximation only for M R >= 1 and M >> 1; use
     :func:`is_asymptotic` for the validity flag.
     """
-    r = float(rate)
-    m = float(pulses)
-    if not (math.isfinite(r) and math.isfinite(m)) or r <= 0.0 or m <= 0.0:
-        raise InvalidArgumentError(f"rate and pulses must be finite and > 0, got {rate}, {pulses}")
+    r = _floats(rate, "rate")
+    m = _floats(pulses, "pulses")
+    _require(np.isfinite(r) & np.isfinite(m) & (r > 0.0) & (m > 0.0),
+             "rate and pulses must be finite and > 0, got {}, {}", r, m)
     mr = m * r
-    return math.exp(-mr) / (2.0 * math.sqrt(math.pi * mr))
+    return _scalar(np.exp(-mr) / (2.0 * np.sqrt(math.pi * mr)))
 
 
-def is_asymptotic(rate: float, pulses: float) -> bool:
+def is_asymptotic(rate, pulses):
     """Whether the envelope formula is inside its asymptotic validity window."""
-    return pulses * rate >= 1.0 and pulses >= 100.0
+    return _scalar((np.multiply(pulses, rate) >= 1.0) & np.greater_equal(pulses, 100.0))
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,10 @@ class SpectrumProfile:
         if self.band_center is None:
             center = self.pump_freq / 2.0 if self.mixing == "3wm" else self.pump_freq
             object.__setattr__(self, "band_center", float(center))
+        elif self.band_center <= 0.0 or not math.isfinite(self.band_center):
+            raise InvalidArgumentError(
+                f"band_center must be finite and > 0, got {self.band_center}"
+            )
 
     @property
     def band_edges(self) -> tuple[float, float]:

@@ -25,6 +25,58 @@ PRESET_SHA256 = {
     "wigner_tmsv_k15_qs_ps": "1536c051a05100a64eac6b17bff95cb9e2c26913989788ae2cf34c45bb449abb",
 }
 
+_WIGNER_LARGE = ("wigner", "--kappa", "1.5", "--plane", "qs,pi", "--range=-8,8", "--samples", "401")
+
+# sha256 of the output of the criterion-9 invocations, the benchmark's
+# large tables and a strongly squeezed Wigner slice, recorded at 7f7b0fe
+# (before tables were handed to the emitters as numpy columns)
+OUTPUT_SHA256 = {
+    "c9_state": (
+        ("state", "--kappa", "0.5", "--cutoff", "12"),
+        "fc4a346d9e5c31c5f6f04feea8a93af5abc48ce8f1745b003f2437bd47d83fc4",
+    ),
+    "c9_wigner": (
+        ("wigner", "--kappa", "0.5", "--plane", "qs,pi", "--samples", "41"),
+        "e4c1be0adbac51a0498aefb1d5ead69b4401bad3511956b5251512af0cd96588",
+    ),
+    "c9_spectrum": (
+        ("spectrum", "--kappa-max", "3", "--steps", "81"),
+        "94441c3a247769b595975cceaa793418acae34b6574adf15f72009efbac2cafb",
+    ),
+    "c9_detect": (
+        ("detect", "--eta", "1", "--n-s", "1", "--n-b", "1", "--pulses", "10"),
+        "298a537a114e2106f85b8e104046977eb3747d7821e8521e97909422f5af85c6",
+    ),
+    "c9_qcb_classical": (
+        ("qcb", "--transmitter", "classical", "--n-s", "0.1", "--eta", "0.5", "--n-b", "1",
+         "--cutoff", "30"),
+        "7d3fce6eaf3b30c637a7959be1a7ec15c29b19eb2bb90e9eee4aa00601707f58",
+    ),
+    "large_wigner_csv": (
+        _WIGNER_LARGE,
+        "5b0f70eaded21a07da2a6e5b4ccb024d1a870e84dca10eb2dff922a66e13ab83",
+    ),
+    "large_wigner_json": (
+        _WIGNER_LARGE + ("--format", "json"),
+        "2afa79315cdd970f51870f63cc5312a9de978f5a1c2c45f3a345fed97aa6b3e8",
+    ),
+    "large_spectrum": (
+        ("spectrum", "--kappa-max", "3", "--steps", "100001"),
+        "406251e7c96a03975292ae6300ebd97128fe0ac10ae233b2db68c5e6f013045e",
+    ),
+    "large_detect": (
+        ("detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--t-int", "1e-3",
+         "--bandwidth", "1e9", "--sweep-var", "n_b", "--sweep-from", "0.5", "--sweep-to", "100",
+         "--sweep-steps", "20000"),
+        "bc74d9401a8a343f75b9532b681bdf270f7ef9f3a68ab7f3b7325374df35461d",
+    ),
+    # eps * cond(cov) = 2e-9 at kappa = 4, still inside the 1e-8 limit
+    "wigner_kappa_4": (
+        ("wigner", "--kappa", "4", "--samples", "5"),
+        "056183c1071280c77bb13af920d7dfd05f31d283a7b63e230cb6a4587714e104",
+    ),
+}
+
 
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
@@ -93,6 +145,14 @@ class TestWignerCommand:
         total = sum(float(r[2]) for r in rows) * step * step
         assert total == pytest.approx(float(csv_meta(out)["slice_mass_analytic"]), rel=1e-3)
 
+    @pytest.mark.parametrize("kappa", ["5", "7"])
+    def test_ill_conditioned_covariance_fails_loudly(self, kappa, capsys):
+        # det and solve lose eps * e^{4 kappa}: W(0) was printed 8.6e-9 (kappa 5)
+        # and 1.1e-4 (kappa 7) off 1/(4 pi^2), with exit 0
+        assert main(["wigner", "--kappa", kappa, "--samples", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "ill-conditioned" in err
+
     def test_row_major_order(self):
         _, out, _ = run_cli("wigner", "--kappa", "0", "--samples", "3", "--range=-1,1")
         _, rows = csv_rows(out)
@@ -114,6 +174,15 @@ class TestSpectrumCommand:
         assert code == 0
         _, rows = csv_rows(out)
         assert len(rows) == 2
+
+
+    @pytest.mark.parametrize("center", ["nan", "inf", "-6e9"])
+    def test_band_center_must_be_finite_and_positive(self, center, capsys):
+        argv = ["spectrum", "--kappa-max", "1", "--steps", "3", f"--band-center={center}",
+                "--nu-start", "1e9", "--nu-stop", "2e9"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "band_center" in err
 
 
 class TestDetectCommand:
@@ -155,6 +224,14 @@ class TestDetectCommand:
         )
         assert code == 2
         assert "conflicts" in err
+
+
+    def test_sweep_values_conflict_with_sweep_range(self, capsys):
+        argv = ["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "1e6",
+                "--sweep-var", "n_b", "--sweep-values", "1,2",
+                "--sweep-from", "5", "--sweep-to", "9", "--sweep-steps", "4"]
+        assert main(argv) == 2
+        assert "conflicts" in capsys.readouterr().err
 
 
 class TestQcbCommand:
@@ -216,6 +293,13 @@ class TestQcbCommand:
         assert code == 3
         assert "discards" in err
         assert out == ""
+
+    def test_sweep_values_conflict_with_sweep_range(self, capsys):
+        argv = ["qcb", "--transmitter", "classical", "--n-s", "0.1", "--eta", "0.5",
+                "--n-b", "1", "--cutoff", "20", "--sweep-var", "eta", "--sweep-values", "0.5",
+                "--sweep-steps", "3"]
+        assert main(argv) == 2
+        assert "conflicts" in capsys.readouterr().err
 
     def test_truncation_exit_code(self):
         code, _, err = run_cli(
@@ -312,6 +396,13 @@ class TestCliContract:
                 "--output", str(path), "--quiet"]
         assert main(argv) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+    def test_outputs_pinned(self, tmp_path, name):
+        argv, digest = OUTPUT_SHA256[name]
+        path = tmp_path / "out"
+        assert main([*argv, "--output", str(path), "--quiet"]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_import_loads_no_scipy(self):
         # scipy serves only squeeze_vacuum_operator and required_pulses, never the CLI

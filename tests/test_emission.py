@@ -1,9 +1,9 @@
 """CSV/JSON emission against an independent per-cell reference.
 
-The reference below formats every cell on its own and lets the standard
-``json`` encoder lay out the whole document; ``mqisim.cli`` formats
-tables one column at a time and writes the JSON rows block itself.  The
-two must agree byte for byte.
+The reference below turns a table's numpy columns into rows, formats
+every cell on its own and lets the standard ``json`` encoder lay out the
+whole document; ``mqisim.cli`` formats tables one column at a time and
+writes the JSON rows block itself.  The two must agree byte for byte.
 """
 
 import json
@@ -47,9 +47,13 @@ def _ref_meta_value(v) -> str:
     return str(v)
 
 
-def ref_emit_csv(columns, rows, meta) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_ref_csv_cell(v) for v in row) for row in rows)
+def _rows(table):
+    return list(zip(*(col.tolist() for col in table.values())))
+
+
+def ref_emit_csv(table, meta) -> str:
+    lines = [",".join(table)]
+    lines.extend(",".join(_ref_csv_cell(v) for v in row) for row in _rows(table))
     lines.extend(f"# {k} = {_ref_meta_value(meta[k])}" for k in sorted(meta))
     return "\n".join(lines) + "\n"
 
@@ -64,11 +68,11 @@ def _ref_meta_json(v):
     return v
 
 
-def ref_emit_json(columns, rows, meta) -> str:
+def ref_emit_json(table, meta) -> str:
     doc = {
         "metadata": {k: _ref_meta_json(meta[k]) for k in sorted(meta)},
-        "columns": list(columns),
-        "rows": [[_ref_json_cell(v) for v in row] for row in rows],
+        "columns": list(table),
+        "rows": [[_ref_json_cell(v) for v in row] for row in _rows(table)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -86,21 +90,28 @@ FLOATS = [
 
 TABLES = {
     "mixed_kinds": (
-        ["flag", "n", "x"],
-        [[i % 3 == 0, (i - 7) * 1000003 if i % 2 else np.int64(i), v]
-         for i, v in enumerate(FLOATS)],
+        {
+            "flag": np.array([i % 3 == 0 for i in range(len(FLOATS))]),
+            "n": np.array([(i - 7) * 1000003 if i % 2 else i for i in range(len(FLOATS))]),
+            "u": np.arange(len(FLOATS), dtype=np.uint8) * 10,
+            "x": np.array(FLOATS),
+        },
         {"tool": "mqisim", "param_range": (-4.0, 4.0), "quiet": False, "n": 3,
          "x": np.float64(0.25), "layout": "row-major"},
     ),
-    "one_row": (["eta", "valid"], [(0.1, True)], {"tool": "mqisim"}),
+    "one_row": ({"eta": np.array([0.1]), "valid": np.array([True])}, {"tool": "mqisim"}),
     # rows are formatted in blocks; cross two block boundaries
     "multi_block": (
-        ["x", "w", "ok"],
-        [(i * 0.125 - 3.0, math.exp(-0.01 * i) * 1e-300 ** (i % 2), i % 5 == 0)
-         for i in range(2 * _BLOCK_ROWS + 3)],
+        {
+            "x": np.arange(2 * _BLOCK_ROWS + 3) * 0.125 - 3.0,
+            "w": np.array([math.exp(-0.01 * i) * 1e-300 ** (i % 2)
+                           for i in range(2 * _BLOCK_ROWS + 3)]),
+            "ok": np.arange(2 * _BLOCK_ROWS + 3) % 5 == 0,
+        },
         {"tool": "mqisim"},
     ),
-    "empty": (["eta", "n_s", "n_b"], [], {"tool": "mqisim", "count": 0}),
+    "empty": ({"eta": np.array([]), "n_s": np.array([]), "n_b": np.array([])},
+              {"tool": "mqisim", "count": 0}),
 }
 
 
@@ -110,21 +121,21 @@ def _reject_constant(token):
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_csv_matches_reference(name):
-    columns, rows, meta = TABLES[name]
-    assert emit_csv(columns, rows, meta) == ref_emit_csv(columns, rows, meta)
+    table, meta = TABLES[name]
+    assert emit_csv(table, meta) == ref_emit_csv(table, meta)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_json_matches_reference(name):
-    columns, rows, meta = TABLES[name]
-    text = emit_json(columns, rows, meta)
-    assert text == ref_emit_json(columns, rows, meta)
+    table, meta = TABLES[name]
+    text = emit_json(table, meta)
+    assert text == ref_emit_json(table, meta)
     doc = json.loads(text, parse_constant=_reject_constant)
-    assert len(doc["rows"]) == len(rows)
+    assert len(doc["rows"]) == len(_rows(table))
 
 
 def test_non_finite_cells_are_strings():
-    doc = json.loads(emit_json(["x"], [[math.inf], [-math.inf], [math.nan]], {}),
+    doc = json.loads(emit_json({"x": np.array([math.inf, -math.inf, math.nan])}, {}),
                      parse_constant=_reject_constant)
     assert doc["rows"] == [["inf"], ["-inf"], ["nan"]]
 
@@ -136,5 +147,26 @@ def test_non_finite_cells_are_strings():
     ids=["int_float", "bool_int", "float_bool", "float_str", "int_float_last_block"],
 )
 def test_column_of_mixed_kinds_raises(emit, cells):
+    # a numpy column of mixed kinds has the object dtype, which has no cell format
     with pytest.raises(TypeError):
-        emit(["a", "b"], [[0.0, v] for v in cells], {})
+        emit({"a": np.zeros(len(cells)), "b": np.array(cells, dtype=object)}, {})
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"a": np.array([1.0, 2.0]), "b": np.array([1 + 2j, 3j])},
+        {"a": np.array(["1", "2"])},
+        {"a": np.array(["2024-01-01"], dtype="datetime64[D]")},
+        {"a": [1.0, 2.0]},
+        {"a": np.array(1.0)},
+        {"a": np.zeros((2, 1))},
+        {"a": np.zeros(3), "b": np.zeros(2)},
+        {"a": np.zeros(2 * _BLOCK_ROWS + 1, dtype=bool), "b": np.zeros(2 * _BLOCK_ROWS)},
+    ],
+    ids=["complex", "str", "datetime", "list", "0d", "2d", "ragged", "ragged_last_block"],
+)
+def test_malformed_table_raises(emit, table):
+    with pytest.raises(TypeError):
+        emit(table, {})

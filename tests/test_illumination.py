@@ -172,6 +172,117 @@ class TestRequiredPulses:
             required_pulses(0.0, 1e-3)
 
 
+# one swept field each, across the regimes of the CLI's sweeps: M R from
+# below 1 to where exp(-M R) underflows, M from below 100 to 1e9
+SWEEPS = {
+    "eta": dict(eta=np.linspace(0.002, 1.0, 500), n_s=0.1, n_b=1.0, t_int=1e-3, bandwidth=1e9),
+    "n_s": dict(eta=0.5, n_s=np.geomspace(1e-4, 10.0, 501), n_b=2.0, t_int=1e-5, bandwidth=1e8),
+    "n_b": dict(eta=0.1, n_s=0.1, n_b=np.linspace(0.5, 100.0, 2001), t_int=1e-3,
+                bandwidth=1e9),
+    "t_int": dict(eta=0.3, n_s=0.2, n_b=5.0, t_int=np.geomspace(1e-9, 1.0, 501),
+                  bandwidth=1e9),
+    "bandwidth": dict(eta=0.05, n_s=0.01, n_b=20.0, t_int=1e-2,
+                      bandwidth=np.geomspace(1.0, 1e11, 501)),
+}
+
+
+def _envelope(rate: float, pulses: float) -> float:
+    """Scalar reference for error_probability: the formula with math.exp."""
+    mr = pulses * rate
+    return math.exp(-mr) / (2.0 * math.sqrt(math.pi * mr))
+
+
+class TestArraySweeps:
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_sweep_matches_scalar_calls(self, name):
+        fields = SWEEPS[name]
+        sweep = DetectionScenario(**fields)
+        r_cl, r_q, pulses = classical_error_rate(sweep), quantum_error_rate(sweep), sweep.pulses
+        cols = {
+            "snr": sweep.snr, "pulses": pulses, "r_cl": r_cl, "r_q": r_q,
+            "valid_cl": is_asymptotic(r_cl, pulses), "valid_q": is_asymptotic(r_q, pulses),
+            "pe_cl": error_probability(r_cl, pulses), "pe_q": error_probability(r_q, pulses),
+        }
+        cols = {k: np.broadcast_to(v, fields[name].shape).tolist() for k, v in cols.items()}
+        for k, value in enumerate(fields[name].tolist()):
+            one = DetectionScenario(**{**fields, name: value})
+            r_cl, r_q = classical_error_rate(one), quantum_error_rate(one)
+            want = {
+                "snr": one.snr, "pulses": one.pulses, "r_cl": r_cl, "r_q": r_q,
+                "valid_cl": is_asymptotic(r_cl, one.pulses),
+                "valid_q": is_asymptotic(r_q, one.pulses),
+            }
+            assert {key: cols[key][k] for key in want} == want
+            # np.exp and math.exp may differ by an ulp; the printed cell may not
+            for key, rate in (("pe_cl", r_cl), ("pe_q", r_q)):
+                text = f"{cols[key][k]:.9g}"
+                assert text == f"{error_probability(rate, one.pulses):.9g}"
+                assert text == f"{_envelope(rate, one.pulses):.9g}"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(eta=np.array([0.5, 1.5, 2.0]), n_s=0.1, n_b=1.0), "eta=1.5 outside [0.0, 1.0]"),
+            (dict(eta=0.5, n_s=np.array([0.1, np.nan]), n_b=1.0), "n_s=nan outside [0.0, inf]"),
+            (dict(eta=0.5, n_s=0.1, n_b=np.array([1.0, -2.0])), "n_b=-2.0 outside [0.0, inf]"),
+            (dict(eta=0.5, n_s=0.1, n_b=1.0, bandwidth=np.array([1e9, np.inf])),
+             "bandwidth=inf outside [0.0, inf]"),
+        ],
+        ids=["eta", "n_s", "n_b", "bandwidth"],
+    )
+    def test_bad_scenario_value_named_as_scalar(self, fields, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            DetectionScenario(**fields)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: error_probability(np.array([1.0, 0.0, -1.0]), 10.0),
+             "rate and pulses must be finite and > 0, got 0.0, 10.0"),
+            (lambda: error_probability(0.25, np.array([10.0, np.inf])),
+             "rate and pulses must be finite and > 0, got 0.25, inf"),
+            (lambda: pulse_count(np.array([1e-3, -1.0]), 1e9),
+             "t_int and bandwidth must be finite and >= 0, got -1.0, 1000000000.0"),
+            (lambda: classical_error_rate(scenario(0.5, 1.0, np.array([1.0, 0.0]))),
+             "rate formulas require n_b > 0"),
+            (lambda: quantum_error_rate(scenario(0.5, 1.0, np.array([1.0, 0.0]))),
+             "rate formulas require n_b > 0"),
+            (lambda: scenario(0.5, 1.0, np.array([0.0, 1.0])).snr, "snr undefined for n_b = 0"),
+        ],
+        ids=["rate", "pulses", "pulse_count", "classical", "quantum", "snr"],
+    )
+    def test_bad_value_anywhere_in_a_column_rejected(self, call, message):
+        with pytest.raises(InvalidArgumentError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_fields_must_be_1d_and_broadcast(self):
+        with pytest.raises(InvalidArgumentError):
+            scenario(np.full((2, 2), 0.5), 1.0, 1.0)
+        with pytest.raises(InvalidArgumentError):
+            scenario(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0]), 1.0)
+        with pytest.raises(InvalidArgumentError):
+            error_probability(np.ones((2, 2)), 10.0)
+
+    def test_scalar_calls_return_python_scalars(self):
+        scn = scenario(0.3, 0.2, 2.0, t_int=1e-3, bandwidth=1e9)
+        values = [scn.eta, scn.n_b, scn.snr, scn.pulses, classical_error_rate(scn),
+                  quantum_error_rate(scn), pulse_count(1e-3, 1e9), error_probability(0.1, 200.0),
+                  error_probability(np.float64(0.1), np.float64(200.0))]
+        assert [type(v) for v in values] == [float] * len(values)
+        assert type(is_asymptotic(0.1, 200.0)) is bool
+        assert type(is_asymptotic(np.float64(1e-3), 200.0)) is bool
+
+    def test_sweep_fields_are_read_only_copies(self):
+        n_b = np.array([1.0, 2.0])
+        scn = scenario(0.5, 1.0, n_b)
+        n_b[0] = 0.0
+        assert scn.n_b.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            scn.n_b[0] = 0.0
+
+
 class TestHypothesisBuilders:
     def test_qi_no_return_means_no_information(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
