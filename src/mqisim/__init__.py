@@ -62,6 +62,7 @@ from .illumination import (
     DetectionScenario,
     HypothesisPair,
     PulseRequirement,
+    QIChannel,
     advantage_db,
     build_classical_hypotheses,
     build_qi_hypotheses,
@@ -70,6 +71,7 @@ from .illumination import (
     error_probability,
     is_asymptotic,
     pulse_count,
+    qi_channel,
     quantum_error_rate,
     required_pulses,
 )

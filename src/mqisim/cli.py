@@ -48,6 +48,7 @@ from .illumination import (
     classical_error_rate,
     error_probability,
     is_asymptotic,
+    qi_channel,
     quantum_error_rate,
 )
 from .spectrum import MIXING_TYPES, PROFILE_SHAPES, SpectrumProfile, spectrum_sweep
@@ -397,6 +398,16 @@ def _chernoff_sweep(pairs) -> np.ndarray:
     ]).T
 
 
+def _qi_pairs(points, p: dict):
+    """Entangled-transmitter hypotheses of the sweep points, building the beam-splitter
+    channel again only where eta changes (a sweep holds eta fixed or varies it)."""
+    channel = None
+    for eta, n_s, n_b in points:
+        if channel is None or channel.eta != eta:
+            channel = qi_channel(eta, p["cutoff_signal"], p["cutoff_idler"], p["cutoff_noise"])
+        yield build_qi_hypotheses(SqueezeParam(math.asinh(math.sqrt(n_s))), n_b, channel)
+
+
 def _run_qcb(p: dict):
     transmitter = p["transmitter"]
     base = {"eta": p["eta"], "n_s": _qcb_signal(p), "n_b": p["n_b"]}
@@ -412,13 +423,7 @@ def _run_qcb(p: dict):
         "cutoff_classical": p["cutoff"],
     }
     if transmitter in ("qi", "both"):
-        qi = _chernoff_sweep(
-            build_qi_hypotheses(
-                SqueezeParam(math.asinh(math.sqrt(n_s))), eta, n_b,
-                p["cutoff_signal"], p["cutoff_idler"], p["cutoff_noise"],
-            )
-            for eta, n_s, n_b in points
-        )
+        qi = _chernoff_sweep(_qi_pairs(points, p))
     if transmitter in ("classical", "both"):
         cl = _chernoff_sweep(
             build_classical_hypotheses(n_s, eta, n_b, p["cutoff"]) for eta, n_s, n_b in points

@@ -234,13 +234,15 @@ class DensityMatrix:
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m') / 2, after checking that m is Hermitian within 1e-10."""
-    herm = np.max(np.abs(m - m.conj().T))
+    """(m + m') / 2 of a matrix or a stack of matrices (last two axes), after
+    checking that each is Hermitian within 1e-10."""
+    adj = np.swapaxes(m, -1, -2).conj()
+    herm = np.max(np.abs(m - adj))
     if herm > _HERMITICITY_TOL:
         raise InvalidArgumentError(
             f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + adj) / 2.0
 
 
 def _check_unit_trace(tr: complex):
@@ -287,12 +289,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     )
 
 
-def _expm_antihermitian(gen: np.ndarray) -> np.ndarray:
-    """exp(G) for anti-Hermitian G, from the eigendecomposition of i G = V diag(w) V'."""
-    w, v = np.linalg.eigh(1j * gen)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
 def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """Truncated displacement unitary exp(alpha a' - alpha* a).
 
@@ -305,7 +301,9 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     if abs(alpha) ** 2 > 0.25 * (cutoff + 1):
         raise TruncationError(f"|alpha|^2 = {abs(alpha) ** 2:.3g} too large for cutoff {cutoff}")
     ops = mode_ops(cutoff)
-    d = _expm_antihermitian(alpha * ops.adag - np.conj(alpha) * ops.a)
+    # exp(G) of the anti-Hermitian generator G from i G = V diag(w) V'
+    w, v = np.linalg.eigh(1j * (alpha * ops.adag - np.conj(alpha) * ops.a))
+    d = (v * np.exp(-1j * w)) @ v.conj().T
     defect = unitarity_defect(d)
     if defect > _UNITARITY_TOL:
         raise TruncationError(
@@ -314,24 +312,36 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     return d
 
 
-def _bs_sector(total: int, dim_a: int, dim_b: int, theta: float):
-    """Beam-splitter block on one total-photon sector.
+def beam_splitter_sector(total: int, dim_a: int, dim_b: int, theta: float,
+                         max_input: int | None = None):
+    """Beam-splitter block exp(theta (a'b - ab')) on one total-photon sector.
 
-    The generator theta (a'b - ab') conserves n_a + n_b, so the unitary
-    decomposes into one orthogonal block per sector; within a sector the
-    generator is real antisymmetric tridiagonal, so its exponential is real.
+    The generator conserves n_a + n_b = total, so the unitary decomposes into
+    one real orthogonal block per sector, indexed by the mode-a photon numbers
+    ``s_vals`` (rows: output, columns: input).  Within the sector the generator
+    is theta G with G real antisymmetric tridiagonal, G[k+1, k] = -G[k, k+1] =
+    sqrt((s_k + 1)(total - s_k)).  With D = diag(i^k), D'(iG)D is the real
+    symmetric tridiagonal J = W diag(lam) W^T, so
+
+        exp(theta G)[r, c] = i^(r-c) (W cos(theta lam) W^T - i W sin(theta lam) W^T)[r, c],
+
+    which is the cosine part on even r - c and the sine part on odd r - c, with
+    sign + for (r - c) mod 4 in {0, 1} and - otherwise.  Only the input columns
+    with n_a <= ``max_input`` (all by default) are formed.
+
+    Returns (s_vals, block), block of shape (len(s_vals), number of columns).
     """
     s_lo = max(0, total - (dim_b - 1))
     s_hi = min(total, dim_a - 1)
     s_vals = np.arange(s_lo, s_hi + 1)
-    d = len(s_vals)
-    gen = np.zeros((d, d))
-    for idx in range(d - 1):
-        s = s_vals[idx]
-        g = math.sqrt((s + 1.0) * (total - s))
-        gen[idx + 1, idx] = g
-        gen[idx, idx + 1] = -g
-    return s_vals, _expm_antihermitian(theta * gen).real
+    cols = s_vals.size if max_input is None else max(0, min(s_hi, max_input) - s_lo + 1)
+    off = np.sqrt((s_vals[:-1] + 1.0) * (total - s_vals[:-1]))
+    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w_in = w[:cols].T
+    lag = np.arange(s_vals.size)[:, None] - np.arange(cols)
+    block = np.where(lag % 2 == 0, (w * np.cos(theta * lam)) @ w_in,
+                     (w * np.sin(theta * lam)) @ w_in)
+    return s_vals, np.where(lag % 4 < 2, block, -block)
 
 
 def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
@@ -347,7 +357,7 @@ def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
     theta = math.acos(math.sqrt(eta))
     u = np.zeros((dim_a * dim_b, dim_a * dim_b))
     for total in range(dim_a + dim_b - 1):
-        s_vals, block = _bs_sector(total, dim_a, dim_b, theta)
+        s_vals, block = beam_splitter_sector(total, dim_a, dim_b, theta)
         flat = s_vals * dim_b + (total - s_vals)
         u[np.ix_(flat, flat)] = block
     defect = unitarity_defect(u)

@@ -35,9 +35,9 @@ import numpy as np
 from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError, TruncationError
 from .fock import (
     DensityMatrix,
-    _bs_sector,
     _check_unit_trace,
     _hermitian_part,
+    beam_splitter_sector,
     displacement,
     thermal_probabilities,
     tmsv_fock,
@@ -217,9 +217,12 @@ class HypothesisPair:
     rho1_block)``, where ``index`` lists the flat basis positions
     (``mode_dims`` order, first mode slowest) of the block's rows and
     columns, and every entry outside the blocks is zero.  Construction
-    checks each block Hermitian within 1e-10 and each state's total
-    trace 1 within 1e-8 and symmetrizes the blocks, as
-    :class:`DensityMatrix` does for a dense state.  :meth:`from_states`
+    groups the blocks by size into ``stacks``, one ``(index, rho0, rho1)``
+    of shapes (n, k), (n, k, k), (n, k, k) per block size k, in order of
+    first appearance; it checks every block Hermitian within 1e-10 and
+    each state's total trace 1 within 1e-8 and symmetrizes the blocks, as
+    :class:`DensityMatrix` does for a dense state.  ``blocks`` keeps the
+    given order and holds views into the stacks.  :meth:`from_states`
     wraps a dense pair as a single block; ``rho0`` and ``rho1`` assemble
     the dense states on access.
     """
@@ -228,30 +231,40 @@ class HypothesisPair:
     blocks: tuple
     label: str = ""
     params: dict = field(default_factory=dict)
+    stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.mode_dims)
-        blocks = []
-        traces = [0.0, 0.0]
-        for index, *states in self.blocks:
+        groups: dict[int, list] = {}
+        for pos, (index, *states) in enumerate(self.blocks):
             index = np.asarray(index, dtype=int)
-            for k, b in enumerate(states):
-                b = np.asarray(b, dtype=complex)
-                if b.shape != (index.size, index.size):
+            for b in states:
+                if np.shape(b) != (index.size, index.size):
                     raise InvalidArgumentError(
-                        f"block of shape {b.shape} does not match its {index.size} indices"
+                        f"block of shape {np.shape(b)} does not match its {index.size} indices"
                     )
-                states[k] = _hermitian_part(b)
+            groups.setdefault(index.size, []).append((pos, index, *states))
+        stacks = []
+        blocks = [None] * len(self.blocks)
+        traces = [0.0, 0.0]
+        for members in groups.values():
+            positions, index, *states = zip(*members)
+            index = np.stack(index)
+            for k, b in enumerate(states):
+                states[k] = _hermitian_part(np.array(b, dtype=complex))
                 states[k].setflags(write=False)
-                traces[k] += complex(np.trace(states[k]))
-            blocks.append((index, *states))
-        covered = np.sort(np.concatenate([b[0] for b in blocks]))
+                traces[k] += complex(np.trace(states[k], axis1=1, axis2=2).sum())
+            stacks.append((index, *states))
+            for j, pos in enumerate(positions):
+                blocks[pos] = (index[j], *(st[j] for st in states))
+        covered = np.sort(np.concatenate([st[0].ravel() for st in stacks]))
         if not np.array_equal(covered, np.arange(int(np.prod(dims)))):
             raise InvalidArgumentError(f"block indices must partition the space of mode_dims {dims}")
         for tr in traces:
             _check_unit_trace(tr)
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "stacks", tuple(stacks))
 
     @classmethod
     def from_states(cls, rho0: DensityMatrix, rho1: DensityMatrix, label: str = "",
@@ -291,55 +304,86 @@ def _check_discarded(name: str, discarded: float, cutoff: int):
         )
 
 
-def build_qi_hypotheses(
-    sq: SqueezeParam,
-    eta: float,
-    n_b: float,
-    signal_cutoff: int,
-    idler_cutoff: int,
-    noise_cutoff: int,
-) -> HypothesisPair:
+@dataclass(frozen=True)
+class QIChannel:
+    """The entangled transmitter's beam splitter on truncated modes.
+
+    ``amp[s, i, m]`` is the real amplitude <s, i + m - s| U |i, m> of the
+    beam splitter of transmissivity ``eta`` (signal mode first, noise mode
+    second) for signal input i <= ``idler_cutoff`` and noise input m; it is
+    0 where the noise output i + m - s lies outside 0..``noise_cutoff``.
+    Depends on ``eta`` and the cutoffs only, so one channel serves every
+    point of a sweep at fixed ``eta``.
+    """
+
+    eta: float
+    signal_cutoff: int
+    idler_cutoff: int
+    noise_cutoff: int
+    amp: np.ndarray
+
+
+def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
+               noise_cutoff: int) -> QIChannel:
+    """The :class:`QIChannel` of transmissivity ``eta`` on the given cutoffs.
+
+    Only the sector columns whose signal input is at most the idler
+    cutoff, the inputs the TMSV populates, are formed.  The signal cutoff
+    bounds the return mode and must be at least the idler cutoff.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
+    n_sig, n_idl, n_noise = (int(c) for c in (signal_cutoff, idler_cutoff, noise_cutoff))
+    if n_sig < n_idl:
+        raise InvalidArgumentError(
+            f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})"
+        )
+    theta = math.acos(math.sqrt(eta))
+    amp = np.zeros((n_sig + 1, n_idl + 1, n_noise + 1))
+    for total in range(n_idl + n_noise + 1):
+        s_vals, block = beam_splitter_sector(total, n_sig + 1, n_noise + 1, theta, n_idl)
+        i = s_vals[:block.shape[1]]
+        amp[s_vals[:, None], i, total - i] = block
+    amp.setflags(write=False)
+    return QIChannel(eta, n_sig, n_idl, n_noise, amp)
+
+
+def build_qi_hypotheses(sq: SqueezeParam, n_b: float, channel: QIChannel) -> HypothesisPair:
     """Hypothesis pair for the entangled (TMSV) transmitter.
 
     H0 is thermal(n_b) on the return mode times the idler marginal
     (thermal with sinh^2 kappa).  H1 mixes the TMSV signal mode with a
-    thermal noise mode of occupancy n_b / (1 - eta) on a beam splitter
-    of transmissivity eta and traces out the noise port, retaining the
-    return-idler correlations.  The thermal noise is diagonal in the
-    Fock basis, so the mix is applied exactly, one noise Fock component
-    at a time, using the sector decomposition of the beam splitter.
+    thermal noise mode of occupancy n_b / (1 - eta) on the beam splitter
+    ``channel`` (see :func:`qi_channel`) and traces out the noise port,
+    retaining the return-idler correlations.  The thermal noise is
+    diagonal in the Fock basis, so the mix is applied exactly, one noise
+    Fock component at a time.
 
     Both states are block-diagonal in d = s - i (return photons minus
     idler photons), d = -idler_cutoff .. signal_cutoff: the beam
     splitter conserves signal + noise photons, the TMSV pairs signal
     photon i with idler photon i, and the noise is Fock-diagonal.  Block
     d of rho1 is V V' with V[k, m] = c_i sqrt(p_noise[m])
-    B^{(i+m)}[i+d, i], where k runs over the idler numbers i of the
-    block, m is the noise photon number, c_i the TMSV coefficient and
-    B^{(t)} the beam-splitter block of total photon number t; block d of
-    rho0 is the matching slice of the diagonal p_ret (x) p_idl.  No
-    dense state is formed, and no block is larger than idler_cutoff + 1.
+    channel.amp[i + d, i, m], where k runs over the idler numbers i of
+    the block, m is the noise photon number and c_i the TMSV
+    coefficient; block d of rho0 is the matching slice of the diagonal
+    p_ret (x) p_idl.  No dense state is formed, and no block is larger
+    than idler_cutoff + 1.
 
-    The signal cutoff bounds the return mode and must accommodate the
-    output occupancy eta sinh^2(kappa) + n_b; it must be at least the
-    idler cutoff.  Each truncated distribution (noise, return, idler and
-    the TMSV pair expansion) may discard at most 1e-3 of its mass, else
-    :class:`TruncationError` is raised.  Mode order of the result:
-    (return, idler).
+    The signal cutoff must accommodate the output occupancy
+    eta sinh^2(kappa) + n_b.  Each truncated distribution (noise,
+    return, idler and the TMSV pair expansion) may discard at most 1e-3
+    of its mass, else :class:`TruncationError` is raised.  Mode order of
+    the result: (return, idler).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
+    eta = channel.eta
     if n_b < 0.0 or not math.isfinite(n_b):
         raise InvalidArgumentError(f"n_b must be finite and >= 0, got {n_b}")
     if eta == 1.0 and n_b > 0.0:
         raise InvalidArgumentError(
             "eta = 1 with n_b > 0 is inconsistent with the noise-injection convention"
         )
-    n_sig, n_idl, n_noise = (int(c) for c in (signal_cutoff, idler_cutoff, noise_cutoff))
-    if n_sig < n_idl:
-        raise InvalidArgumentError(
-            f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})"
-        )
+    n_sig, n_idl, n_noise = channel.signal_cutoff, channel.idler_cutoff, channel.noise_cutoff
 
     state = tmsv_fock(sq, n_idl)
     nbar_noise = n_b / (1.0 - eta) if eta < 1.0 else 0.0
@@ -353,24 +397,17 @@ def build_qi_hypotheses(
     _check_discarded("TMSV pair", state.norm_deficit, n_idl)
 
     coeffs = state.coeffs / np.linalg.norm(state.coeffs)
+    # amplitude of return s with idler i and noise input m: channel.amp[s, i, m] * weight[i, m]
     weight = coeffs[:, None] * np.sqrt(p_noise)[None, :]
-    theta = math.acos(math.sqrt(eta))
-    # amp[s, i, m]: amplitude of return s with idler i and noise input m;
-    # the noise output i + m - s is implied by photon-number conservation
-    amp = np.zeros((n_sig + 1, n_idl + 1, n_noise + 1), dtype=complex)
-    for total in range(n_idl + n_noise + 1):
-        s_vals, block = _bs_sector(total, n_sig + 1, n_noise + 1, theta)
-        i = np.arange(max(0, total - n_noise), min(total, n_idl) + 1)
-        amp[s_vals[:, None], i, total - i] = weight[i, total - i] * block[:, i - s_vals[0]]
 
     diag0 = np.kron(p_ret0, p_idl0)
     blocks = []
     for d in range(-n_idl, n_sig + 1):
         i = np.arange(max(0, -d), min(n_idl, n_sig - d) + 1)
         index = (i + d) * (n_idl + 1) + i
-        v = amp[i + d, i, :]
+        v = channel.amp[i + d, i, :] * weight[i]
         blocks.append((index, np.diag(diag0[index]), v @ v.conj().T))
-    boundary = float(np.sum(np.abs(amp[n_sig]) ** 2))
+    boundary = float(np.sum(np.abs(channel.amp[n_sig] * weight) ** 2))
     return HypothesisPair(
         mode_dims=(n_sig + 1, n_idl + 1),
         blocks=tuple(blocks),
@@ -437,71 +474,97 @@ class ChernoffResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _clipped_spectrum(eigvals: np.ndarray, name: str):
+def _clipped_spectrum(spectra: list, name: str) -> tuple[float, float]:
+    """Mass of the negative eigenvalues, which count as 0, and the smallest eigenvalue."""
+    eigvals = np.concatenate([lam.ravel() for lam in spectra])
     worst = float(np.min(eigvals))
     if worst < _PSD_TOL:
         raise InvalidStateError(f"{name} has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}")
     # 0.0 - x rather than -x: nothing clipped is +0.0, not -0.0
-    clipped = 0.0 - float(np.sum(np.minimum(eigvals, 0.0)))
-    return np.clip(eigvals, 0.0, None), clipped, worst
+    return 0.0 - float(np.sum(np.minimum(eigvals, 0.0))), worst
 
 
-def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-6) -> ChernoffResult:
+def _s_root(slope, s_tol: float) -> tuple[float, int]:
+    """Root in [0, 1] of the increasing function ``slope(s) -> (Q'(s), Q''(s))``.
+
+    The signs of Q' seen so far bracket the root.  A Newton step is taken
+    when it stays inside the bracket and is at most half the previous
+    step; otherwise the bracket is bisected.  Stops at a step of at most
+    ``s_tol``; returns the root and the number of evaluations.
+    """
+    lo, hi, s, last = 0.0, 1.0, 0.5, 1.0
+    for evals in range(1, 201):
+        dq, d2q = slope(s)
+        if dq == 0.0:
+            return s, evals
+        if dq > 0.0:
+            hi = s
+        else:
+            lo = s
+        newton = s - dq / d2q if d2q > 0.0 else math.nan
+        nxt = newton if lo <= newton <= hi and abs(newton - s) <= 0.5 * last else 0.5 * (lo + hi)
+        last, s = abs(nxt - s), nxt
+        if last <= s_tol:
+            return s, evals
+    raise ConvergenceError(f"s-search did not converge to {s_tol} in {evals} steps")
+
+
+def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffResult:
     """Brute-force quantum Chernoff bound for a hypothesis pair.
 
-    Eigendecomposes both states block by block (tiny negative
-    eigenvalues from truncation are clipped at zero and recorded, summed
-    over blocks; positivity is checked on the smallest eigenvalue of any
-    block) and evaluates Q(s) = tr(rho0^s rho1^{1-s}) as the sum over
-    blocks d of lam0_d^s |U0_d' U1_d|^2 lam1_d^{1-s}, where U0_d, U1_d
-    are the blocks' eigenvectors.  Q is minimized over s in (0, 1) by
-    golden-section search to |delta s| <= s_tol.  Q(s) is log-convex on
-    (0, 1), so the local minimum is global; an 11-point grid of Q values
-    is kept in the diagnostics so that convexity can be audited.
+    Eigendecomposes both states one stack of equal-size blocks at a time
+    (tiny negative eigenvalues from truncation count as zero, and their
+    mass, summed over blocks, is recorded; positivity is checked on the
+    smallest eigenvalue of any block) and evaluates Q(s) =
+    tr(rho0^s rho1^{1-s}) as one sum over the terms w lam0^s lam1^{1-s},
+    w = |U0_d' U1_d|^2, of each block d and eigenvector pair, leaving out
+    terms with an eigenvalue <= 0 or weight 0, which add nothing for s in
+    (0, 1).  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
+    ln(lam0 / lam1) is increasing and Q is minimized on [0, 1] at its
+    root (or the end of [0, 1] it moves towards), found by safeguarded
+    Newton steps (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point
+    grid of Q values is kept in the diagnostics so that convexity can be
+    audited.
 
     Returns q_min = 0 with an infinite exponent for (numerically)
     orthogonal states.
     """
-    spectra0, spectra1, overlaps = [], [], []
-    start = 0
-    for _, block0, block1 in pair.blocks:
-        lam0, vec0 = np.linalg.eigh(block0)
-        lam1, vec1 = np.linalg.eigh(block1)
+    spectra0, spectra1, weight, log0, log1 = [], [], [], [], []
+    for _, stack0, stack1 in pair.stacks:
+        lam0, vec0 = np.linalg.eigh(stack0)
+        lam1, vec1 = np.linalg.eigh(stack1)
         spectra0.append(lam0)
         spectra1.append(lam1)
-        overlaps.append((slice(start, start + lam0.size), np.abs(vec0.conj().T @ vec1) ** 2))
-        start += lam0.size
-    lam0, clip0, worst0 = _clipped_spectrum(np.concatenate(spectra0), "rho0")
-    lam1, clip1, worst1 = _clipped_spectrum(np.concatenate(spectra1), "rho1")
+        # in place where possible: the largest stack's temporaries set the peak memory
+        overlap = np.abs(np.matmul(np.conjugate(vec0, out=vec0).swapaxes(1, 2), vec1))
+        overlap *= overlap
+        lam0, lam1 = np.broadcast_arrays(lam0[:, :, None], lam1[:, None, :])
+        keep = (overlap > 0.0) & (lam0 > 0.0) & (lam1 > 0.0)
+        weight.append(overlap[keep])
+        log0.append(np.log(lam0[keep]))
+        log1.append(np.log(lam1[keep]))
+    clip0, worst0 = _clipped_spectrum(spectra0, "rho0")
+    clip1, worst1 = _clipped_spectrum(spectra1, "rho1")
+    weight, log1 = np.concatenate(weight), np.concatenate(log1)
+    dlog = np.concatenate(log0) - log1
+
+    def terms(s: float) -> np.ndarray:
+        return weight * np.exp(log1 + s * dlog)
 
     def q_of(s: float) -> float:
-        pow0 = lam0**s
-        pow1 = lam1 ** (1.0 - s)
-        val = float(sum(pow0[sl] @ overlap @ pow1[sl] for sl, overlap in overlaps))
+        val = float(np.sum(terms(s)))
         if not math.isfinite(val):
             raise ConvergenceError(f"Q({s}) is not finite")
         return val
 
+    def slope(s: float) -> tuple[float, float]:
+        t = terms(s) * dlog
+        return float(np.sum(t)), float(t @ dlog)
+
     s_grid = np.arange(1, 12) / 12.0
     q_grid = np.array([q_of(s) for s in s_grid])
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    qc, qd = q_of(c), q_of(d)
-    evals = 2
-    while b - a > s_tol:
-        if qc < qd:
-            b, d, qd = d, c, qc
-            c = b - invphi * (b - a)
-            qc = q_of(c)
-        else:
-            a, c, qc = c, d, qd
-            d = a + invphi * (b - a)
-            qd = q_of(d)
-        evals += 1
-    s_star = 0.5 * (a + b)
+    s_star, evals = _s_root(slope, s_tol)
     q_min = q_of(s_star)
 
     k = int(np.argmin(q_grid))
@@ -524,6 +587,6 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-6) -> ChernoffResu
             "dim": pair.dim,
             "s_grid": s_grid,
             "q_grid": q_grid,
-            "evaluations": evals + len(s_grid),
+            "evaluations": evals + 1 + len(s_grid),
         },
     )

@@ -38,7 +38,9 @@ class SpectrumProfile:
     the selected ``shape`` and is zero outside the band.  When
     ``band_center`` is omitted it defaults to the degenerate signal
     frequency of the mixing process: nu_p / 2 for a three-wave mixer,
-    nu_p for a four-wave mixer.
+    nu_p for a four-wave mixer.  The band must lie above 0 Hz and below
+    nu_p (three-wave) or 2 nu_p (four-wave), where the idler frequency
+    nu_p - nu_s or 2 nu_p - nu_s is positive.
     """
 
     kappa_max: float
@@ -65,6 +67,13 @@ class SpectrumProfile:
         elif self.band_center <= 0.0 or not math.isfinite(self.band_center):
             raise InvalidArgumentError(
                 f"band_center must be finite and > 0, got {self.band_center}"
+            )
+        lo, hi = self.band_edges
+        top = self.pump_freq if self.mixing == "3wm" else 2.0 * self.pump_freq
+        if not 0.0 < lo or not hi < top:
+            raise InvalidArgumentError(
+                f"band [{lo:.9g}, {hi:.9g}] Hz must lie inside (0, {top:.9g}) Hz, where signal and "
+                f"idler frequencies of {self.mixing} mixing are both positive"
             )
 
     @property

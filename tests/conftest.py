@@ -3,7 +3,9 @@
 The moment oracle below recomputes covariance entries directly from a
 photon-pair state vector with truncated-space operator applications; it
 shares no code path with the closed-form covariance construction it is
-used to check.
+used to check.  The beam-splitter oracle exponentiates the dense
+truncated generator with scipy, sharing nothing with the per-sector
+eigendecomposition in ``mqisim.fock``.
 """
 
 import math
@@ -58,6 +60,18 @@ def riemann_mass(grid) -> float:
     dx = float(grid.x_axis[1] - grid.x_axis[0])
     dy = float(grid.y_axis[1] - grid.y_axis[0])
     return float(np.sum(grid.values)) * dx * dy
+
+
+def truncated_beam_splitter_expm(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
+    """scipy expm of theta (a'b - ab') on the truncated two-mode space, cos^2 theta = eta.
+
+    Flat index (n_a, n_b) -> n_a * dim_b + n_b, as ``beam_splitter_unitary``.
+    """
+    from scipy.linalg import expm
+
+    a = np.kron(np.diag(np.sqrt(np.arange(1.0, dim_a)), 1), np.eye(dim_b))
+    b = np.kron(np.eye(dim_a), np.diag(np.sqrt(np.arange(1.0, dim_b)), 1))
+    return expm(math.acos(math.sqrt(eta)) * (a.T @ b - a @ b.T))
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from mqisim import (
     advantage_db,
     build_classical_hypotheses,
     build_qi_hypotheses,
+    qi_channel,
     chernoff_exponent,
     classical_error_rate,
     error_probability,
@@ -116,7 +117,8 @@ def test_criterion_4_representation_cross_validation():
 
 def _qcb_pair_exponents(n_b, cut_sig, cut_idl, cut_noise, cut_cl):
     sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-    qi = chernoff_exponent(build_qi_hypotheses(sq, 0.1, n_b, cut_sig, cut_idl, cut_noise))
+    channel = qi_channel(0.1, cut_sig, cut_idl, cut_noise)
+    qi = chernoff_exponent(build_qi_hypotheses(sq, n_b, channel))
     cl = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, n_b, cut_cl))
     return qi.exponent, cl.exponent
 

@@ -15,7 +15,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # sha256 of the CSV output of each preset in configs/
 PRESET_SHA256 = {
     "detect_background_sweep": "e51b98fe1faa504c7d050e811092a11b37855d2710d0a60207828c0c058c36f5",
-    "qcb_background_sweep": "524ebb8a9d9add2337c79a0df90c0b51678d3cd9e40840d9c382a5c1f642d06c",
+    "qcb_background_sweep": "ba935d4a3275c19aaf26b513fdf3f1fbc009e6ece08dc432ba0eadef24c152eb",
     "spectrum_k05": "6b206b66f2bdc9b3eba10527c4869b19252636e966c5612e727d8f626bb6a6b4",
     "spectrum_k15": "33efa41760036715e151f9ce77c3fe3a38eb2b85c779bf5f7e34926c1cf03277",
     "spectrum_k30": "c01f27035ee8352d91f27f1af233296d246fb9d76400180cf735f9500112ac59",
@@ -74,6 +74,34 @@ OUTPUT_SHA256 = {
     "wigner_kappa_4": (
         ("wigner", "--kappa", "4", "--samples", "5"),
         "056183c1071280c77bb13af920d7dfd05f31d283a7b63e230cb6a4587714e104",
+    ),
+}
+
+
+_C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--n-b", "1",
+             "--sweep-var", "n_b", "--sweep-values", "1,2,4")
+
+# exponent_qi and exponent_cl of the benchmark's qcb_sweep points (n_b = 1, 2, 4)
+# as printed at 79696d2.  They encode today's truncated Fock semantics: beam-splitter
+# sectors above a cutoff are exponentials of the truncated generator, and truncated
+# thermal laws are renormalized.  ROADMAP item 1 re-records them on purpose.
+QCB_SWEEP_EXPONENTS = {
+    "preset_48_12_48": (
+        ("qcb", "--config", str(CONFIGS / "qcb_background_sweep.cfg")),
+        ("0.00343469276", "0.00216287385", "0.00125466691"),
+        ("0.00171572875", "0.00101020508", "0.000557156891"),
+    ),
+    "c5_48_10_48": (
+        _C5_SWEEP + ("--cutoff-signal", "48", "--cutoff-idler", "10", "--cutoff-noise", "48",
+                     "--cutoff", "48"),
+        ("0.00343469276", "0.00216287385", "0.00125466691"),
+        ("0.00171572875", "0.00101020508", "0.000557156891"),
+    ),
+    "c5_72_15_72": (
+        _C5_SWEEP + ("--cutoff-signal", "72", "--cutoff-idler", "15", "--cutoff-noise", "72",
+                     "--cutoff", "72"),
+        ("0.00343469276", "0.00216287092", "0.00124653611"),
+        ("0.00171572875", "0.00101020514", "0.00055728002"),
     ),
 }
 
@@ -184,6 +212,29 @@ class TestSpectrumCommand:
         out, err = capsys.readouterr()
         assert out == "" and "band_center" in err
 
+    # lower edge at or below 0 Hz, or upper edge at or above nu_p (3wm) or 2 nu_p (4wm)
+    @pytest.mark.parametrize("flags", [
+        ("--band-center", "1e9"),
+        ("--band-center", "4e9"),
+        ("--band-center", "9e9"),
+        ("--band-center", "8e9"),
+        ("--mixing", "4wm", "--band-center", "21e9"),
+        ("--mixing", "4wm", "--band-center", "20e9"),
+    ])
+    def test_band_edges_must_keep_frequencies_positive(self, flags, capsys):
+        argv = ["spectrum", "--kappa-max", "1", "--steps", "3", *flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "band [" in err
+
+    def test_four_wave_band_may_exceed_the_pump(self, capsys):
+        argv = ["spectrum", "--kappa-max", "1", "--steps", "3", "--mixing", "4wm",
+                "--band-center", "19e9"]
+        assert main(argv) == 0
+        _, rows = csv_rows(capsys.readouterr().out)
+        assert [row[:2] for row in rows] == [["1.5e+10", "9e+09"], ["1.9e+10", "5e+09"],
+                                             ["2.3e+10", "1e+09"]]
+
 
 class TestDetectCommand:
     def test_unit_scenario(self):
@@ -249,6 +300,28 @@ class TestQcbCommand:
         assert (row["clipped_rho0"], row["clipped_rho1"]) == ("0", "0")
         meta = csv_meta(out)
         assert meta["cutoff_classical"] == "30"
+
+    @pytest.mark.parametrize("name", sorted(QCB_SWEEP_EXPONENTS))
+    def test_sweep_exponents_pinned(self, tmp_path, name):
+        argv, want_qi, want_cl = QCB_SWEEP_EXPONENTS[name]
+        path = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(path), "--quiet"]) == 0
+        header, rows = csv_rows(path.read_text())
+        assert tuple(row[header.index("exponent_qi")] for row in rows) == want_qi
+        assert tuple(row[header.index("exponent_cl")] for row in rows) == want_cl
+
+    def test_qi_eta_sweep_matches_single_points(self, capsys):
+        # the beam-splitter channel depends on eta: rebuilt where eta changes
+        base = ["qcb", "--transmitter", "qi", "--n-s", "0.1", "--n-b", "0.5",
+                "--cutoff-signal", "20", "--cutoff-idler", "6", "--cutoff-noise", "20"]
+        assert main([*base, "--eta", "0.1", "--sweep-var", "eta",
+                     "--sweep-values", "0.1,0.3,0.3,0.1"]) == 0
+        _, swept = csv_rows(capsys.readouterr().out)
+        single = {}
+        for eta in ("0.1", "0.3"):
+            assert main([*base, "--eta", eta]) == 0
+            single[eta] = csv_rows(capsys.readouterr().out)[1][0]
+        assert swept == [single["0.1"], single["0.3"], single["0.3"], single["0.1"]]
 
     def test_qi_no_return_degenerates(self):
         code, out, _ = run_cli(

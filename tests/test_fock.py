@@ -24,7 +24,8 @@ from mqisim import (
     tmsv_fock,
     unitarity_defect,
 )
-from conftest import trace_distance
+from mqisim.fock import beam_splitter_sector
+from conftest import trace_distance, truncated_beam_splitter_expm
 
 
 class TestModeOps:
@@ -230,6 +231,26 @@ class TestBeamSplitter:
     def test_invalid_transmissivity(self):
         with pytest.raises(InvalidArgumentError):
             beam_splitter_unitary(4, 4, 1.5)
+
+    # dims (7, 5) and (5, 9): sectors of total photon number above either cutoff
+    @pytest.mark.parametrize("dims", [(7, 5), (5, 9)])
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 1.0])
+    def test_unitary_matches_dense_exponential(self, dims, eta):
+        ref = truncated_beam_splitter_expm(*dims, eta)
+        assert np.max(np.abs(beam_splitter_unitary(*dims, eta) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(7, 5), (5, 9)])
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 1.0])
+    def test_sector_columns_match_dense_exponential(self, dims, eta):
+        dim_a, dim_b = dims
+        ref = truncated_beam_splitter_expm(dim_a, dim_b, eta)
+        theta = math.acos(math.sqrt(eta))
+        for total in range(dim_a + dim_b - 1):
+            s_vals, block = beam_splitter_sector(total, dim_a, dim_b, theta, max_input=2)
+            assert block.shape == (s_vals.size, np.count_nonzero(s_vals <= 2))
+            flat = s_vals * dim_b + (total - s_vals)
+            want = ref[np.ix_(flat, flat[: block.shape[1]])]
+            assert np.max(np.abs(block - want), initial=0.0) <= 1e-12
 
 
 class TestPartialTrace:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mqisim import (
     number_expectation,
     partial_trace,
     pulse_count,
+    qi_channel,
     quantum_error_rate,
     required_pulses,
     thermal_density,
@@ -30,7 +32,7 @@ from mqisim import (
     tmsv_fock,
 )
 from mqisim.illumination import HypothesisPair
-from conftest import trace_distance
+from conftest import trace_distance, truncated_beam_splitter_expm
 
 CL_CLOSED_FORM = 0.00857864376269  # eta n_s (sqrt(n_b+1) - sqrt(n_b))^2 at (0.1, 0.5, 1)
 
@@ -286,30 +288,30 @@ class TestArraySweeps:
 class TestHypothesisBuilders:
     def test_qi_no_return_means_no_information(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 0.0, 1.0, 30, 10, 30)
+        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.0, 30, 10, 30))
         assert trace_distance(pair.rho0.matrix, pair.rho1.matrix) <= 1e-8
 
     def test_qi_vacuum_source_gives_zero_exponent(self):
-        pair = build_qi_hypotheses(SqueezeParam(0.0), 0.3, 1.0, 30, 6, 30)
+        pair = build_qi_hypotheses(SqueezeParam(0.0), 1.0, qi_channel(0.3, 30, 6, 30))
         result = chernoff_exponent(pair)
         assert result.exponent == pytest.approx(0.0, abs=1e-8)
 
     def test_qi_returned_mode_occupancies(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 0.1, 1.0, 48, 10, 48)
+        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 48, 10, 48))
         assert number_expectation(pair.rho0, 0) == pytest.approx(1.0, abs=2e-3)
         assert number_expectation(pair.rho1, 0) == pytest.approx(1.01, abs=2e-3)
 
     def test_qi_idler_marginal_identical(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 0.1, 1.0, 40, 10, 40)
+        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 40, 10, 40))
         assert number_expectation(pair.rho0, 1) == pytest.approx(
             number_expectation(pair.rho1, 1), abs=1e-10
         )
 
     def test_qi_states_pass_invariants(self):
         sq = SqueezeParam(0.3)
-        pair = build_qi_hypotheses(sq, 0.2, 0.7, 36, 8, 36)
+        pair = build_qi_hypotheses(sq, 0.7, qi_channel(0.2, 36, 8, 36))
         for rho in (pair.rho0, pair.rho1):
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-8
             assert rho.min_eigenvalue() >= -1e-9
@@ -319,7 +321,7 @@ class TestHypothesisBuilders:
         # signal (x) idler (x) noise, then the noise mode is traced out
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
         eta, n_b, n_sig, n_idl, n_noise = 0.3, 0.5, 10, 4, 10
-        pair = build_qi_hypotheses(sq, eta, n_b, n_sig, n_idl, n_noise)
+        pair = build_qi_hypotheses(sq, n_b, qi_channel(eta, n_sig, n_idl, n_noise))
         coeffs = tmsv_fock(sq, n_idl).coeffs
         psi = np.zeros((n_sig + 1, n_idl + 1), dtype=complex)
         psi[np.arange(n_idl + 1), np.arange(n_idl + 1)] = coeffs / np.linalg.norm(coeffs)
@@ -337,8 +339,22 @@ class TestHypothesisBuilders:
         np.testing.assert_allclose(pair.rho0.matrix, np.diag(np.kron(p_ret, p_idl)),
                                    rtol=0.0, atol=1e-15)
 
+    # cutoffs (6, 3, 4) and (4, 2, 7): sectors of total photon number above either cutoff
+    @pytest.mark.parametrize("cutoffs", [(6, 3, 4), (4, 2, 7)])
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 1.0])
+    def test_qi_channel_matches_dense_exponential(self, cutoffs, eta):
+        n_sig, n_idl, n_noise = cutoffs
+        ref = truncated_beam_splitter_expm(n_sig + 1, n_noise + 1, eta)
+        s, i, m = np.meshgrid(np.arange(n_sig + 1), np.arange(n_idl + 1),
+                              np.arange(n_noise + 1), indexing="ij")
+        out = i + m - s   # noise output
+        inside = (out >= 0) & (out <= n_noise)
+        want = np.where(inside, ref[s * (n_noise + 1) + np.clip(out, 0, n_noise),
+                                    i * (n_noise + 1) + m], 0.0)
+        assert np.max(np.abs(qi_channel(eta, *cutoffs).amp - want)) <= 1e-12
+
     def test_qi_blocks_bounded_by_idler_cutoff(self):
-        pair = build_qi_hypotheses(SqueezeParam(0.3), 0.2, 0.7, 36, 8, 36)
+        pair = build_qi_hypotheses(SqueezeParam(0.3), 0.7, qi_channel(0.2, 36, 8, 36))
         assert len(pair.blocks) == 36 + 8 + 1
         assert max(len(index) for index, _, _ in pair.blocks) == 8 + 1
         assert sum(len(index) for index, _, _ in pair.blocks) == pair.dim == 37 * 9
@@ -350,9 +366,9 @@ class TestHypothesisBuilders:
     def test_qi_invalid_inputs(self):
         sq = SqueezeParam(0.3)
         with pytest.raises(InvalidArgumentError):
-            build_qi_hypotheses(sq, 1.0, 1.0, 30, 8, 30)   # eta=1 with background
+            build_qi_hypotheses(sq, 1.0, qi_channel(1.0, 30, 8, 30))   # eta=1 with background
         with pytest.raises(InvalidArgumentError):
-            build_qi_hypotheses(sq, 0.5, 1.0, 8, 30, 30)   # signal cutoff below idler
+            build_qi_hypotheses(sq, 1.0, qi_channel(0.5, 8, 30, 30))   # signal cutoff below idler
 
     def test_classical_dark_target_identical(self):
         pair = build_classical_hypotheses(0.0, 0.5, 1.0, 20)
@@ -413,25 +429,80 @@ class TestChernoffExponent:
 
     def test_grid_is_log_convex(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 0.1, 1.0, 36, 8, 36)
+        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 36, 8, 36))
         log_q = np.log(chernoff_exponent(pair).diagnostics["q_grid"])
         second_diff = log_q[:-2] - 2 * log_q[1:-1] + log_q[2:]
         assert np.all(second_diff >= -1e-10)
 
     def test_qi_beats_classical_at_unit_background(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        qi = chernoff_exponent(build_qi_hypotheses(sq, 0.1, 1.0, 36, 8, 36))
+        qi = chernoff_exponent(build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 36, 8, 36)))
         cl = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, 1.0, 36))
         assert qi.exponent / cl.exponent > 1.0
 
     def test_block_sum_matches_dense_pair(self):
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 0.1, 1.0, 48, 10, 48)
+        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 48, 10, 48))
         dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
         blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
         assert blocked.diagnostics["dim"] == single.diagnostics["dim"] == 49 * 11
         assert blocked.exponent == pytest.approx(single.exponent, rel=1e-12)
         assert blocked.s_star == pytest.approx(single.s_star, abs=1e-9)
+
+    @pytest.mark.parametrize("n_b", [1.0, 2.0, 4.0])
+    def test_s_star_is_the_root_of_the_slope(self, n_b):
+        # reference: bisection on the sign of Q'(s), summed block by block
+        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
+        pair = build_qi_hypotheses(sq, n_b, qi_channel(0.1, 48, 12, 48))
+        parts = []
+        for _, block0, block1 in pair.blocks:
+            lam0, vec0 = np.linalg.eigh(block0)
+            lam1, vec1 = np.linalg.eigh(block1)
+            parts.append((lam0, np.abs(vec0.conj().T @ vec1) ** 2, lam1))
+
+        def slope(s):
+            total = 0.0
+            for lam0, overlap, lam1 in parts:
+                keep = np.outer(lam0 > 0.0, lam1 > 0.0)
+                l0, l1 = np.where(lam0 > 0.0, lam0, 1.0), np.where(lam1 > 0.0, lam1, 1.0)
+                term = overlap * np.outer(l0**s, l1 ** (1.0 - s)) * np.subtract.outer(
+                    np.log(l0), np.log(l1))
+                total += float(np.sum(term[keep]))
+            return total
+
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        result = chernoff_exponent(pair)
+        assert result.s_star == pytest.approx(lo, abs=1e-9)
+        # Newton steps, not bisection, reach the root: a handful past the 11-point grid
+        assert result.diagnostics["evaluations"] <= 11 + 8
+
+    @pytest.mark.parametrize("n_b", [1.0, 2.0, 4.0])
+    def test_classical_s_star_is_one_half(self, n_b):
+        # the coherent pair's Q(s) is symmetric about s = 1/2
+        result = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, n_b, 72))
+        assert result.s_star == pytest.approx(0.5, abs=1e-9)
+
+    def test_block_s_star_matches_dense_pair_at_72(self):
+        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
+        pair = build_qi_hypotheses(sq, 4.0, qi_channel(0.1, 72, 15, 72))
+        dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
+        blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
+        assert blocked.s_star == pytest.approx(single.s_star, abs=1e-9)
+        # the dense 1168 x 1168 eigh resolves the smallest eigenvalues less
+        # finely than the 16 x 16 blocks: about 1e-10 relative in the exponent
+        assert blocked.exponent == pytest.approx(single.exponent, rel=1e-9)
+
+    def test_zero_eigenvalues_raise_no_warning(self):
+        # Q(s) = 0.75^(1-s) on the support of |0><0|: smallest at the end s = 0
+        zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = chernoff_exponent(HypothesisPair.from_states(zero, thermal_density(0.5, 1)))
+        assert result.q_min == pytest.approx(0.75, rel=1e-12)
+        assert result.s_star == pytest.approx(0.0, abs=1e-9)
 
     def test_non_psd_rejected(self):
         bad = np.diag([1.4, -0.4]).astype(complex)

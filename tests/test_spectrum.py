@@ -42,6 +42,10 @@ class TestSpectrumProfile:
             profile(mixing="5wm")
         with pytest.raises(InvalidArgumentError):
             profile(shape="gaussian")
+        with pytest.raises(InvalidArgumentError):
+            profile(band_center=3e9)   # lower edge -1e9 Hz
+        with pytest.raises(InvalidArgumentError):
+            profile(band_center=9e9)   # upper edge 13e9 Hz, above the pump
 
 
 class TestKappaProfile:
