@@ -384,7 +384,7 @@ def _qcb_signal(p: dict) -> float:
     if p["kappa"] is not None:
         if p["sweep_var"] == "n_s":
             raise InvalidArgumentError("sweeping n_s conflicts with --kappa")
-        return math.sinh(p["kappa"]) ** 2
+        return SqueezeParam(p["kappa"]).mean_photon
     return p["n_s"]
 
 
@@ -613,7 +613,8 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, ConvergenceError, DegenerateStateError, InvalidStateError) as exc:
+    except (TruncationError, ConvergenceError, DegenerateStateError, InvalidStateError,
+            OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,9 +63,8 @@ class ModeOps:
         return 1j * (self.adag - self.a)
 
 
-@lru_cache(maxsize=None)
 def mode_ops(cutoff: int) -> ModeOps:
-    """Build (and cache) the single-mode operator set for a cutoff."""
+    """Build the single-mode operator set for a cutoff."""
     cutoff = _check_cutoff(cutoff)
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
     adag = a.T.copy()
@@ -101,13 +99,10 @@ class FockTMSV:
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
-    def amplitude_matrix(self, renormalize: bool = True) -> np.ndarray:
-        """Two-mode amplitude tensor; only the diagonal |n, n> is populated."""
-        c = self.coeffs
-        if renormalize:
-            c = c / np.linalg.norm(c)
+    def amplitude_matrix(self) -> np.ndarray:
+        """Renormalized two-mode amplitude tensor; only the diagonal |n, n> is populated."""
         amp = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
-        np.fill_diagonal(amp, c)
+        np.fill_diagonal(amp, self.coeffs / np.linalg.norm(self.coeffs))
         return amp
 
 
@@ -238,7 +233,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     checking that each is Hermitian within 1e-10."""
     adj = np.swapaxes(m, -1, -2).conj()
     herm = np.max(np.abs(m - adj))
-    if herm > _HERMITICITY_TOL:
+    if not herm <= _HERMITICITY_TOL:   # NaN fails too
         raise InvalidArgumentError(
             f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}"
         )
@@ -246,7 +241,7 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_trace(tr: complex):
-    if abs(tr - 1.0) > _TRACE_TOL:
+    if not abs(tr - 1.0) <= _TRACE_TOL:   # NaN fails too
         raise InvalidArgumentError(f"trace must be 1 within {_TRACE_TOL}, got {tr}")
 
 

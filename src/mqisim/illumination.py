@@ -35,6 +35,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError, TruncationError
 from .fock import (
     DensityMatrix,
+    _check_cutoff,
     _check_unit_trace,
     _hermitian_part,
     beam_splitter_sector,
@@ -212,88 +213,87 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
 class HypothesisPair:
     """Target-absent / target-present states for one transmitter.
 
-    Both states are stored block-diagonally over one shared partition of
-    the basis: each entry of ``blocks`` is ``(index, rho0_block,
-    rho1_block)``, where ``index`` lists the flat basis positions
-    (``mode_dims`` order, first mode slowest) of the block's rows and
-    columns, and every entry outside the blocks is zero.  Construction
-    groups the blocks by size into ``stacks``, one ``(index, rho0, rho1)``
-    of shapes (n, k), (n, k, k), (n, k, k) per block size k, in order of
-    first appearance; it checks every block Hermitian within 1e-10 and
-    each state's total trace 1 within 1e-8 and symmetrizes the blocks, as
-    :class:`DensityMatrix` does for a dense state.  ``blocks`` keeps the
-    given order and holds views into the stacks.  :meth:`from_states`
-    wraps a dense pair as a single block; ``rho0`` and ``rho1`` assemble
-    the dense states on access.
+    rho0 is diagonal in the basis the pair is held in and is stored as
+    that diagonal, ``p0``, over the flat basis (``mode_dims`` order, first
+    mode slowest).  rho1 is block-diagonal: each entry of ``blocks`` is
+    ``(index, rho1_block)``, ``index`` listing the flat basis positions
+    of the block's rows and columns.  Construction checks that the blocks
+    partition the basis, each is Hermitian within 1e-10 and both traces
+    are 1 within 1e-8; it symmetrizes the blocks and groups them by size
+    into ``stacks``, one ``(index, rho1)`` of shapes (n, k), (n, k, k) per
+    size k in order of first appearance (``blocks`` keeps the given order,
+    as views into the stacks).  ``rho0`` and ``rho1`` assemble the dense
+    states on access.
     """
 
     mode_dims: tuple[int, ...]
+    p0: np.ndarray
     blocks: tuple
-    label: str = ""
     params: dict = field(default_factory=dict)
     stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.mode_dims)
+        p0 = np.array(self.p0, dtype=float)
+        if p0.shape != (int(np.prod(dims)),):
+            raise InvalidArgumentError(f"p0 of shape {p0.shape} does not match mode_dims {dims}")
+        _check_unit_trace(p0.sum())
+        p0.setflags(write=False)
         groups: dict[int, list] = {}
-        for pos, (index, *states) in enumerate(self.blocks):
+        for pos, (index, block) in enumerate(self.blocks):
             index = np.asarray(index, dtype=int)
-            for b in states:
-                if np.shape(b) != (index.size, index.size):
-                    raise InvalidArgumentError(
-                        f"block of shape {np.shape(b)} does not match its {index.size} indices"
-                    )
-            groups.setdefault(index.size, []).append((pos, index, *states))
+            if np.shape(block) != (index.size, index.size):
+                raise InvalidArgumentError(
+                    f"block of shape {np.shape(block)} does not match its {index.size} indices"
+                )
+            groups.setdefault(index.size, []).append((pos, index, block))
         stacks = []
         blocks = [None] * len(self.blocks)
-        traces = [0.0, 0.0]
+        trace = 0.0
         for members in groups.values():
-            positions, index, *states = zip(*members)
+            positions, index, stack = zip(*members)
             index = np.stack(index)
-            for k, b in enumerate(states):
-                states[k] = _hermitian_part(np.array(b, dtype=complex))
-                states[k].setflags(write=False)
-                traces[k] += complex(np.trace(states[k], axis1=1, axis2=2).sum())
-            stacks.append((index, *states))
+            stack = _hermitian_part(np.array(stack, dtype=complex))
+            stack.setflags(write=False)
+            trace += complex(np.trace(stack, axis1=1, axis2=2).sum())
+            stacks.append((index, stack))
             for j, pos in enumerate(positions):
-                blocks[pos] = (index[j], *(st[j] for st in states))
-        covered = np.sort(np.concatenate([st[0].ravel() for st in stacks]))
-        if not np.array_equal(covered, np.arange(int(np.prod(dims)))):
+                blocks[pos] = (index[j], stack[j])
+        covered = np.sort(np.concatenate([index.ravel() for index, _ in stacks]))
+        if not np.array_equal(covered, np.arange(p0.size)):
             raise InvalidArgumentError(f"block indices must partition the space of mode_dims {dims}")
-        for tr in traces:
-            _check_unit_trace(tr)
+        _check_unit_trace(trace)
         object.__setattr__(self, "mode_dims", dims)
+        object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "stacks", tuple(stacks))
 
     @classmethod
-    def from_states(cls, rho0: DensityMatrix, rho1: DensityMatrix, label: str = "",
-                    params: dict | None = None) -> "HypothesisPair":
-        """One-block pair of two dense states on the same space."""
+    def from_states(cls, rho0: DensityMatrix, rho1: DensityMatrix) -> "HypothesisPair":
+        """Pair of two dense states on the same space, held in rho0's eigenbasis:
+        with rho0 = U diag(p0) U', ``p0`` and the single block U' rho1 U."""
         if rho0.mode_dims != rho1.mode_dims:
             raise InvalidArgumentError(
                 f"hypotheses must share a dimension, got {rho0.mode_dims} and {rho1.mode_dims}"
             )
-        blocks = ((np.arange(rho0.dim), rho0.matrix, rho1.matrix),)
-        return cls(rho0.mode_dims, blocks, label, dict(params or {}))
+        p0, u = np.linalg.eigh(rho0.matrix)
+        block = u.conj().T @ rho1.matrix @ u
+        return cls(rho0.mode_dims, p0, ((np.arange(rho0.dim), block),))
 
     @property
     def dim(self) -> int:
         return int(np.prod(self.mode_dims))
 
-    def _assemble(self, which: int) -> DensityMatrix:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for block in self.blocks:
-            m[np.ix_(block[0], block[0])] = block[which]
-        return DensityMatrix(self.mode_dims, m)
-
     @property
     def rho0(self) -> DensityMatrix:
-        return self._assemble(1)
+        return DensityMatrix(self.mode_dims, np.diag(self.p0.astype(complex)))
 
     @property
     def rho1(self) -> DensityMatrix:
-        return self._assemble(2)
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        for index, block in self.blocks:
+            m[np.ix_(index, index)] = block
+        return DensityMatrix(self.mode_dims, m)
 
 
 def _check_discarded(name: str, discarded: float, cutoff: int):
@@ -333,7 +333,7 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
-    n_sig, n_idl, n_noise = (int(c) for c in (signal_cutoff, idler_cutoff, noise_cutoff))
+    n_sig, n_idl, n_noise = map(_check_cutoff, (signal_cutoff, idler_cutoff, noise_cutoff))
     if n_sig < n_idl:
         raise InvalidArgumentError(
             f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})"
@@ -359,16 +359,15 @@ def build_qi_hypotheses(sq: SqueezeParam, n_b: float, channel: QIChannel) -> Hyp
     diagonal in the Fock basis, so the mix is applied exactly, one noise
     Fock component at a time.
 
-    Both states are block-diagonal in d = s - i (return photons minus
-    idler photons), d = -idler_cutoff .. signal_cutoff: the beam
-    splitter conserves signal + noise photons, the TMSV pairs signal
-    photon i with idler photon i, and the noise is Fock-diagonal.  Block
-    d of rho1 is V V' with V[k, m] = c_i sqrt(p_noise[m])
+    rho0 is the Fock-diagonal p_ret (x) p_idl.  rho1 is block-diagonal
+    in d = s - i (return photons minus idler photons), d = -idler_cutoff
+    .. signal_cutoff: the beam splitter conserves signal + noise photons,
+    the TMSV pairs signal photon i with idler photon i, and the noise is
+    Fock-diagonal.  Block d is V V' with V[k, m] = c_i sqrt(p_noise[m])
     channel.amp[i + d, i, m], where k runs over the idler numbers i of
     the block, m is the noise photon number and c_i the TMSV
-    coefficient; block d of rho0 is the matching slice of the diagonal
-    p_ret (x) p_idl.  No dense state is formed, and no block is larger
-    than idler_cutoff + 1.
+    coefficient.  No dense state is formed, and no block is larger than
+    idler_cutoff + 1.
 
     The signal cutoff must accommodate the output occupancy
     eta sinh^2(kappa) + n_b.  Each truncated distribution (noise,
@@ -400,18 +399,16 @@ def build_qi_hypotheses(sq: SqueezeParam, n_b: float, channel: QIChannel) -> Hyp
     # amplitude of return s with idler i and noise input m: channel.amp[s, i, m] * weight[i, m]
     weight = coeffs[:, None] * np.sqrt(p_noise)[None, :]
 
-    diag0 = np.kron(p_ret0, p_idl0)
     blocks = []
     for d in range(-n_idl, n_sig + 1):
         i = np.arange(max(0, -d), min(n_idl, n_sig - d) + 1)
-        index = (i + d) * (n_idl + 1) + i
         v = channel.amp[i + d, i, :] * weight[i]
-        blocks.append((index, np.diag(diag0[index]), v @ v.conj().T))
+        blocks.append(((i + d) * (n_idl + 1) + i, v @ v.conj().T))
     boundary = float(np.sum(np.abs(channel.amp[n_sig] * weight) ** 2))
     return HypothesisPair(
         mode_dims=(n_sig + 1, n_idl + 1),
+        p0=np.kron(p_ret0, p_idl0),
         blocks=tuple(blocks),
-        label="tmsv",
         params={
             "kappa": sq.kappa,
             "phase": sq.phase,
@@ -434,9 +431,11 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     """Hypothesis pair for the coherent-state transmitter (single mode).
 
     H0 is thermal(n_b); H1 is the same thermal state displaced by
-    alpha = sqrt(eta n_s), giving mean photon number eta n_s + n_b.  The
-    pair is a single block.  The truncated thermal law may discard at
-    most 1e-3 of its mass, else :class:`TruncationError` is raised.
+    alpha = sqrt(eta n_s), giving mean photon number eta n_s + n_b.  rho0
+    is the Fock-diagonal thermal law p0, and rho1 = D diag(p0) D', D the
+    displacement operator, is a single block.  The truncated thermal law
+    may discard at most 1e-3 of its mass, else :class:`TruncationError`
+    is raised.
     """
     if n_s < 0.0 or not math.isfinite(n_s):
         raise InvalidArgumentError(f"n_s must be finite and >= 0, got {n_s}")
@@ -448,13 +447,11 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     p0, renorm = thermal_probabilities(n_b, cutoff)
     _check_discarded("thermal background", 1.0 - 1.0 / renorm, cutoff)
     alpha = math.sqrt(eta * n_s)
-    rho0 = DensityMatrix((cutoff + 1,), np.diag(p0.astype(complex)))
     disp = displacement(alpha, cutoff)
-    rho1 = DensityMatrix((cutoff + 1,), disp @ rho0.matrix @ disp.conj().T)
-    return HypothesisPair.from_states(
-        rho0,
-        rho1,
-        label="coherent",
+    return HypothesisPair(
+        mode_dims=(cutoff + 1,),
+        p0=p0,
+        blocks=((np.arange(cutoff + 1), (disp * p0) @ disp.conj().T),),
         params={"n_s": n_s, "eta": eta, "n_b": n_b, "cutoff": cutoff, "alpha": alpha},
     )
 
@@ -512,38 +509,36 @@ def _s_root(slope, s_tol: float) -> tuple[float, int]:
 def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffResult:
     """Brute-force quantum Chernoff bound for a hypothesis pair.
 
-    Eigendecomposes both states one stack of equal-size blocks at a time
-    (tiny negative eigenvalues from truncation count as zero, and their
-    mass, summed over blocks, is recorded; positivity is checked on the
-    smallest eigenvalue of any block) and evaluates Q(s) =
-    tr(rho0^s rho1^{1-s}) as one sum over the terms w lam0^s lam1^{1-s},
-    w = |U0_d' U1_d|^2, of each block d and eigenvector pair, leaving out
-    terms with an eigenvalue <= 0 or weight 0, which add nothing for s in
-    (0, 1).  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
-    ln(lam0 / lam1) is increasing and Q is minimized on [0, 1] at its
-    root (or the end of [0, 1] it moves towards), found by safeguarded
-    Newton steps (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point
-    grid of Q values is kept in the diagnostics so that convexity can be
-    audited.
+    rho0 is diagonal, so its spectrum is ``pair.p0`` and its eigenvectors
+    are the basis; only rho1 is eigendecomposed, one stack of equal-size
+    blocks per call.  Q(s) = tr(rho0^s rho1^{1-s}) is one sum over the
+    terms w lam0^s lam1^{1-s} of each block U1 diag(lam1) U1', basis
+    state j and eigenvector k, with lam0 = p0[index[j]] and w =
+    |U1[j, k]|^2; terms with an eigenvalue <= 0 or weight 0 add nothing
+    for s in (0, 1) and are left out.  Tiny negative eigenvalues from
+    truncation count as zero; each state's clipped mass and smallest
+    eigenvalue, checked for positivity, are recorded.  Q(s) is
+    log-convex, so Q'(s) = sum w lam0^s lam1^{1-s} ln(lam0 / lam1) is
+    increasing and Q is minimized on [0, 1] at its root (or the end of
+    [0, 1] it moves towards), found by safeguarded Newton steps
+    (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point grid of Q
+    values is kept in the diagnostics so that convexity can be audited.
 
     Returns q_min = 0 with an infinite exponent for (numerically)
     orthogonal states.
     """
-    spectra0, spectra1, weight, log0, log1 = [], [], [], [], []
-    for _, stack0, stack1 in pair.stacks:
-        lam0, vec0 = np.linalg.eigh(stack0)
-        lam1, vec1 = np.linalg.eigh(stack1)
-        spectra0.append(lam0)
+    spectra1, weight, log0, log1 = [], [], [], []
+    for index, stack in pair.stacks:
+        lam1, vec1 = np.linalg.eigh(stack)
         spectra1.append(lam1)
-        # in place where possible: the largest stack's temporaries set the peak memory
-        overlap = np.abs(np.matmul(np.conjugate(vec0, out=vec0).swapaxes(1, 2), vec1))
+        overlap = np.abs(vec1)
         overlap *= overlap
-        lam0, lam1 = np.broadcast_arrays(lam0[:, :, None], lam1[:, None, :])
+        lam0, lam1 = np.broadcast_arrays(pair.p0[index][:, :, None], lam1[:, None, :])
         keep = (overlap > 0.0) & (lam0 > 0.0) & (lam1 > 0.0)
         weight.append(overlap[keep])
         log0.append(np.log(lam0[keep]))
         log1.append(np.log(lam1[keep]))
-    clip0, worst0 = _clipped_spectrum(spectra0, "rho0")
+    clip0, worst0 = _clipped_spectrum([pair.p0], "rho0")
     clip1, worst1 = _clipped_spectrum(spectra1, "rho1")
     weight, log1 = np.concatenate(weight), np.concatenate(log1)
     dlog = np.concatenate(log0) - log1

@@ -62,18 +62,26 @@ class SpectrumProfile:
         if self.shape not in PROFILE_SHAPES:
             raise InvalidArgumentError(f"shape must be one of {PROFILE_SHAPES}, got {self.shape!r}")
         if self.band_center is None:
-            center = self.pump_freq / 2.0 if self.mixing == "3wm" else self.pump_freq
-            object.__setattr__(self, "band_center", float(center))
+            object.__setattr__(self, "band_center", self.frequency_sum / 2.0)
         elif self.band_center <= 0.0 or not math.isfinite(self.band_center):
             raise InvalidArgumentError(
                 f"band_center must be finite and > 0, got {self.band_center}"
             )
-        lo, hi = self.band_edges
-        top = self.pump_freq if self.mixing == "3wm" else 2.0 * self.pump_freq
+        self._require_inside("band", *self.band_edges)
+
+    @property
+    def frequency_sum(self) -> float:
+        """nu_s + nu_i fixed by the mixing process: nu_p (3wm) or 2 nu_p (4wm)."""
+        return self.pump_freq if self.mixing == "3wm" else 2.0 * self.pump_freq
+
+    def _require_inside(self, what: str, lo: float, hi: float):
+        """Raise unless [lo, hi] lies inside (0, nu_s + nu_i), where signal and idler
+        frequencies are both positive."""
+        top = self.frequency_sum
         if not 0.0 < lo or not hi < top:
             raise InvalidArgumentError(
-                f"band [{lo:.9g}, {hi:.9g}] Hz must lie inside (0, {top:.9g}) Hz, where signal and "
-                f"idler frequencies of {self.mixing} mixing are both positive"
+                f"{what} [{lo:.9g}, {hi:.9g}] Hz must lie inside (0, {top:.9g}) Hz, where signal "
+                f"and idler frequencies of {self.mixing} mixing are both positive"
             )
 
     @property
@@ -116,13 +124,7 @@ def idler_frequency(nu_s: float, profile: SpectrumProfile) -> float:
     if not profile.contains(nu_s):
         lo, hi = profile.band_edges
         raise InvalidArgumentError(f"nu_s = {nu_s} outside the band [{lo}, {hi}]")
-    return _conjugate_frequency(nu_s, profile)
-
-
-def _conjugate_frequency(nu_s, profile: SpectrumProfile):
-    if profile.mixing == "3wm":
-        return profile.pump_freq - nu_s
-    return 2.0 * profile.pump_freq - nu_s
+    return profile.frequency_sum - nu_s
 
 
 def _check_kappa(kappa):
@@ -193,18 +195,21 @@ def spectrum_sweep(
 ) -> SpectrumTable:
     """Sweep the signal frequency and tabulate kappa, squeezing and gain.
 
-    ``nu_range`` defaults to the profile band.  Rows outside the band
-    carry kappa = 0 (hence 0 dB squeezing and gain) rather than raising;
-    the idler column follows the conservation formula everywhere.
+    ``nu_range`` defaults to the profile band and, like the band, must lie
+    inside (0, nu_s + nu_i), where both frequencies are positive.  Rows
+    outside the band carry kappa = 0 (hence 0 dB squeezing and gain)
+    rather than raising; the idler column follows the conservation
+    formula everywhere.
     """
     if steps < 2:
         raise InvalidArgumentError(f"steps must be >= 2, got {steps}")
     lo, hi = profile.band_edges if nu_range is None else (float(nu_range[0]), float(nu_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise InvalidArgumentError(f"invalid sweep range ({lo}, {hi})")
+    profile._require_inside("sweep range", lo, hi)
     nu_s = np.linspace(lo, hi, int(steps))
     kap = kappa_profile(nu_s, profile)
-    nu_i = _conjugate_frequency(nu_s, profile)
+    nu_i = profile.frequency_sum - nu_s
     return SpectrumTable(
         profile=profile, nu_s=nu_s, nu_i=nu_i, kappa=kap,
         squeezing_db=squeezing_magnitude_db(kap), gain_db=gain_db(kap),

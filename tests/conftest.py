@@ -22,7 +22,7 @@ def fock_second_moments(kappa: float, cutoff: int, phase: float = math.pi / 2) -
     photon-pair amplitude tensor (signal axis 0, idler axis 1) and
     taking inner products of the resulting vectors.
     """
-    psi = tmsv_fock(SqueezeParam(kappa, phase), cutoff).amplitude_matrix(renormalize=True)
+    psi = tmsv_fock(SqueezeParam(kappa, phase), cutoff).amplitude_matrix()
     ops = mode_ops(cutoff)
 
     def apply(op, axis):

@@ -26,6 +26,8 @@ PRESET_SHA256 = {
 }
 
 _WIGNER_LARGE = ("wigner", "--kappa", "1.5", "--plane", "qs,pi", "--range=-8,8", "--samples", "401")
+_C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--n-b", "1",
+             "--sweep-var", "n_b", "--sweep-values", "1,2,4")
 
 # sha256 of the output of the criterion-9 invocations, the benchmark's
 # large tables and a strongly squeezed Wigner slice, recorded at 7f7b0fe
@@ -75,11 +77,20 @@ OUTPUT_SHA256 = {
         ("wigner", "--kappa", "4", "--samples", "5"),
         "056183c1071280c77bb13af920d7dfd05f31d283a7b63e230cb6a4587714e104",
     ),
+    # the criterion-5 sweeps, every cell, recorded at 3547efe (rho0 still
+    # eigendecomposed as dense blocks)
+    "c5_48_10_48": (
+        _C5_SWEEP + ("--cutoff-signal", "48", "--cutoff-idler", "10", "--cutoff-noise", "48",
+                     "--cutoff", "48"),
+        "564c790a653722256e0e40d27fae5dbddbc4b34bfc07ebe0c4ac8f73b25faee4",
+    ),
+    "c5_72_15_72": (
+        _C5_SWEEP + ("--cutoff-signal", "72", "--cutoff-idler", "15", "--cutoff-noise", "72",
+                     "--cutoff", "72"),
+        "68fcd08ce8368052b83c81c901ebb9d94033fac7c3fed94135d18fe989b77802",
+    ),
 }
 
-
-_C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--n-b", "1",
-             "--sweep-var", "n_b", "--sweep-values", "1,2,4")
 
 # exponent_qi and exponent_cl of the benchmark's qcb_sweep points (n_b = 1, 2, 4)
 # as printed at 79696d2.  They encode today's truncated Fock semantics: beam-splitter
@@ -227,6 +238,16 @@ class TestSpectrumCommand:
         out, err = capsys.readouterr()
         assert out == "" and "band [" in err
 
+    # once printed rows at nu_s = -1 GHz (3wm) and nu_i = -6 GHz (4wm) with exit 0
+    @pytest.mark.parametrize("flags", [
+        ("--nu-start=-1e9", "--nu-stop", "13e9"),
+        ("--mixing", "4wm", "--nu-stop", "30e9"),
+    ], ids=["3wm", "4wm"])
+    def test_sweep_range_must_keep_frequencies_positive(self, flags, capsys):
+        assert main(["spectrum", "--kappa-max", "1", "--steps", "3", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "sweep range [" in err
+
     def test_four_wave_band_may_exceed_the_pump(self, capsys):
         argv = ["spectrum", "--kappa-max", "1", "--steps", "3", "--mixing", "4wm",
                 "--band-center", "19e9"]
@@ -343,6 +364,20 @@ class TestQcbCommand:
         header, rows = csv_rows(out)
         assert float(dict(zip(header, rows[0]))["n_s"]) == pytest.approx(0.1, rel=1e-9)
 
+    def test_negative_kappa_rejected(self, capsys):
+        # sinh(-1)^2 once made this the table of kappa = +1, with exit 0
+        argv = ["qcb", "--transmitter", "both", "--kappa", "-1", "--eta", "0.1", "--n-b", "1"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "kappa" in err
+
+    def test_negative_cutoffs_rejected(self, capsys):
+        argv = ["qcb", "--transmitter", "qi", "--n-s", "0.1", "--eta", "0.1", "--n-b", "1",
+                "--cutoff-signal", "-1", "--cutoff-idler", "-2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "cutoff" in err
+
     def test_both_given_rejected(self):
         code, _, err = run_cli(
             "qcb", "--transmitter", "classical", "--n-s", "0.1", "--kappa", "0.3",
@@ -441,6 +476,17 @@ class TestCliContract:
         assert meta["param_kappa"] == "0.5"
         assert meta["param_cutoff"] == "3"
         assert meta["param_phase"] == "1.5707963267948966"
+
+    @pytest.mark.parametrize("argv", [
+        ("state", "--kappa", "1000"),
+        ("wigner", "--kappa", "1000"),
+        ("qcb", "--transmitter", "both", "--kappa", "1000", "--eta", "0.1", "--n-b", "1"),
+    ], ids=["state", "wigner", "qcb"])
+    def test_overflow_is_a_numerical_failure(self, argv, capsys):
+        # cosh and sinh overflow near kappa = 710: once an uncaught traceback and exit 1
+        assert main(list(argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "numerical failure" in err
 
     def test_invalid_argument_exit_code(self):
         code, _, err = run_cli("state", "--kappa", "-1")

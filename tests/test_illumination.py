@@ -356,8 +356,8 @@ class TestHypothesisBuilders:
     def test_qi_blocks_bounded_by_idler_cutoff(self):
         pair = build_qi_hypotheses(SqueezeParam(0.3), 0.7, qi_channel(0.2, 36, 8, 36))
         assert len(pair.blocks) == 36 + 8 + 1
-        assert max(len(index) for index, _, _ in pair.blocks) == 8 + 1
-        assert sum(len(index) for index, _, _ in pair.blocks) == pair.dim == 37 * 9
+        assert max(len(index) for index, _ in pair.blocks) == 8 + 1
+        assert sum(len(index) for index, _ in pair.blocks) == pair.dim == 37 * 9
 
     def test_classical_truncation_rejected(self):
         with pytest.raises(TruncationError, match="discards"):
@@ -385,15 +385,24 @@ class TestHypothesisBuilders:
             assert rho.min_eigenvalue() >= -1e-9
 
     def test_blocks_must_partition_the_space(self):
-        rho = thermal_density(0.5, 3)
-        half = np.diag(rho.matrix)[:2]
-        with pytest.raises(InvalidArgumentError):
-            HypothesisPair((4,), ((np.arange(2), np.diag(half), np.diag(half)),))
+        p0 = np.full(4, 0.25)
+        with pytest.raises(InvalidArgumentError, match="partition"):
+            HypothesisPair((4,), p0, ((np.arange(2), np.eye(2) / 2),))
+        with pytest.raises(InvalidArgumentError, match="partition"):
+            HypothesisPair((4,), p0, ((np.arange(3), np.eye(3) / 4),
+                                      (np.arange(2, 4), np.eye(2) / 8)))
 
     def test_non_hermitian_block_rejected(self):
-        block = np.array([[0.5, 0.1], [0.0, 0.5]])
+        for block in ([[0.5, 0.1], [0.0, 0.5]], [[0.5, np.nan], [np.nan, 0.5]]):
+            with pytest.raises(InvalidArgumentError):
+                HypothesisPair((2,), np.full(2, 0.5), ((np.arange(2), np.array(block)),))
+
+    @pytest.mark.parametrize("p0", [np.full(3, 1 / 3), np.full(4, 1 / 3), np.ones((2, 2)) / 4,
+                                    np.array([0.5, 0.5, np.nan, 0.0])],
+                             ids=["short", "trace", "shape", "nan"])
+    def test_p0_must_be_a_unit_trace_diagonal_of_the_space(self, p0):
         with pytest.raises(InvalidArgumentError):
-            HypothesisPair((2,), ((np.arange(2), block, np.eye(2) / 2),))
+            HypothesisPair((4,), p0, ((np.arange(4), np.eye(4) / 4),))
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -455,8 +464,8 @@ class TestChernoffExponent:
         sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
         pair = build_qi_hypotheses(sq, n_b, qi_channel(0.1, 48, 12, 48))
         parts = []
-        for _, block0, block1 in pair.blocks:
-            lam0, vec0 = np.linalg.eigh(block0)
+        for index, block1 in pair.blocks:
+            lam0, vec0 = np.linalg.eigh(np.diag(pair.p0[index]))
             lam1, vec1 = np.linalg.eigh(block1)
             parts.append((lam0, np.abs(vec0.conj().T @ vec1) ** 2, lam1))
 
@@ -494,6 +503,29 @@ class TestChernoffExponent:
         # the dense 1168 x 1168 eigh resolves the smallest eigenvalues less
         # finely than the 16 x 16 blocks: about 1e-10 relative in the exponent
         assert blocked.exponent == pytest.approx(single.exponent, rel=1e-9)
+
+    def test_dense_pair_matches_matrix_powers(self):
+        # rho0 is not diagonal in the basis it is given in: from_states rotates
+        # the pair into rho0's eigenbasis, which must leave Q(s) unchanged
+        rng = np.random.default_rng(7)
+
+        def random_state(dim):
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = g @ g.conj().T
+            return DensityMatrix((dim,), m / np.trace(m))
+
+        def power(rho, s):
+            lam, vec = np.linalg.eigh(rho.matrix)
+            return (vec * lam**s) @ vec.conj().T
+
+        rho0, rho1 = random_state(6), random_state(6)
+        assert np.max(np.abs(rho0.matrix - np.diag(np.diag(rho0.matrix)))) > 0.1
+        result = chernoff_exponent(HypothesisPair.from_states(rho0, rho1))
+        for s, q in zip(result.diagnostics["s_grid"], result.diagnostics["q_grid"]):
+            assert q == pytest.approx(np.trace(power(rho0, s) @ power(rho1, 1.0 - s)).real,
+                                      rel=1e-12)
+        want = np.trace(power(rho0, result.s_star) @ power(rho1, 1.0 - result.s_star)).real
+        assert result.q_min == pytest.approx(want, rel=1e-12)
 
     def test_zero_eigenvalues_raise_no_warning(self):
         # Q(s) = 0.75^(1-s) on the support of |0><0|: smallest at the end s = 0

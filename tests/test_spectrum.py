@@ -171,7 +171,7 @@ class TestSpectrumSweep:
         assert len(spectrum_sweep(profile(), steps=2)) == 2
 
     def test_out_of_band_rows_are_zero(self):
-        table = spectrum_sweep(profile(), nu_range=(0.0, 12e9), steps=25)
+        table = spectrum_sweep(profile(), nu_range=(0.5e9, 11.5e9), steps=23)
         outside = (table.nu_s < 2e9) | (table.nu_s > 10e9)
         assert np.any(outside)
         assert np.all(table.kappa[outside] == 0.0)
@@ -187,3 +187,17 @@ class TestSpectrumSweep:
     def test_bad_steps_rejected(self):
         with pytest.raises(InvalidArgumentError):
             spectrum_sweep(profile(), steps=1)
+
+    # a range reaching 0 Hz or nu_s + nu_i (nu_p for 3wm, 2 nu_p for 4wm) gives a
+    # signal or idler frequency at or below 0 Hz
+    @pytest.mark.parametrize("mixing, nu_range", [
+        ("3wm", (0.0, 11e9)), ("3wm", (-1e9, 13e9)), ("3wm", (1e9, 12e9)),
+        ("4wm", (0.0, 23e9)), ("4wm", (8e9, 24e9)), ("4wm", (8e9, 30e9)),
+    ])
+    def test_range_must_keep_frequencies_positive(self, mixing, nu_range):
+        with pytest.raises(InvalidArgumentError, match="sweep range"):
+            spectrum_sweep(profile(kappa_max=1.0, mixing=mixing), nu_range=nu_range, steps=3)
+
+    def test_four_wave_range_may_exceed_the_pump(self):
+        table = spectrum_sweep(profile(mixing="4wm"), nu_range=(1e9, 23e9), steps=3)
+        assert table.nu_i.tolist() == [23e9, 12e9, 1e9]
