@@ -405,7 +405,7 @@ def _qi_pairs(points, p: dict):
     for eta, n_s, n_b in points:
         if channel is None or channel.eta != eta:
             channel = qi_channel(eta, p["cutoff_signal"], p["cutoff_idler"], p["cutoff_noise"])
-        yield build_qi_hypotheses(SqueezeParam(math.asinh(math.sqrt(n_s))), n_b, channel)
+        yield build_qi_hypotheses(n_s, n_b, channel)
 
 
 def _run_qcb(p: dict):

@@ -246,23 +246,21 @@ def _check_unit_trace(tr: complex):
 
 
 def thermal_probabilities(nbar: float, cutoff: int) -> tuple[np.ndarray, float]:
-    """Truncated thermal photon distribution and its renormalization factor.
+    """Truncated thermal photon distribution and the mass it discards.
 
-    The untruncated law is p(n) = nbar^n / (1 + nbar)^{n+1}; the
-    returned distribution is renormalized to sum to 1 over 0..cutoff and
-    the factor 1 / (kept mass) is reported alongside.
+    The law p(n) = nbar^n / (1 + nbar)^{n+1} (for nbar = sinh^2 kappa also
+    |TMSV pair coefficient n|^2) is renormalized to sum to 1 over
+    0..cutoff; the mass beyond, (nbar / (1 + nbar))^{cutoff+1}, is
+    returned in closed form, so that a tiny tail keeps its precision.
     """
     cutoff = _check_cutoff(cutoff)
     if not math.isfinite(nbar) or nbar < 0.0:
         raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0.0:
-        p = np.zeros(cutoff + 1)
-        p[0] = 1.0
-        return p, 1.0
-    n = np.arange(cutoff + 1)
-    raw = np.exp(n * math.log(nbar / (1.0 + nbar)) - math.log1p(nbar))
-    kept = float(raw.sum())
-    return raw / kept, 1.0 / kept
+        return np.eye(1, cutoff + 1)[0], 0.0
+    log_ratio = math.log(nbar / (1.0 + nbar))
+    raw = np.exp(np.arange(cutoff + 1) * log_ratio - math.log1p(nbar))
+    return raw / float(raw.sum()), math.exp((cutoff + 1) * log_ratio)
 
 
 def thermal_density(nbar: float, cutoff: int) -> DensityMatrix:

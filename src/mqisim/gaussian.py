@@ -48,6 +48,8 @@ _DEGENERATE_DET = 1e-300
 # largest eps * cond(cov), the relative error of det and solve (eps e^{4 kappa} for a
 # TMSV): beyond it a density printed to 9 digits is not trustworthy
 _CONDITION_TOL = 1e-8
+# largest kappa at which cosh(2 kappa), the TMSV covariance entry, is a finite float
+_KAPPA_MAX = math.acosh(np.finfo(float).max) / 2.0
 
 
 def quadrature_index(name: str) -> int:
@@ -67,7 +69,8 @@ class SqueezeParam:
     ``kappa`` is the dimensionless squeezing modulus (>= 0).  ``phase``
     is stored normalized to [0, 2 pi); the default pi/2 reproduces the
     photon-pair expansion with coefficients proportional to
-    (i tanh kappa)^n.
+    (i tanh kappa)^n.  A kappa above acosh(float max) / 2 ~ 355.24, where
+    cosh(2 kappa) overflows, raises :class:`OverflowError`.
     """
 
     kappa: float
@@ -78,6 +81,11 @@ class SqueezeParam:
         phase = float(self.phase)
         if not math.isfinite(kappa) or kappa < 0.0:
             raise InvalidArgumentError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if kappa > _KAPPA_MAX:
+            raise OverflowError(
+                f"kappa = {kappa} is above {_KAPPA_MAX:.2f} = acosh(float max) / 2, "
+                "where cosh(2 kappa) overflows"
+            )
         if not math.isfinite(phase):
             raise InvalidArgumentError(f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "kappa", kappa)

@@ -41,9 +41,7 @@ from .fock import (
     beam_splitter_sector,
     displacement,
     thermal_probabilities,
-    tmsv_fock,
 )
-from .gaussian import SqueezeParam
 
 _PSD_TOL = -1e-9
 _DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
@@ -348,80 +346,75 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
     return QIChannel(eta, n_sig, n_idl, n_noise, amp)
 
 
-def build_qi_hypotheses(sq: SqueezeParam, n_b: float, channel: QIChannel) -> HypothesisPair:
-    """Hypothesis pair for the entangled (TMSV) transmitter.
+def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> HypothesisPair:
+    """Hypothesis pair for the entangled (TMSV) transmitter of n_s photons per mode.
 
-    H0 is thermal(n_b) on the return mode times the idler marginal
-    (thermal with sinh^2 kappa).  H1 mixes the TMSV signal mode with a
-    thermal noise mode of occupancy n_b / (1 - eta) on the beam splitter
-    ``channel`` (see :func:`qi_channel`) and traces out the noise port,
-    retaining the return-idler correlations.  The thermal noise is
-    diagonal in the Fock basis, so the mix is applied exactly, one noise
-    Fock component at a time.
+    H0 is thermal(n_b) on the return mode times the idler marginal,
+    thermal(n_s).  H1 mixes the TMSV signal mode with a thermal noise
+    mode of occupancy n_b / (1 - eta) on the beam splitter ``channel``
+    (see :func:`qi_channel`) and traces out the noise port, retaining the
+    return-idler correlations.  The noise is Fock-diagonal, so the mix is
+    applied exactly, one noise Fock component at a time.
 
     rho0 is the Fock-diagonal p_ret (x) p_idl.  rho1 is block-diagonal
     in d = s - i (return photons minus idler photons), d = -idler_cutoff
     .. signal_cutoff: the beam splitter conserves signal + noise photons,
     the TMSV pairs signal photon i with idler photon i, and the noise is
-    Fock-diagonal.  Block d is V V' with V[k, m] = c_i sqrt(p_noise[m])
-    channel.amp[i + d, i, m], where k runs over the idler numbers i of
-    the block, m is the noise photon number and c_i the TMSV
-    coefficient.  No dense state is formed, and no block is larger than
-    idler_cutoff + 1.
+    Fock-diagonal.  Block d is V V' with V[k, m] = sqrt(p_idl[i]
+    p_noise[m]) channel.amp[i + d, i, m] (k runs over the block's idler
+    numbers i, m over noise photon numbers): the pair amplitudes are the
+    square roots of the idler law.  No dense state is formed, and no
+    block is larger than idler_cutoff + 1.  The TMSV phase only
+    conjugates each rho1 block by a diagonal unitary, which commutes with
+    the diagonal rho0, so Q(s) does not depend on it and it is left out.
 
-    The signal cutoff must accommodate the output occupancy
-    eta sinh^2(kappa) + n_b.  Each truncated distribution (noise,
-    return, idler and the TMSV pair expansion) may discard at most 1e-3
-    of its mass, else :class:`TruncationError` is raised.  Mode order of
-    the result: (return, idler).
+    The signal cutoff must accommodate the output occupancy eta n_s + n_b.
+    A truncated law (noise, return, idler and so pair expansion) may
+    discard at most 1e-3 of its mass, else :class:`TruncationError` is
+    raised.  Mode order of the result: (return, idler).
     """
     eta = channel.eta
-    if n_b < 0.0 or not math.isfinite(n_b):
-        raise InvalidArgumentError(f"n_b must be finite and >= 0, got {n_b}")
+    for name, value in (("n_s", n_s), ("n_b", n_b)):
+        if value < 0.0 or not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
     if eta == 1.0 and n_b > 0.0:
         raise InvalidArgumentError(
             "eta = 1 with n_b > 0 is inconsistent with the noise-injection convention"
         )
     n_sig, n_idl, n_noise = channel.signal_cutoff, channel.idler_cutoff, channel.noise_cutoff
 
-    state = tmsv_fock(sq, n_idl)
     nbar_noise = n_b / (1.0 - eta) if eta < 1.0 else 0.0
-    p_noise, noise_renorm = thermal_probabilities(nbar_noise, n_noise)
-    p_ret0, ret_renorm = thermal_probabilities(n_b, n_sig)
-    p_idl0, idl_renorm = thermal_probabilities(math.sinh(sq.kappa) ** 2, n_idl)
-    for name, renorm, cutoff in (("noise", noise_renorm, n_noise),
-                                 ("return", ret_renorm, n_sig),
-                                 ("idler", idl_renorm, n_idl)):
-        _check_discarded(name, 1.0 - 1.0 / renorm, cutoff)
-    _check_discarded("TMSV pair", state.norm_deficit, n_idl)
+    p_noise, noise_discarded = thermal_probabilities(nbar_noise, n_noise)
+    p_ret0, ret_discarded = thermal_probabilities(n_b, n_sig)
+    p_idl0, idl_discarded = thermal_probabilities(n_s, n_idl)
+    for name, discarded, cutoff in (("noise", noise_discarded, n_noise),
+                                    ("return", ret_discarded, n_sig),
+                                    ("idler", idl_discarded, n_idl)):
+        _check_discarded(name, discarded, cutoff)
 
-    coeffs = state.coeffs / np.linalg.norm(state.coeffs)
     # amplitude of return s with idler i and noise input m: channel.amp[s, i, m] * weight[i, m]
-    weight = coeffs[:, None] * np.sqrt(p_noise)[None, :]
+    weight = np.sqrt(np.outer(p_idl0, p_noise))
 
     blocks = []
     for d in range(-n_idl, n_sig + 1):
         i = np.arange(max(0, -d), min(n_idl, n_sig - d) + 1)
         v = channel.amp[i + d, i, :] * weight[i]
-        blocks.append(((i + d) * (n_idl + 1) + i, v @ v.conj().T))
-    boundary = float(np.sum(np.abs(channel.amp[n_sig] * weight) ** 2))
+        blocks.append(((i + d) * (n_idl + 1) + i, v @ v.T))
+    boundary = float(np.sum((channel.amp[n_sig] * weight) ** 2))
     return HypothesisPair(
         mode_dims=(n_sig + 1, n_idl + 1),
         p0=np.kron(p_ret0, p_idl0),
         blocks=tuple(blocks),
         params={
-            "kappa": sq.kappa,
-            "phase": sq.phase,
-            "n_s": math.sinh(sq.kappa) ** 2,
+            "n_s": n_s,
             "eta": eta,
             "n_b": n_b,
             "signal_cutoff": n_sig,
             "idler_cutoff": n_idl,
             "noise_cutoff": n_noise,
-            "tmsv_norm_deficit": state.norm_deficit,
-            "noise_renormalization": noise_renorm,
-            "background_renormalization": ret_renorm,
-            "idler_renormalization": idl_renorm,
+            "noise_discarded": noise_discarded,
+            "return_discarded": ret_discarded,
+            "idler_discarded": idl_discarded,
             "return_boundary_population": boundary,
         },
     )
@@ -437,22 +430,22 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     may discard at most 1e-3 of its mass, else :class:`TruncationError`
     is raised.
     """
-    if n_s < 0.0 or not math.isfinite(n_s):
-        raise InvalidArgumentError(f"n_s must be finite and >= 0, got {n_s}")
+    for name, value in (("n_s", n_s), ("n_b", n_b)):
+        if value < 0.0 or not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
-    if n_b < 0.0 or not math.isfinite(n_b):
-        raise InvalidArgumentError(f"n_b must be finite and >= 0, got {n_b}")
     cutoff = int(cutoff)
-    p0, renorm = thermal_probabilities(n_b, cutoff)
-    _check_discarded("thermal background", 1.0 - 1.0 / renorm, cutoff)
+    p0, discarded = thermal_probabilities(n_b, cutoff)
+    _check_discarded("thermal background", discarded, cutoff)
     alpha = math.sqrt(eta * n_s)
     disp = displacement(alpha, cutoff)
     return HypothesisPair(
         mode_dims=(cutoff + 1,),
         p0=p0,
         blocks=((np.arange(cutoff + 1), (disp * p0) @ disp.conj().T),),
-        params={"n_s": n_s, "eta": eta, "n_b": n_b, "cutoff": cutoff, "alpha": alpha},
+        params={"n_s": n_s, "eta": eta, "n_b": n_b, "cutoff": cutoff, "alpha": alpha,
+                "background_discarded": discarded},
     )
 
 

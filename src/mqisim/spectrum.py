@@ -129,26 +129,25 @@ def idler_frequency(nu_s: float, profile: SpectrumProfile) -> float:
 
 def _check_kappa(kappa):
     k = np.asarray(kappa, dtype=float)
-    if np.any(k < 0.0):
+    if not np.all(k >= 0.0):   # NaN fails too
         raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
     return k
 
 
 def squeezing_magnitude_db(kappa):
-    """Squeezed joint-quadrature variance relative to vacuum, in dB.
+    """Squeezed joint-quadrature variance relative to vacuum, in dB: the exact
+    negative of :func:`antisqueezing_magnitude_db`, so the two cancel."""
+    return 0.0 - antisqueezing_magnitude_db(kappa)
 
-    10 log10(e^{-2 kappa}) = -(20 log10 e) kappa, computed in closed
-    form so that it cancels :func:`antisqueezing_magnitude_db` exactly.
-    Vectorized over kappa; a scalar kappa gives a float.
+
+def antisqueezing_magnitude_db(kappa):
+    """Anti-squeezed joint-quadrature variance relative to vacuum, in dB.
+
+    10 log10(e^{2 kappa}) = (20 log10 e) kappa in closed form.  Vectorized
+    over kappa; a scalar kappa gives a float.
     """
-    val = 0.0 - _DB_PER_KAPPA * _check_kappa(kappa)
+    val = _DB_PER_KAPPA * _check_kappa(kappa)
     return float(val) if np.isscalar(kappa) else val
-
-
-def antisqueezing_magnitude_db(kappa: float) -> float:
-    """Anti-squeezed joint-quadrature variance relative to vacuum, in dB."""
-    _check_kappa(kappa)
-    return _DB_PER_KAPPA * kappa
 
 
 def gain_db(kappa):

@@ -116,9 +116,8 @@ def test_criterion_4_representation_cross_validation():
 
 
 def _qcb_pair_exponents(n_b, cut_sig, cut_idl, cut_noise, cut_cl):
-    sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
     channel = qi_channel(0.1, cut_sig, cut_idl, cut_noise)
-    qi = chernoff_exponent(build_qi_hypotheses(sq, n_b, channel))
+    qi = chernoff_exponent(build_qi_hypotheses(0.1, n_b, channel))
     cl = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, n_b, cut_cl))
     return qi.exponent, cl.exponent
 

@@ -488,6 +488,17 @@ class TestCliContract:
         out, err = capsys.readouterr()
         assert out == "" and "numerical failure" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("state", "--kappa", "400"),
+        ("wigner", "--kappa", "400"),
+        ("qcb", "--transmitter", "both", "--kappa", "400", "--eta", "0.1", "--n-b", "1"),
+    ], ids=["state", "wigner", "qcb"])
+    def test_overflow_message_names_kappa(self, argv, capsys):
+        # cosh(2 kappa) overflows above kappa = 355.24, before cosh and sinh do
+        assert main(list(argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "kappa" in err and "355.24" in err
+
     def test_invalid_argument_exit_code(self):
         code, _, err = run_cli("state", "--kappa", "-1")
         assert code == 2 and "error" in err

@@ -137,11 +137,13 @@ class TestThermalDensity:
         rho = thermal_density(2.5, 12)
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
 
-    def test_renormalization_factor(self):
+    def test_discarded_mass(self):
         nbar, cutoff = 2.0, 10
-        _, factor = thermal_probabilities(nbar, cutoff)
-        kept = 1.0 - (nbar / (1.0 + nbar)) ** (cutoff + 1)
-        assert factor == pytest.approx(1.0 / kept, rel=1e-12)
+        p, discarded = thermal_probabilities(nbar, cutoff)
+        assert discarded == pytest.approx((nbar / (1.0 + nbar)) ** (cutoff + 1), rel=1e-12)
+        raw = nbar ** np.arange(cutoff + 1) / (1.0 + nbar) ** np.arange(1, cutoff + 2)
+        np.testing.assert_allclose(p, raw / (1.0 - discarded), rtol=1e-12)
+        assert thermal_probabilities(0.0, cutoff)[1] == 0.0
 
     def test_mean_occupation(self):
         rho = thermal_density(1.5, 80)

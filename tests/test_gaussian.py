@@ -36,6 +36,13 @@ class TestSqueezeParam:
     def test_mean_photon(self):
         assert SqueezeParam(0.5).mean_photon == pytest.approx(0.271540317408, rel=1e-12)
 
+    def test_kappa_beyond_cosh_overflow_rejected(self):
+        # cosh(2 kappa) is finite up to acosh(float max) / 2 = 355.2379...
+        assert math.isfinite(math.cosh(2.0 * 355.23))
+        SqueezeParam(355.23)
+        with pytest.raises(OverflowError, match="kappa = 355.24 is above 355.24"):
+            SqueezeParam(355.24)
+
 
 class TestTmsvCovariance:
     def test_vacuum_limit(self):

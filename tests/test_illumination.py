@@ -285,51 +285,52 @@ class TestArraySweeps:
             scn.n_b[0] = 0.0
 
 
+def dense_qi_rho1(sq, n_b, eta, cutoffs):
+    """rho1 of the entangled transmitter by the dense engine: the beam splitter
+    acts on signal (x) idler (x) noise, then the noise mode is traced out."""
+    n_sig, n_idl, n_noise = cutoffs
+    coeffs = tmsv_fock(sq, n_idl).coeffs
+    psi = np.zeros((n_sig + 1, n_idl + 1), dtype=complex)
+    psi[np.arange(n_idl + 1), np.arange(n_idl + 1)] = coeffs / np.linalg.norm(coeffs)
+    p_noise, _ = thermal_probabilities(n_b / (1.0 - eta), n_noise)
+    rho_in = np.kron(np.outer(psi.ravel(), psi.ravel().conj()), np.diag(p_noise))
+    mixed = beam_splitter(DensityMatrix((n_sig + 1, n_idl + 1, n_noise + 1), rho_in), eta,
+                          modes=(0, 2))
+    return partial_trace(mixed, (0, 1)).matrix
+
+
 class TestHypothesisBuilders:
     def test_qi_no_return_means_no_information(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.0, 30, 10, 30))
+        pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.0, 30, 10, 30))
         assert trace_distance(pair.rho0.matrix, pair.rho1.matrix) <= 1e-8
 
     def test_qi_vacuum_source_gives_zero_exponent(self):
-        pair = build_qi_hypotheses(SqueezeParam(0.0), 1.0, qi_channel(0.3, 30, 6, 30))
+        pair = build_qi_hypotheses(0.0, 1.0, qi_channel(0.3, 30, 6, 30))
         result = chernoff_exponent(pair)
         assert result.exponent == pytest.approx(0.0, abs=1e-8)
 
     def test_qi_returned_mode_occupancies(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 48, 10, 48))
+        pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 48, 10, 48))
         assert number_expectation(pair.rho0, 0) == pytest.approx(1.0, abs=2e-3)
         assert number_expectation(pair.rho1, 0) == pytest.approx(1.01, abs=2e-3)
 
     def test_qi_idler_marginal_identical(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 40, 10, 40))
+        pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 40, 10, 40))
         assert number_expectation(pair.rho0, 1) == pytest.approx(
             number_expectation(pair.rho1, 1), abs=1e-10
         )
 
     def test_qi_states_pass_invariants(self):
-        sq = SqueezeParam(0.3)
-        pair = build_qi_hypotheses(sq, 0.7, qi_channel(0.2, 36, 8, 36))
+        pair = build_qi_hypotheses(math.sinh(0.3) ** 2, 0.7, qi_channel(0.2, 36, 8, 36))
         for rho in (pair.rho0, pair.rho1):
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-8
             assert rho.min_eigenvalue() >= -1e-9
 
     def test_qi_rho1_matches_dense_engine(self):
-        # independent construction: the dense beam splitter acts on
-        # signal (x) idler (x) noise, then the noise mode is traced out
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
         eta, n_b, n_sig, n_idl, n_noise = 0.3, 0.5, 10, 4, 10
-        pair = build_qi_hypotheses(sq, n_b, qi_channel(eta, n_sig, n_idl, n_noise))
-        coeffs = tmsv_fock(sq, n_idl).coeffs
-        psi = np.zeros((n_sig + 1, n_idl + 1), dtype=complex)
-        psi[np.arange(n_idl + 1), np.arange(n_idl + 1)] = coeffs / np.linalg.norm(coeffs)
-        p_noise, _ = thermal_probabilities(n_b / (1.0 - eta), n_noise)
-        rho_in = np.kron(np.outer(psi.ravel(), psi.ravel().conj()), np.diag(p_noise))
-        dims = (n_sig + 1, n_idl + 1, n_noise + 1)
-        mixed = beam_splitter(DensityMatrix(dims, rho_in), eta, modes=(0, 2))
-        ref = partial_trace(mixed, (0, 1)).matrix
+        pair = build_qi_hypotheses(0.1, n_b, qi_channel(eta, n_sig, n_idl, n_noise))
+        ref = dense_qi_rho1(SqueezeParam(math.asinh(math.sqrt(0.1)), 0.0), n_b, eta,
+                            (n_sig, n_idl, n_noise))
         np.testing.assert_allclose(pair.rho1.matrix, ref, rtol=0.0, atol=1e-12)
         s, i = np.divmod(np.arange(ref.shape[0]), n_idl + 1)
         off_block = (s - i)[:, None] != (s - i)[None, :]
@@ -338,6 +339,15 @@ class TestHypothesisBuilders:
         p_idl, _ = thermal_probabilities(0.1, n_idl)
         np.testing.assert_allclose(pair.rho0.matrix, np.diag(np.kron(p_ret, p_idl)),
                                    rtol=0.0, atol=1e-15)
+
+    def test_qi_exponent_does_not_depend_on_the_tmsv_phase(self):
+        # the builder leaves out the phase; the dense engine keeps the default pi/2
+        cutoffs = (10, 4, 10)
+        pair = build_qi_hypotheses(0.1, 0.5, qi_channel(0.3, *cutoffs))
+        rho1 = dense_qi_rho1(SqueezeParam(math.asinh(math.sqrt(0.1))), 0.5, 0.3, cutoffs)
+        dense = HypothesisPair.from_states(pair.rho0, DensityMatrix(pair.mode_dims, rho1))
+        assert chernoff_exponent(pair).exponent == pytest.approx(
+            chernoff_exponent(dense).exponent, rel=1e-12)
 
     # cutoffs (6, 3, 4) and (4, 2, 7): sectors of total photon number above either cutoff
     @pytest.mark.parametrize("cutoffs", [(6, 3, 4), (4, 2, 7)])
@@ -354,21 +364,40 @@ class TestHypothesisBuilders:
         assert np.max(np.abs(qi_channel(eta, *cutoffs).amp - want)) <= 1e-12
 
     def test_qi_blocks_bounded_by_idler_cutoff(self):
-        pair = build_qi_hypotheses(SqueezeParam(0.3), 0.7, qi_channel(0.2, 36, 8, 36))
+        pair = build_qi_hypotheses(math.sinh(0.3) ** 2, 0.7, qi_channel(0.2, 36, 8, 36))
         assert len(pair.blocks) == 36 + 8 + 1
         assert max(len(index) for index, _ in pair.blocks) == 8 + 1
         assert sum(len(index) for index, _ in pair.blocks) == pair.dim == 37 * 9
+
+    def test_params_record_discarded_masses(self):
+        def tail(nbar, cutoff):
+            return (nbar / (1.0 + nbar)) ** (cutoff + 1)
+
+        qi = build_qi_hypotheses(0.1, 0.5, qi_channel(0.3, 10, 4, 10)).params
+        assert qi["idler_discarded"] == pytest.approx(tail(0.1, 4), rel=1e-12)
+        assert qi["return_discarded"] == pytest.approx(tail(0.5, 10), rel=1e-12)
+        assert qi["noise_discarded"] == pytest.approx(tail(0.5 / 0.7, 10), rel=1e-12)
+        cl = build_classical_hypotheses(0.1, 0.5, 1.0, 30).params
+        assert cl["background_discarded"] == pytest.approx(tail(1.0, 30), rel=1e-12)
+
+    def test_qi_idler_truncation_rejected(self):
+        # the idler law and the pair expansion discard (2 / 3)^11 = 1.2e-2
+        with pytest.raises(TruncationError, match="idler"):
+            build_qi_hypotheses(2.0, 1.0, qi_channel(0.1, 30, 10, 30))
 
     def test_classical_truncation_rejected(self):
         with pytest.raises(TruncationError, match="discards"):
             build_classical_hypotheses(0.1, 0.1, 100.0, 48)
 
     def test_qi_invalid_inputs(self):
-        sq = SqueezeParam(0.3)
+        n_s = math.sinh(0.3) ** 2
         with pytest.raises(InvalidArgumentError):
-            build_qi_hypotheses(sq, 1.0, qi_channel(1.0, 30, 8, 30))   # eta=1 with background
+            build_qi_hypotheses(n_s, 1.0, qi_channel(1.0, 30, 8, 30))   # eta=1 with background
         with pytest.raises(InvalidArgumentError):
-            build_qi_hypotheses(sq, 1.0, qi_channel(0.5, 8, 30, 30))   # signal cutoff below idler
+            build_qi_hypotheses(n_s, 1.0, qi_channel(0.5, 8, 30, 30))   # signal cutoff below idler
+        for bad in (-1.0, math.nan):
+            with pytest.raises(InvalidArgumentError, match="n_s"):
+                build_qi_hypotheses(bad, 1.0, qi_channel(0.1, 30, 8, 30))
 
     def test_classical_dark_target_identical(self):
         pair = build_classical_hypotheses(0.0, 0.5, 1.0, 20)
@@ -437,21 +466,18 @@ class TestChernoffExponent:
         assert rev.s_star == pytest.approx(1.0 - fwd.s_star, abs=2e-6)
 
     def test_grid_is_log_convex(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 36, 8, 36))
+        pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 36, 8, 36))
         log_q = np.log(chernoff_exponent(pair).diagnostics["q_grid"])
         second_diff = log_q[:-2] - 2 * log_q[1:-1] + log_q[2:]
         assert np.all(second_diff >= -1e-10)
 
     def test_qi_beats_classical_at_unit_background(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        qi = chernoff_exponent(build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 36, 8, 36)))
+        qi = chernoff_exponent(build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 36, 8, 36)))
         cl = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, 1.0, 36))
         assert qi.exponent / cl.exponent > 1.0
 
     def test_block_sum_matches_dense_pair(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 1.0, qi_channel(0.1, 48, 10, 48))
+        pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 48, 10, 48))
         dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
         blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
         assert blocked.diagnostics["dim"] == single.diagnostics["dim"] == 49 * 11
@@ -461,8 +487,7 @@ class TestChernoffExponent:
     @pytest.mark.parametrize("n_b", [1.0, 2.0, 4.0])
     def test_s_star_is_the_root_of_the_slope(self, n_b):
         # reference: bisection on the sign of Q'(s), summed block by block
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, n_b, qi_channel(0.1, 48, 12, 48))
+        pair = build_qi_hypotheses(0.1, n_b, qi_channel(0.1, 48, 12, 48))
         parts = []
         for index, block1 in pair.blocks:
             lam0, vec0 = np.linalg.eigh(np.diag(pair.p0[index]))
@@ -495,8 +520,7 @@ class TestChernoffExponent:
         assert result.s_star == pytest.approx(0.5, abs=1e-9)
 
     def test_block_s_star_matches_dense_pair_at_72(self):
-        sq = SqueezeParam(math.asinh(math.sqrt(0.1)))
-        pair = build_qi_hypotheses(sq, 4.0, qi_channel(0.1, 72, 15, 72))
+        pair = build_qi_hypotheses(0.1, 4.0, qi_channel(0.1, 72, 15, 72))
         dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
         blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
         assert blocked.s_star == pytest.approx(single.s_star, abs=1e-9)

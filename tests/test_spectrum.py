@@ -126,6 +126,14 @@ class TestDecibelMaps:
     def test_squeezed_antisqueezed_cancel_exactly(self, kappa):
         assert squeezing_magnitude_db(kappa) + antisqueezing_magnitude_db(kappa) == 0.0
 
+    def test_squeezed_antisqueezed_cancel_exactly_on_arrays(self):
+        kappa = np.linspace(0.0, 10.0, 101)
+        squeezed, antisqueezed = squeezing_magnitude_db(kappa), antisqueezing_magnitude_db(kappa)
+        assert antisqueezed.shape == kappa.shape
+        assert np.all(squeezed + antisqueezed == 0.0)
+        assert antisqueezing_magnitude_db([1.0, 2.0]).tolist() == [
+            antisqueezing_magnitude_db(1.0), antisqueezing_magnitude_db(2.0)]
+
     def test_high_gain_asymptote(self):
         # cosh^2 k -> e^{2k}/4, so G(k) approaches 8.6859 k - 6.0206 dB
         diff = gain_db(3.0) - (antisqueezing_magnitude_db(3.0) - 10.0 * math.log10(4.0))
@@ -149,6 +157,12 @@ class TestDecibelMaps:
             squeezing_magnitude_db(-0.1)
         with pytest.raises(InvalidArgumentError):
             gain_db(-0.1)
+
+    @pytest.mark.parametrize("fn", [squeezing_magnitude_db, antisqueezing_magnitude_db, gain_db])
+    @pytest.mark.parametrize("kappa", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_kappa_rejected(self, fn, kappa):
+        with pytest.raises(InvalidArgumentError):
+            fn(kappa)
 
 
 class TestSpectrumSweep:
