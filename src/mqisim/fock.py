@@ -2,10 +2,11 @@
 
 A cutoff N means the mode keeps photon numbers 0..N (dimension N + 1).
 Multi-mode objects are stored with the first mode as the slowest index,
-matching ``numpy.kron`` order.  Operators built here carry a measured
-unitarity defect and operations fail loudly (:class:`TruncationError`)
-instead of silently renormalizing, because downstream error-exponent
-computations are sensitive to tail truncation.
+matching ``numpy.kron`` order.  Truncation is measured as the closed-form
+tail of the thermal (and so TMSV) law, and :func:`_check_discarded` raises
+:class:`TruncationError` above 1e-3 (QCB laws, FockTMSV.amplitude_matrix)
+or 1e-6 (squeeze-operator reference); :func:`displacement` requires
+|alpha|^2 <= (cutoff + 1) / 4.  Beam-splitter overflow is not yet measured.
 
 Everything is a pure function over immutable values; independent
 cutoff-sweep evaluations can safely run concurrently.
@@ -24,7 +25,7 @@ from .gaussian import SqueezeParam
 
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-8
-_UNITARITY_TOL = 1e-6
+_DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
 _SQUEEZE_DEFICIT_TOL = 1e-6
 
 
@@ -32,6 +33,14 @@ def _check_cutoff(cutoff: int) -> int:
     if int(cutoff) != cutoff or cutoff < 0:
         raise InvalidArgumentError(f"cutoff must be a non-negative integer, got {cutoff}")
     return int(cutoff)
+
+
+def _check_discarded(name: str, discarded: float, cutoff: int, tol: float = _DISCARD_TOL):
+    if not discarded <= tol:   # NaN fails too
+        raise TruncationError(
+            f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
+            f"above the tolerance {tol}; raise the cutoff"
+        )
 
 
 @dataclass(frozen=True)
@@ -85,8 +94,8 @@ class FockTMSV:
 
     ``coeffs[n]`` multiplies |n>_s |n>_i and equals
     (e^{i phase} tanh kappa)^n / cosh kappa.  ``norm_deficit`` is the
-    probability mass lost to the cutoff, 1 - sum |c_n|^2, which for the
-    geometric series equals tanh^{2(N+1)} kappa.
+    probability mass lost to the cutoff, the closed-form tail
+    tanh^{2(N+1)} kappa of the thermal law |c_n|^2 (nbar = sinh^2 kappa).
     """
 
     sp: SqueezeParam
@@ -100,7 +109,9 @@ class FockTMSV:
         object.__setattr__(self, "coeffs", c)
 
     def amplitude_matrix(self) -> np.ndarray:
-        """Renormalized two-mode amplitude tensor; only the diagonal |n, n> is populated."""
+        """Renormalized two-mode amplitude tensor (only |n, n> populated);
+        raises :class:`TruncationError` if ``norm_deficit`` is above 1e-3."""
+        _check_discarded("TMSV pair", self.norm_deficit, self.cutoff)
         amp = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=complex)
         np.fill_diagonal(amp, self.coeffs / np.linalg.norm(self.coeffs))
         return amp
@@ -120,7 +131,7 @@ def tmsv_fock(sq: SqueezeParam, cutoff: int) -> FockTMSV:
     n = np.arange(cutoff + 1)
     ratio = np.exp(1j * sq.phase) * math.tanh(sq.kappa)
     coeffs = ratio**n / math.cosh(sq.kappa)
-    deficit = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    deficit = thermal_probabilities(sq.mean_photon, cutoff)[1]
     return FockTMSV(sp=sq, cutoff=cutoff, coeffs=coeffs, norm_deficit=deficit)
 
 
@@ -128,11 +139,11 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
     """Two-mode squeezed vacuum built from the squeeze-operator exponential.
 
     Applies exp(zeta a_s' a_i' - zeta* a_s a_i) with zeta = kappa
-    e^{i phase} to the two-mode vacuum on the truncated space and
-    renormalizes.  The sign of zeta is fixed so that the phase-pi/2
-    result carries the i^n photon-pair coefficients; that convention is
-    asserted by tests, not just documented.  Serves as an independent
-    cross-check of :func:`tmsv_fock`.
+    e^{i phase} to the two-mode vacuum on the truncated space (the
+    exponential keeps the norm).  The sign of zeta is fixed so that the
+    phase-pi/2 result carries the i^n photon-pair coefficients; that
+    convention is asserted by tests, not just documented.  Serves as an
+    independent cross-check of :func:`tmsv_fock`.
 
     Returns
     -------
@@ -142,16 +153,12 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
     Raises
     ------
     TruncationError
-        If tanh^{2(cutoff+1)}(kappa) >= 1e-6, i.e. the cutoff is too
-        small for the squeeze strength.
+        If the pair expansion discards tanh^{2(cutoff+1)}(kappa) > 1e-6,
+        i.e. the cutoff is too small for the squeeze strength.
     """
     cutoff = _check_cutoff(cutoff)
-    deficit_bound = math.tanh(sq.kappa) ** (2 * (cutoff + 1))
-    if deficit_bound >= _SQUEEZE_DEFICIT_TOL:
-        raise TruncationError(
-            f"cutoff {cutoff} too small for kappa={sq.kappa}: "
-            f"tail bound {deficit_bound:.3e} >= {_SQUEEZE_DEFICIT_TOL}"
-        )
+    deficit = thermal_probabilities(sq.mean_photon, cutoff)[1]
+    _check_discarded("TMSV pair", deficit, cutoff, _SQUEEZE_DEFICIT_TOL)
     d = cutoff + 1
     if sq.kappa == 0.0:
         amp = np.zeros((d, d), dtype=complex)
@@ -171,9 +178,7 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
     ).tocsc()
     vac = np.zeros(d * d, dtype=complex)
     vac[0] = 1.0
-    out = expm_multiply(gen, vac)
-    out = out / np.linalg.norm(out)
-    return out.reshape(d, d)
+    return expm_multiply(gen, vac).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +296,14 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """
     cutoff = _check_cutoff(cutoff)
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
     if abs(alpha) ** 2 > 0.25 * (cutoff + 1):
         raise TruncationError(f"|alpha|^2 = {abs(alpha) ** 2:.3g} too large for cutoff {cutoff}")
     ops = mode_ops(cutoff)
     # exp(G) of the anti-Hermitian generator G from i G = V diag(w) V'
     w, v = np.linalg.eigh(1j * (alpha * ops.adag - np.conj(alpha) * ops.a))
-    d = (v * np.exp(-1j * w)) @ v.conj().T
-    defect = unitarity_defect(d)
-    if defect > _UNITARITY_TOL:
-        raise TruncationError(
-            f"displacement unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL}"
-        )
-    return d
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def beam_splitter_sector(total: int, dim_a: int, dim_b: int, theta: float,
@@ -353,11 +354,6 @@ def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
         s_vals, block = beam_splitter_sector(total, dim_a, dim_b, theta)
         flat = s_vals * dim_b + (total - s_vals)
         u[np.ix_(flat, flat)] = block
-    defect = unitarity_defect(u)
-    if defect > _UNITARITY_TOL:
-        raise TruncationError(
-            f"beam-splitter unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL}"
-        )
     return u
 
 

@@ -32,10 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError, TruncationError
+from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError
 from .fock import (
     DensityMatrix,
     _check_cutoff,
+    _check_discarded,
     _check_unit_trace,
     _hermitian_part,
     beam_splitter_sector,
@@ -44,7 +45,6 @@ from .fock import (
 )
 
 _PSD_TOL = -1e-9
-_DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
 
 
 def _floats(value, name: str):
@@ -217,7 +217,8 @@ class HypothesisPair:
     ``(index, rho1_block)``, ``index`` listing the flat basis positions
     of the block's rows and columns.  Construction checks that the blocks
     partition the basis, each is Hermitian within 1e-10 and both traces
-    are 1 within 1e-8; it symmetrizes the blocks and groups them by size
+    are 1 within 1e-8; it symmetrizes the blocks, keeping their dtype
+    (real or complex; integers become float), and groups them by size
     into ``stacks``, one ``(index, rho1)`` of shapes (n, k), (n, k, k) per
     size k in order of first appearance (``blocks`` keeps the given order,
     as views into the stacks).  ``rho0`` and ``rho1`` assemble the dense
@@ -251,7 +252,8 @@ class HypothesisPair:
         for members in groups.values():
             positions, index, stack = zip(*members)
             index = np.stack(index)
-            stack = _hermitian_part(np.array(stack, dtype=complex))
+            stack = np.array(stack)
+            stack = _hermitian_part(stack.astype(np.promote_types(stack.dtype, float)))
             stack.setflags(write=False)
             trace += complex(np.trace(stack, axis1=1, axis2=2).sum())
             stacks.append((index, stack))
@@ -292,14 +294,6 @@ class HypothesisPair:
         for index, block in self.blocks:
             m[np.ix_(index, index)] = block
         return DensityMatrix(self.mode_dims, m)
-
-
-def _check_discarded(name: str, discarded: float, cutoff: int):
-    if discarded > _DISCARD_TOL:
-        raise TruncationError(
-            f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
-            f"above the tolerance {_DISCARD_TOL}; raise the cutoff"
-        )
 
 
 @dataclass(frozen=True)
@@ -400,7 +394,6 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
         i = np.arange(max(0, -d), min(n_idl, n_sig - d) + 1)
         v = channel.amp[i + d, i, :] * weight[i]
         blocks.append(((i + d) * (n_idl + 1) + i, v @ v.T))
-    boundary = float(np.sum((channel.amp[n_sig] * weight) ** 2))
     return HypothesisPair(
         mode_dims=(n_sig + 1, n_idl + 1),
         p0=np.kron(p_ret0, p_idl0),
@@ -415,7 +408,6 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
             "noise_discarded": noise_discarded,
             "return_discarded": ret_discarded,
             "idler_discarded": idl_discarded,
-            "return_boundary_population": boundary,
         },
     )
 
@@ -517,8 +509,9 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
     (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point grid of Q
     values is kept in the diagnostics so that convexity can be audited.
 
-    Returns q_min = 0 with an infinite exponent for (numerically)
-    orthogonal states.
+    Where that grid is flat to rounding (dim * eps) s_star is NaN, and a
+    q_min within rounding of 1 is 1, an exponent of 0.  Returns q_min = 0
+    with an infinite exponent for (numerically) orthogonal states.
     """
     spectra1, weight, log0, log1 = [], [], [], []
     for index, stack in pair.stacks:
@@ -560,7 +553,10 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
         s_star, q_min = float(s_grid[k]), float(q_grid[k])
 
     raw_q = q_min
-    q_min = min(max(q_min, 0.0), 1.0)
+    rounding = pair.dim * np.finfo(float).eps
+    if np.ptp(q_grid) <= rounding * q_grid.max():
+        s_star = math.nan
+    q_min = 1.0 if 1.0 - q_min <= rounding else max(q_min, 0.0)
     exponent = math.inf if q_min == 0.0 else max(0.0, -math.log(q_min))
     return ChernoffResult(
         s_star=float(s_star),

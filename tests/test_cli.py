@@ -31,11 +31,12 @@ _C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--
 
 # sha256 of the output of the criterion-9 invocations, the benchmark's
 # large tables and a strongly squeezed Wigner slice, recorded at 7f7b0fe
-# (before tables were handed to the emitters as numpy columns)
+# (before tables were handed to the emitters as numpy columns); c9_state
+# re-recorded when its norm_deficit footer became the closed-form tail
 OUTPUT_SHA256 = {
     "c9_state": (
         ("state", "--kappa", "0.5", "--cutoff", "12"),
-        "fc4a346d9e5c31c5f6f04feea8a93af5abc48ce8f1745b003f2437bd47d83fc4",
+        "bbc023ad86af7e84a142ec73fcadaa680e1413454a0e46ab63b530b530dfffed",
     ),
     "c9_wigner": (
         ("wigner", "--kappa", "0.5", "--plane", "qs,pi", "--samples", "41"),
@@ -353,6 +354,24 @@ class TestQcbCommand:
         assert code == 0
         header, rows = csv_rows(out)
         assert float(dict(zip(header, rows[0]))["exponent"]) == pytest.approx(0.0, abs=1e-7)
+
+    def test_identical_hypotheses_have_no_exponent(self):
+        # eta = 0: nothing returns, so Q(s) = 1 to rounding, and s_star is
+        # undetermined; the exponent once read 4.4e-16 and the ratio inf
+        code, out, _ = run_cli("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0",
+                               "--n-b", "0.5")
+        assert code == 0
+        header, rows = csv_rows(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["s_star_qi"], row["exponent_qi"]) == ("nan", "0")
+        assert (row["s_star_cl"], row["exponent_cl"]) == ("nan", "0")
+        assert row["exponent_ratio"] == "nan"
+        code, out, _ = run_cli("qcb", "--transmitter", "qi", "--n-s", "0.1", "--eta", "0",
+                               "--n-b", "0.5")
+        header, rows = csv_rows(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["s_star"], row["q_min"], row["exponent"]) == ("nan", "1", "0")
+        assert row["exponent_over_rate"] == "nan"
 
     def test_kappa_alternative(self):
         kappa = math.asinh(math.sqrt(0.1))

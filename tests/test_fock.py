@@ -64,12 +64,18 @@ class TestTmsvFock:
         state = tmsv_fock(SqueezeParam(0.5), 10)
         assert state.norm_deficit == pytest.approx(4.21255949927e-08, rel=1e-6)
 
+    def test_norm_deficit_keeps_its_digits(self):
+        # 1 - sum |c_n|^2 was 1.6e-7 off here: it cancels to the tail's size
+        state = tmsv_fock(SqueezeParam(0.5), 12)
+        assert state.norm_deficit == pytest.approx(math.tanh(0.5) ** 26, rel=1e-12, abs=0.0)
+
     @settings(deadline=None, max_examples=60)
     @given(kappa=st.floats(0.0, 2.0), cutoff=st.integers(0, 60))
     def test_norm_deficit_is_geometric_tail(self, kappa, cutoff):
         state = tmsv_fock(SqueezeParam(kappa), cutoff)
+        # the absolute floor covers subnormal tails
         assert state.norm_deficit == pytest.approx(
-            math.tanh(kappa) ** (2 * (cutoff + 1)), abs=1e-12
+            math.tanh(kappa) ** (2 * (cutoff + 1)), rel=1e-12, abs=1e-300
         )
 
     def test_amplitude_matrix_is_diagonal(self):
@@ -77,6 +83,11 @@ class TestTmsvFock:
         off = amp - np.diag(np.diagonal(amp))
         assert np.all(off == 0.0)
         assert np.linalg.norm(amp) == pytest.approx(1.0, rel=1e-14)
+
+    def test_amplitude_matrix_rejects_a_truncated_state(self):
+        # tanh(1)^10 = 6.6e-2 of the mass lies beyond cutoff 4
+        with pytest.raises(TruncationError, match="discards 6.565e-02"):
+            tmsv_fock(SqueezeParam(1.0), 4).amplitude_matrix()
 
 
 class TestSqueezeVacuumOperator:
@@ -99,9 +110,11 @@ class TestSqueezeVacuumOperator:
         amp = squeeze_vacuum_operator(SqueezeParam(1.5), 75)
         off = amp - np.diag(np.diagonal(amp))
         assert np.max(np.abs(off)) < 1e-10
+        # not renormalized: the exponential keeps the norm
+        assert np.linalg.norm(amp) == pytest.approx(1.0, abs=1e-14)
 
     def test_insufficient_cutoff_rejected(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError, match=r"discards 5\.246e-06 .* tolerance 1e-06"):
             squeeze_vacuum_operator(SqueezeParam(1.5), 60)
 
 
@@ -175,6 +188,12 @@ class TestDisplacement:
     def test_alpha_too_large_rejected(self):
         with pytest.raises(TruncationError):
             displacement(3.0, 8)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.1, math.nan)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # NaN once passed the |alpha|^2 test and failed inside eigh
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            displacement(alpha, 5)
 
 
 class TestBeamSplitter:

@@ -433,6 +433,15 @@ class TestHypothesisBuilders:
         with pytest.raises(InvalidArgumentError):
             HypothesisPair((4,), p0, ((np.arange(4), np.eye(4) / 4),))
 
+    def test_blocks_keep_their_dtype(self):
+        # the entangled transmitter's blocks are real symmetric and stay real
+        qi = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 20, 6, 20))
+        assert all(stack.dtype == np.float64 for _, stack in qi.stacks)
+        cl = build_classical_hypotheses(0.1, 0.5, 1.0, 20)
+        assert cl.stacks[0][1].dtype == np.complex128
+        ints = HypothesisPair((2,), np.array([1.0, 0.0]), ((np.arange(2), np.diag([0, 1])),))
+        assert ints.stacks[0][1].dtype == np.float64
+
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(InvalidArgumentError):
             HypothesisPair.from_states(thermal_density(0.5, 4), thermal_density(0.5, 5))
@@ -444,6 +453,26 @@ class TestChernoffExponent:
         result = chernoff_exponent(HypothesisPair.from_states(rho, rho))
         assert result.q_min == pytest.approx(1.0, abs=1e-12)
         assert result.exponent == pytest.approx(0.0, abs=1e-12)
+        assert math.isnan(result.s_star)
+
+    def test_flat_q_leaves_s_star_undetermined(self):
+        # Q(s) = |<0|+>|^2 = 1/2 for every s in (0, 1): the s-search once
+        # walked to s = 0.99999999999909 and printed it
+        zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
+        plus = DensityMatrix.from_pure(np.array([1.0, 1.0]), (2,))
+        result = chernoff_exponent(HypothesisPair.from_states(zero, plus))
+        assert math.isnan(result.s_star)
+        assert result.exponent == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_overlap_within_rounding_of_one_is_no_exponent(self):
+        # eta = 0: nothing returns, the hypotheses are identical, and Q
+        # is 1 only to rounding; the exponent once read 4.4e-16
+        pair = build_qi_hypotheses(0.1, 0.5, qi_channel(0.0, 48, 12, 48))
+        result = chernoff_exponent(pair)
+        assert (result.q_min, result.exponent) == (1.0, 0.0)
+        assert math.isnan(result.s_star)
+        result = chernoff_exponent(build_classical_hypotheses(0.1, 0.0, 0.5, 48))
+        assert (result.q_min, result.exponent) == (1.0, 0.0)
 
     def test_orthogonal_pure_states(self):
         zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
