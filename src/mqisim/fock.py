@@ -7,6 +7,8 @@ tail of the thermal (and so TMSV) law, and :func:`_check_discarded` raises
 :class:`TruncationError` above 1e-3 (QCB laws, FockTMSV.amplitude_matrix)
 or 1e-6 (squeeze-operator reference); :func:`displacement` requires
 |alpha|^2 <= (cutoff + 1) / 4.  Beam-splitter overflow is not yet measured.
+All unitaries are built by one real kernel, :func:`_tridiagonal_expm`: each
+generator is tridiagonal in a number basis up to a diagonal phase.
 
 Everything is a pure function over immutable values; independent
 cutoff-sweep evaluations can safely run concurrently.
@@ -41,6 +43,31 @@ def _check_discarded(name: str, discarded: float, cutoff: int, tol: float = _DIS
             f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
             f"above the tolerance {tol}; raise the cutoff"
         )
+
+
+def _tridiagonal_expm(off: np.ndarray, theta: float, cols: int | None = None) -> np.ndarray:
+    """exp(theta G)[:, :cols] of the real antisymmetric tridiagonal G with
+    G[k+1, k] = -G[k, k+1] = off[k] (all columns by default).
+
+    With D = diag(i^k), D'(iG)D is the real symmetric tridiagonal J with
+    ``off`` on both off-diagonals, J = W diag(lam) W^T, so
+
+        exp(theta G)[r, c] = i^(r-c) (W cos(theta lam) W^T - i W sin(theta lam) W^T)[r, c],
+
+    which is the cosine part on even r - c and the sine part on odd r - c, with
+    sign + for (r - c) mod 4 in {0, 1} and - otherwise: one real symmetric
+    ``eigh`` gives the real result.  At theta = 0 it is exactly the identity.
+    """
+    n = off.size + 1
+    cols = n if cols is None else cols
+    if theta == 0.0:
+        return np.eye(n, cols)
+    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w_in = w[:cols].T
+    lag = np.arange(n)[:, None] - np.arange(cols)
+    block = np.where(lag % 2 == 0, (w * np.cos(theta * lam)) @ w_in,
+                     (w * np.sin(theta * lam)) @ w_in)
+    return np.where(lag % 4 < 2, block, -block)
 
 
 @dataclass(frozen=True)
@@ -140,7 +167,10 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
 
     Applies exp(zeta a_s' a_i' - zeta* a_s a_i) with zeta = kappa
     e^{i phase} to the two-mode vacuum on the truncated space (the
-    exponential keeps the norm).  The sign of zeta is fixed so that the
+    exponential keeps the norm).  The generator leaves the pair sector |n, n>
+    invariant, also when truncated, and is R kappa (L - L^T) R' there, with
+    L[n+1, n] = n + 1 and R = diag(e^{i phase n}), so :func:`_tridiagonal_expm`
+    gives the amplitudes.  The sign of zeta is fixed so that the
     phase-pi/2 result carries the i^n photon-pair coefficients; that
     convention is asserted by tests, not just documented.  Serves as an
     independent cross-check of :func:`tmsv_fock`.
@@ -159,26 +189,8 @@ def squeeze_vacuum_operator(sq: SqueezeParam, cutoff: int) -> np.ndarray:
     cutoff = _check_cutoff(cutoff)
     deficit = thermal_probabilities(sq.mean_photon, cutoff)[1]
     _check_discarded("TMSV pair", deficit, cutoff, _SQUEEZE_DEFICIT_TOL)
-    d = cutoff + 1
-    if sq.kappa == 0.0:
-        amp = np.zeros((d, d), dtype=complex)
-        amp[0, 0] = 1.0
-        return amp
-    # only caller of scipy.sparse; importing here keeps scipy off the CLI import path
-    import scipy.sparse as sparse
-    from scipy.sparse.linalg import expm_multiply
-
-    a = sparse.diags(np.sqrt(np.arange(1.0, cutoff + 1)), 1, format="csr")
-    eye = sparse.identity(d, format="csr")
-    mode_a = sparse.kron(a, eye, format="csr")
-    mode_b = sparse.kron(eye, a, format="csr")
-    zeta = sq.kappa * np.exp(1j * sq.phase)
-    gen = (
-        zeta * (mode_a.conj().T @ mode_b.conj().T) - np.conj(zeta) * (mode_a @ mode_b)
-    ).tocsc()
-    vac = np.zeros(d * d, dtype=complex)
-    vac[0] = 1.0
-    return expm_multiply(gen, vac).reshape(d, d)
+    column = _tridiagonal_expm(np.arange(1.0, cutoff + 1), sq.kappa, 1)[:, 0]
+    return np.diag(np.exp(1j * sq.phase * np.arange(cutoff + 1)) * column)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +305,8 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     Requires |alpha|^2 well below the cutoff so the displaced vacuum
     fits within the kept levels; column 0 then reproduces the
     coherent-state coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!).
+    Built as R D(|alpha|) R' with R = diag(e^{i arg(alpha) n}) and the real
+    D(|alpha|) from :func:`_tridiagonal_expm`.
     """
     cutoff = _check_cutoff(cutoff)
     alpha = complex(alpha)
@@ -300,10 +314,9 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
         raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
     if abs(alpha) ** 2 > 0.25 * (cutoff + 1):
         raise TruncationError(f"|alpha|^2 = {abs(alpha) ** 2:.3g} too large for cutoff {cutoff}")
-    ops = mode_ops(cutoff)
-    # exp(G) of the anti-Hermitian generator G from i G = V diag(w) V'
-    w, v = np.linalg.eigh(1j * (alpha * ops.adag - np.conj(alpha) * ops.a))
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
+    real = _tridiagonal_expm(np.sqrt(np.arange(1.0, cutoff + 1)), abs(alpha))
+    return phase[:, None] * real * phase.conj()
 
 
 def beam_splitter_sector(total: int, dim_a: int, dim_b: int, theta: float,
@@ -314,14 +327,8 @@ def beam_splitter_sector(total: int, dim_a: int, dim_b: int, theta: float,
     one real orthogonal block per sector, indexed by the mode-a photon numbers
     ``s_vals`` (rows: output, columns: input).  Within the sector the generator
     is theta G with G real antisymmetric tridiagonal, G[k+1, k] = -G[k, k+1] =
-    sqrt((s_k + 1)(total - s_k)).  With D = diag(i^k), D'(iG)D is the real
-    symmetric tridiagonal J = W diag(lam) W^T, so
-
-        exp(theta G)[r, c] = i^(r-c) (W cos(theta lam) W^T - i W sin(theta lam) W^T)[r, c],
-
-    which is the cosine part on even r - c and the sine part on odd r - c, with
-    sign + for (r - c) mod 4 in {0, 1} and - otherwise.  Only the input columns
-    with n_a <= ``max_input`` (all by default) are formed.
+    sqrt((s_k + 1)(total - s_k)), exponentiated by :func:`_tridiagonal_expm`;
+    only the input columns with n_a <= ``max_input`` (all by default) are formed.
 
     Returns (s_vals, block), block of shape (len(s_vals), number of columns).
     """
@@ -330,12 +337,7 @@ def beam_splitter_sector(total: int, dim_a: int, dim_b: int, theta: float,
     s_vals = np.arange(s_lo, s_hi + 1)
     cols = s_vals.size if max_input is None else max(0, min(s_hi, max_input) - s_lo + 1)
     off = np.sqrt((s_vals[:-1] + 1.0) * (total - s_vals[:-1]))
-    lam, w = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w_in = w[:cols].T
-    lag = np.arange(s_vals.size)[:, None] - np.arange(cols)
-    block = np.where(lag % 2 == 0, (w * np.cos(theta * lam)) @ w_in,
-                     (w * np.sin(theta * lam)) @ w_in)
-    return s_vals, np.where(lag % 4 < 2, block, -block)
+    return s_vals, _tridiagonal_expm(off, theta, cols)
 
 
 def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:

@@ -206,6 +206,14 @@ def _check_invertible(cov: np.ndarray) -> float:
     return det
 
 
+def _normal_density(cov: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Normal density exp(-d^T cov^-1 d / 2) / ((2 pi)^(k/2) sqrt(det cov))
+    of a k x k covariance at each row d of ``diff`` (offsets from the mean)."""
+    det = _check_invertible(cov)
+    quad = np.einsum("ni,ni->n", diff, np.linalg.solve(cov, diff.T).T)
+    return np.exp(-0.5 * quad) / (TWO_PI ** (len(cov) / 2) * math.sqrt(det))
+
+
 def wigner_density(state: TwoModeGaussianState, point) -> float:
     """Wigner quasi-probability density at one phase-space point.
 
@@ -219,10 +227,7 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
     r = np.asarray(point, dtype=float)
     if r.shape != (4,):
         raise InvalidArgumentError(f"point must have shape (4,), got {r.shape}")
-    det = _check_invertible(state.cov)
-    d = r - state.mean
-    quad = float(d @ np.linalg.solve(state.cov, d))
-    return math.exp(-0.5 * quad) / (4.0 * math.pi**2 * math.sqrt(det))
+    return float(_normal_density(state.cov, (r - state.mean)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -278,8 +283,6 @@ def wigner_grid(
         raise InvalidStateError(
             f"state fails the uncertainty check (worst eigenvalue {report.min_eigenvalue:.3e})"
         )
-    det = _check_invertible(state.cov)
-
     x_axis = np.linspace(x_range[0], x_range[1], nx)
     y_axis = np.linspace(y_range[0], y_range[1], ny)
     fixed_idx = tuple(k for k in range(4) if k not in (i, j))
@@ -290,9 +293,7 @@ def wigner_grid(
     pts[..., fixed_idx[0]] = fixed_values[0]
     pts[..., fixed_idx[1]] = fixed_values[1]
 
-    diff = pts.reshape(-1, 4) - state.mean
-    quad = np.einsum("ni,ni->n", diff, np.linalg.solve(state.cov, diff.T).T)
-    values = np.exp(-0.5 * quad) / (4.0 * math.pi**2 * math.sqrt(det))
+    values = _normal_density(state.cov, pts.reshape(-1, 4) - state.mean)
     return WignerGrid(
         plane=(i, j),
         fixed_values=(float(fixed_values[0]), float(fixed_values[1])),
@@ -315,8 +316,5 @@ def slice_mass(
     """
     i, j = plane
     fixed_idx = [k for k in range(4) if k not in (i, j)]
-    sub = state.cov[np.ix_(fixed_idx, fixed_idx)]
-    det = _check_invertible(sub)
     d = np.asarray(fixed_values, dtype=float) - state.mean[fixed_idx]
-    quad = float(d @ np.linalg.solve(sub, d))
-    return math.exp(-0.5 * quad) / (TWO_PI * math.sqrt(det))
+    return float(_normal_density(state.cov[np.ix_(fixed_idx, fixed_idx)], d[None])[0])

@@ -171,8 +171,8 @@ class PulseRequirement:
 def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
     """Invert the error-probability envelope for the pulse count.
 
-    Solves exp(-x)/(2 sqrt(pi x)) = target_pe for x = M R by bracketed
-    root finding (the envelope is strictly decreasing), then returns
+    Solves exp(-x)/(2 sqrt(pi x)) = target_pe for x = M R with
+    :func:`_s_root` (the envelope is strictly decreasing), then returns
     M = x / rate.  Solutions with x < 1 or M < 100 sit outside the
     asymptotic window and are flagged rather than rejected.
     """
@@ -183,18 +183,15 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
     if not 0.0 < p < 0.5:
         raise InvalidArgumentError(f"target_pe must be in (0, 0.5), got {target_pe}")
 
-    def log_resid(x: float) -> float:
-        return -x - math.log(2.0 * math.sqrt(math.pi * x)) - math.log(p)
+    def log_ratio(x: float) -> tuple[float, float]:   # ln(p / envelope), increasing, and d/dx
+        return x + math.log(2.0 * math.sqrt(math.pi * x)) + math.log(p), 1.0 + 0.5 / x
 
-    lo = 1e-12
     hi = 1.0
-    while log_resid(hi) > 0.0:
+    while log_ratio(hi)[0] < 0.0:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError("failed to bracket the envelope inversion")
-    from scipy.optimize import brentq  # only caller; keeps scipy off the CLI import path
-
-    x = brentq(log_resid, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    x, _ = _s_root(log_ratio, 1e-12, hi, 1e-15 * hi)
     resid = abs(error_probability(r, x / r) / p - 1.0)
     if resid > 1e-10:
         raise ConvergenceError(f"envelope inversion residual {resid:.3e} exceeds 1e-10")
@@ -466,29 +463,30 @@ def _clipped_spectrum(spectra: list, name: str) -> tuple[float, float]:
     return 0.0 - float(np.sum(np.minimum(eigvals, 0.0))), worst
 
 
-def _s_root(slope, s_tol: float) -> tuple[float, int]:
-    """Root in [0, 1] of the increasing function ``slope(s) -> (Q'(s), Q''(s))``.
+def _s_root(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
+    """Root in [lo, hi] of the increasing function ``f(x) -> (f(x), f'(x))``.
 
-    The signs of Q' seen so far bracket the root.  A Newton step is taken
-    when it stays inside the bracket and is at most half the previous
-    step; otherwise the bracket is bisected.  Stops at a step of at most
-    ``s_tol``; returns the root and the number of evaluations.
+    The signs of f seen so far bracket the root.  From the midpoint, a
+    Newton step is taken when it stays inside the bracket and is at most
+    half the previous step (the first: hi - lo); otherwise the bracket is
+    bisected.  Stops at a step of at most ``tol``; returns the root and
+    the number of evaluations.
     """
-    lo, hi, s, last = 0.0, 1.0, 0.5, 1.0
+    x, last = 0.5 * (lo + hi), hi - lo
     for evals in range(1, 201):
-        dq, d2q = slope(s)
-        if dq == 0.0:
-            return s, evals
-        if dq > 0.0:
-            hi = s
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x, evals
+        if fx > 0.0:
+            hi = x
         else:
-            lo = s
-        newton = s - dq / d2q if d2q > 0.0 else math.nan
-        nxt = newton if lo <= newton <= hi and abs(newton - s) <= 0.5 * last else 0.5 * (lo + hi)
-        last, s = abs(nxt - s), nxt
-        if last <= s_tol:
-            return s, evals
-    raise ConvergenceError(f"s-search did not converge to {s_tol} in {evals} steps")
+            lo = x
+        newton = x - fx / dfx if dfx > 0.0 else math.nan
+        nxt = newton if lo <= newton <= hi and abs(newton - x) <= 0.5 * last else 0.5 * (lo + hi)
+        last, x = abs(nxt - x), nxt
+        if last <= tol:
+            return x, evals
+    raise ConvergenceError(f"root search did not converge to {tol} in {evals} steps")
 
 
 def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffResult:
@@ -501,13 +499,13 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
     state j and eigenvector k, with lam0 = p0[index[j]] and w =
     |U1[j, k]|^2; terms with an eigenvalue <= 0 or weight 0 add nothing
     for s in (0, 1) and are left out.  Tiny negative eigenvalues from
-    truncation count as zero; each state's clipped mass and smallest
-    eigenvalue, checked for positivity, are recorded.  Q(s) is
-    log-convex, so Q'(s) = sum w lam0^s lam1^{1-s} ln(lam0 / lam1) is
-    increasing and Q is minimized on [0, 1] at its root (or the end of
-    [0, 1] it moves towards), found by safeguarded Newton steps
-    (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point grid of Q
-    values is kept in the diagnostics so that convexity can be audited.
+    truncation count as zero; each state's clipped mass (0 if within
+    rounding, dim * eps) and smallest eigenvalue, checked for positivity,
+    are recorded.  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
+    ln(lam0 / lam1) is increasing and Q is minimized on [0, 1] at its
+    root (or the end of [0, 1] it moves towards), found by safeguarded
+    Newton steps (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point
+    grid of Q values is kept in the diagnostics for a convexity audit.
 
     Where that grid is flat to rounding (dim * eps) s_star is NaN, and a
     q_min within rounding of 1 is 1, an exponent of 0.  Returns q_min = 0
@@ -545,7 +543,7 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
     s_grid = np.arange(1, 12) / 12.0
     q_grid = np.array([q_of(s) for s in s_grid])
 
-    s_star, evals = _s_root(slope, s_tol)
+    s_star, evals = _s_root(slope, 0.0, 1.0, s_tol)
     q_min = q_of(s_star)
 
     k = int(np.argmin(q_grid))
@@ -557,6 +555,7 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
     if np.ptp(q_grid) <= rounding * q_grid.max():
         s_star = math.nan
     q_min = 1.0 if 1.0 - q_min <= rounding else max(q_min, 0.0)
+    clip0, clip1 = (0.0 if clip <= rounding else clip for clip in (clip0, clip1))
     exponent = math.inf if q_min == 0.0 else max(0.0, -math.log(q_min))
     return ChernoffResult(
         s_star=float(s_star),

@@ -3,9 +3,9 @@
 The moment oracle below recomputes covariance entries directly from a
 photon-pair state vector with truncated-space operator applications; it
 shares no code path with the closed-form covariance construction it is
-used to check.  The beam-splitter oracle exponentiates the dense
-truncated generator with scipy, sharing nothing with the per-sector
-eigendecomposition in ``mqisim.fock``.
+used to check.  The beam-splitter, squeeze and displacement oracles
+exponentiate the dense truncated generators with scipy, sharing nothing
+with the tridiagonal eigendecomposition in ``mqisim.fock``.
 """
 
 import math
@@ -72,6 +72,29 @@ def truncated_beam_splitter_expm(dim_a: int, dim_b: int, eta: float) -> np.ndarr
     a = np.kron(np.diag(np.sqrt(np.arange(1.0, dim_a)), 1), np.eye(dim_b))
     b = np.kron(np.eye(dim_a), np.diag(np.sqrt(np.arange(1.0, dim_b)), 1))
     return expm(math.acos(math.sqrt(eta)) * (a.T @ b - a @ b.T))
+
+
+def truncated_squeeze_expm(sq, cutoff: int) -> np.ndarray:
+    """scipy expm of zeta a_s' a_i' - zeta* a_s a_i on the full truncated two-mode
+    space applied to the vacuum, zeta = kappa e^{i phase}.
+
+    Returns the amplitude tensor, signal axis 0, as ``squeeze_vacuum_operator``.
+    """
+    from scipy.linalg import expm
+
+    d = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    pair = np.kron(a, a)   # a_s a_i
+    zeta = sq.kappa * np.exp(1j * sq.phase)
+    return expm(zeta * pair.T - np.conj(zeta) * pair)[:, 0].reshape(d, d)
+
+
+def displacement_expm(alpha: complex, cutoff: int) -> np.ndarray:
+    """scipy expm of the dense truncated generator alpha a' - alpha* a."""
+    from scipy.linalg import expm
+
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    return expm(alpha * a.T - np.conj(alpha) * a)
 
 
 def trace_distance(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

@@ -323,6 +323,20 @@ class TestQcbCommand:
         meta = csv_meta(out)
         assert meta["cutoff_classical"] == "30"
 
+    @pytest.mark.parametrize("argv", [
+        ["--transmitter", "qi", "--n-s", "0.01", "--eta", "0.5", "--n-b", "3",
+         "--cutoff-signal", "48", "--cutoff-idler", "12", "--cutoff-noise", "48"],
+        ["--transmitter", "classical", "--n-s", "2", "--eta", "0.9", "--n-b", "0.3",
+         "--cutoff", "60"],
+    ], ids=["qi", "classical"])
+    def test_clipped_mass_at_rounding_reads_zero(self, capsys, argv):
+        # these printed clipped_rho1 = 1.03151134e-28 and 1.69712106e-21, below
+        # dim * eps, digits that moved with the eigensolver
+        assert main(["qcb", *argv]) == 0
+        header, rows = csv_rows(capsys.readouterr().out)
+        row = dict(zip(header, rows[0]))
+        assert (row["clipped_rho0"], row["clipped_rho1"]) == ("0", "0")
+
     @pytest.mark.parametrize("name", sorted(QCB_SWEEP_EXPONENTS))
     def test_sweep_exponents_pinned(self, tmp_path, name):
         argv, want_qi, want_cl = QCB_SWEEP_EXPONENTS[name]
@@ -554,8 +568,16 @@ class TestCliContract:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_import_loads_no_scipy(self):
-        # scipy serves only squeeze_vacuum_operator and required_pulses, never the CLI
+        # scipy is a test-only reference; the package never imports it
         probe = "import sys, mqisim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runs_without_scipy(self):
+        # the squeeze reference and the envelope inversion once imported scipy
+        probe = ("import sys; sys.modules['scipy'] = None; import mqisim; "
+                 "mqisim.squeeze_vacuum_operator(mqisim.SqueezeParam(0.5), 30); "
+                 "mqisim.required_pulses(1e-6, 1e-3)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

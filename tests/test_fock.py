@@ -24,8 +24,13 @@ from mqisim import (
     tmsv_fock,
     unitarity_defect,
 )
-from mqisim.fock import beam_splitter_sector
-from conftest import trace_distance, truncated_beam_splitter_expm
+from mqisim.fock import _tridiagonal_expm, beam_splitter_sector
+from conftest import (
+    displacement_expm,
+    trace_distance,
+    truncated_beam_splitter_expm,
+    truncated_squeeze_expm,
+)
 
 
 class TestModeOps:
@@ -117,6 +122,15 @@ class TestSqueezeVacuumOperator:
         with pytest.raises(TruncationError, match=r"discards 5\.246e-06 .* tolerance 1e-06"):
             squeeze_vacuum_operator(SqueezeParam(1.5), 60)
 
+    # kappa 0.9 at cutoff 24 discards 5.7e-8 of the pair law
+    @pytest.mark.parametrize("kappa, phase", [(0.3, math.pi / 2), (0.5, 1.1), (0.9, 4.0)])
+    def test_matches_full_space_exponential(self, kappa, phase):
+        sq = SqueezeParam(kappa, phase)
+        ref = truncated_squeeze_expm(sq, 24)
+        # the truncated generator keeps the vacuum in the pair sector |n, n>
+        assert np.max(np.abs(ref - np.diag(np.diagonal(ref)))) <= 1e-15
+        assert np.max(np.abs(squeeze_vacuum_operator(sq, 24) - ref)) <= 1e-12
+
 
 class TestMeanPhoton:
     def test_values(self):
@@ -194,6 +208,19 @@ class TestDisplacement:
         # NaN once passed the |alpha|^2 test and failed inside eigh
         with pytest.raises(InvalidArgumentError, match="finite"):
             displacement(alpha, 5)
+
+    @pytest.mark.parametrize("alpha", [0.3, -0.7, 1.2 + 0.5j, -2j, 0.4 - 1.1j])
+    @pytest.mark.parametrize("cutoff", [20, 60])
+    def test_matches_dense_exponential(self, alpha, cutoff):
+        ref = displacement_expm(alpha, cutoff)
+        assert np.max(np.abs(displacement(alpha, cutoff) - ref)) <= 1e-12
+
+
+class TestTridiagonalExpm:
+    def test_identity_at_zero(self):
+        off = np.sqrt(np.arange(1.0, 9))
+        assert np.array_equal(_tridiagonal_expm(off, 0.0), np.eye(9))
+        assert np.array_equal(_tridiagonal_expm(off, 0.0, 3), np.eye(9, 3))
 
 
 class TestBeamSplitter:

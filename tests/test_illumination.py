@@ -173,6 +173,22 @@ class TestRequiredPulses:
         with pytest.raises(InvalidArgumentError):
             required_pulses(0.0, 1e-3)
 
+    def test_matches_brentq(self):
+        from scipy.optimize import brentq
+
+        for target in np.geomspace(0.49, 1e-300, 10):
+            def log_resid(x):
+                return -x - math.log(2.0 * math.sqrt(math.pi * x)) - math.log(target)
+
+            hi = 1.0
+            while log_resid(hi) > 0.0:
+                hi *= 2.0
+            x = brentq(log_resid, 1e-12, hi, xtol=1e-300, rtol=8.9e-16)
+            for rate in np.logspace(-9, 1, 21):
+                req = required_pulses(rate, target)
+                assert req.exponent_arg == pytest.approx(x, rel=1e-14)
+                assert req.pulses == pytest.approx(x / rate, rel=1e-14)
+
 
 # one swept field each, across the regimes of the CLI's sweeps: M R from
 # below 1 to where exp(-M R) underflows, M from below 100 to 1e9
