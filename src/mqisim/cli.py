@@ -23,13 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    DegenerateStateError,
-    InvalidArgumentError,
-    InvalidStateError,
-    TruncationError,
-)
+from .errors import InvalidArgumentError, MqisimError
 from .gaussian import (
     QUADRATURE_NAMES,
     SqueezeParam,
@@ -114,8 +108,7 @@ def _parse_plane(raw: str) -> tuple[str, str]:
     if len(parts) != 2 or parts[0] == parts[1]:
         raise InvalidArgumentError(f"plane must be two distinct quadratures, got {raw!r}")
     for p in parts:
-        if p not in QUADRATURE_NAMES:
-            raise InvalidArgumentError(f"unknown quadrature {p!r}; expected {QUADRATURE_NAMES}")
+        quadrature_index(p)   # raises on an unknown name
     return (parts[0], parts[1])
 
 
@@ -135,60 +128,6 @@ def _sweep_params(*sweepable: str) -> list[Param]:
         Param("sweep-to", _parse_float, help="sweep stop"),
         Param("sweep-steps", _parse_int, help="sweep point count"),
     ]
-
-
-_SPECS: dict[str, list[Param]] = {
-    "state": [
-        Param("kappa", _parse_float, required=True, help="squeezing modulus"),
-        Param("phase", _parse_float, default=math.pi / 2, help="squeezing phase (rad)"),
-        Param("cutoff", _parse_int, default=20, help="largest photon number kept"),
-    ],
-    "wigner": [
-        Param("kappa", _parse_float, required=True, help="squeezing modulus"),
-        Param("phase", _parse_float, default=math.pi / 2, help="squeezing phase (rad)"),
-        Param("plane", _parse_plane, default=("qs", "ps"), help="varied quadratures, e.g. qs,pi"),
-        Param("fixed", _parse_pair, default=(0.0, 0.0), help="values of the two fixed quadratures"),
-        Param("range", _parse_pair, default=(-4.0, 4.0), help="axis range for both axes"),
-        Param("samples", _parse_int, default=81, help="grid points per axis"),
-        Param("x-range", _parse_pair, help="override range of the first plane axis"),
-        Param("y-range", _parse_pair, help="override range of the second plane axis"),
-        Param("x-samples", _parse_int, help="override samples of the first plane axis"),
-        Param("y-samples", _parse_int, help="override samples of the second plane axis"),
-    ],
-    "spectrum": [
-        Param("kappa-max", _parse_float, required=True, help="apical squeezing modulus"),
-        Param("pump-freq", _parse_float, default=12e9, help="pump frequency (Hz)"),
-        Param("band-width", _parse_float, default=8e9, help="band width (Hz)"),
-        Param("band-center", _parse_float, help="band center (Hz); default set by mixing"),
-        Param("mixing", _parse_choice(*MIXING_TYPES), default="3wm", help="3wm or 4wm"),
-        Param("shape", _parse_choice(*PROFILE_SHAPES), default="parabolic", help="profile shape"),
-        Param("nu-start", _parse_float, help="sweep start (Hz); default band edge"),
-        Param("nu-stop", _parse_float, help="sweep stop (Hz); default band edge"),
-        Param("steps", _parse_int, default=161, help="sweep points"),
-    ],
-    "detect": [
-        Param("eta", _parse_float, required=True, help="target reflectance"),
-        Param("n-s", _parse_float, required=True, help="signal photons per mode"),
-        Param("n-b", _parse_float, required=True, help="background photons per mode"),
-        Param("t-int", _parse_float, help="integration time (s)"),
-        Param("bandwidth", _parse_float, help="source bandwidth (Hz)"),
-        Param("pulses", _parse_float, help="pulse count M (overrides t-int * bandwidth)"),
-        *_sweep_params("eta", "n_s", "n_b", "t_int", "bandwidth"),
-    ],
-    "qcb": [
-        Param("transmitter", _parse_choice("qi", "classical", "both"), required=True,
-              help="transmitter type"),
-        Param("n-s", _parse_float, help="signal photons per mode"),
-        Param("kappa", _parse_float, help="squeezing modulus (alternative to n-s)"),
-        Param("eta", _parse_float, required=True, help="target reflectance"),
-        Param("n-b", _parse_float, required=True, help="background photons per mode"),
-        Param("cutoff-signal", _parse_int, default=48, help="return/signal mode cutoff"),
-        Param("cutoff-idler", _parse_int, default=12, help="idler mode cutoff"),
-        Param("cutoff-noise", _parse_int, default=48, help="noise mode cutoff"),
-        Param("cutoff", _parse_int, default=48, help="single-mode cutoff (classical)"),
-        *_sweep_params("eta", "n_s", "n_b"),
-    ],
-}
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +386,63 @@ def _run_qcb(p: dict):
     return table, meta
 
 
-_RUNNERS = {
-    "state": _run_state,
-    "wigner": _run_wigner,
-    "spectrum": _run_spectrum,
-    "detect": _run_detect,
-    "qcb": _run_qcb,
+class Command(NamedTuple):
+    run: Callable[[dict], tuple[dict, dict]]
+    help: str
+    params: list[Param]
+
+
+_COMMANDS: dict[str, Command] = {
+    "state": Command(_run_state, "photon-pair coefficients of the squeezed vacuum", [
+        Param("kappa", _parse_float, required=True, help="squeezing modulus"),
+        Param("phase", _parse_float, default=math.pi / 2, help="squeezing phase (rad)"),
+        Param("cutoff", _parse_int, default=20, help="largest photon number kept"),
+    ]),
+    "wigner": Command(_run_wigner, "Wigner density on a 2-D phase-space slice", [
+        Param("kappa", _parse_float, required=True, help="squeezing modulus"),
+        Param("phase", _parse_float, default=math.pi / 2, help="squeezing phase (rad)"),
+        Param("plane", _parse_plane, default=("qs", "ps"), help="varied quadratures, e.g. qs,pi"),
+        Param("fixed", _parse_pair, default=(0.0, 0.0), help="values of the two fixed quadratures"),
+        Param("range", _parse_pair, default=(-4.0, 4.0), help="axis range for both axes"),
+        Param("samples", _parse_int, default=81, help="grid points per axis"),
+        Param("x-range", _parse_pair, help="override range of the first plane axis"),
+        Param("y-range", _parse_pair, help="override range of the second plane axis"),
+        Param("x-samples", _parse_int, help="override samples of the first plane axis"),
+        Param("y-samples", _parse_int, help="override samples of the second plane axis"),
+    ]),
+    "spectrum": Command(_run_spectrum, "squeezing and gain across the band", [
+        Param("kappa-max", _parse_float, required=True, help="apical squeezing modulus"),
+        Param("pump-freq", _parse_float, default=12e9, help="pump frequency (Hz)"),
+        Param("band-width", _parse_float, default=8e9, help="band width (Hz)"),
+        Param("band-center", _parse_float, help="band center (Hz); default set by mixing"),
+        Param("mixing", _parse_choice(*MIXING_TYPES), default="3wm", help="3wm or 4wm"),
+        Param("shape", _parse_choice(*PROFILE_SHAPES), default="parabolic", help="profile shape"),
+        Param("nu-start", _parse_float, help="sweep start (Hz); default band edge"),
+        Param("nu-stop", _parse_float, help="sweep stop (Hz); default band edge"),
+        Param("steps", _parse_int, default=161, help="sweep points"),
+    ]),
+    "detect": Command(_run_detect, "error-rate envelopes for one or more scenarios", [
+        Param("eta", _parse_float, required=True, help="target reflectance"),
+        Param("n-s", _parse_float, required=True, help="signal photons per mode"),
+        Param("n-b", _parse_float, required=True, help="background photons per mode"),
+        Param("t-int", _parse_float, help="integration time (s)"),
+        Param("bandwidth", _parse_float, help="source bandwidth (Hz)"),
+        Param("pulses", _parse_float, help="pulse count M (overrides t-int * bandwidth)"),
+        *_sweep_params("eta", "n_s", "n_b", "t_int", "bandwidth"),
+    ]),
+    "qcb": Command(_run_qcb, "brute-force quantum Chernoff bound", [
+        Param("transmitter", _parse_choice("qi", "classical", "both"), required=True,
+              help="transmitter type"),
+        Param("n-s", _parse_float, help="signal photons per mode"),
+        Param("kappa", _parse_float, help="squeezing modulus (alternative to n-s)"),
+        Param("eta", _parse_float, required=True, help="target reflectance"),
+        Param("n-b", _parse_float, required=True, help="background photons per mode"),
+        Param("cutoff-signal", _parse_int, default=48, help="return/signal mode cutoff"),
+        Param("cutoff-idler", _parse_int, default=12, help="idler mode cutoff"),
+        Param("cutoff-noise", _parse_int, default=48, help="noise mode cutoff"),
+        Param("cutoff", _parse_int, default=48, help="single-mode cutoff (classical)"),
+        *_sweep_params("eta", "n_s", "n_b"),
+    ]),
 }
 
 
@@ -571,16 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-mode squeezed vacuum sources and quantum-illumination numerics",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    helps = {
-        "state": "photon-pair coefficients of the squeezed vacuum",
-        "wigner": "Wigner density on a 2-D phase-space slice",
-        "spectrum": "squeezing and gain across the band",
-        "detect": "error-rate envelopes for one or more scenarios",
-        "qcb": "brute-force quantum Chernoff bound",
-    }
-    for name, specs in _SPECS.items():
-        sp = sub.add_parser(name, parents=[common], help=helps[name])
-        for spec in specs:
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=command.help)
+        for spec in command.params:
             sp.add_argument(f"--{spec.name}", default=None, metavar="V", help=spec.help)
     return parser
 
@@ -591,8 +574,9 @@ def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[st
     fmt = fmt.strip().lower()
     if fmt not in FORMATS:
         raise InvalidArgumentError(f"format must be one of {FORMATS}, got {fmt!r}")
-    params = _resolve(_SPECS[args.subcommand], args, config)
-    table, extra = _RUNNERS[args.subcommand](params)
+    command = _COMMANDS[args.subcommand]
+    params = _resolve(command.params, args, config)
+    table, extra = command.run(params)
     meta = {"tool": "mqisim", "version": __version__, "subcommand": args.subcommand}
     for key, value in params.items():
         if value is not None:
@@ -613,8 +597,7 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, ConvergenceError, DegenerateStateError, InvalidStateError,
-            OverflowError) as exc:
+    except (MqisimError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -17,7 +17,6 @@ cutoff-sweep evaluations can safely run concurrently.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,8 +384,9 @@ def beam_splitter(state, eta: float, modes: tuple[int, int] = (0, 1), mode_dims=
         u = beam_splitter_unitary(dims[j], dims[k], eta)
         n = len(dims)
         tens = state.matrix.reshape(dims + dims)
-        tens = _apply_on_axes(tens, u.astype(complex), (dims[j], dims[k]), (j, k))
-        tens = _apply_on_axes(tens, u.astype(complex).conj(), (dims[j], dims[k]), (n + j, n + k))
+        # u is real, so it also acts on the bra axes as it is
+        tens = _apply_on_axes(tens, u, (dims[j], dims[k]), (j, k))
+        tens = _apply_on_axes(tens, u, (dims[j], dims[k]), (n + j, n + k))
         total = int(np.prod(dims))
         return DensityMatrix(dims, tens.reshape(total, total))
     if mode_dims is None:
@@ -395,7 +395,7 @@ def beam_splitter(state, eta: float, modes: tuple[int, int] = (0, 1), mode_dims=
     _check_mode_pair(j, k, len(dims))
     vec = np.asarray(state, dtype=complex)
     u = beam_splitter_unitary(dims[j], dims[k], eta)
-    tens = _apply_on_axes(vec.reshape(dims), u.astype(complex), (dims[j], dims[k]), (j, k))
+    tens = _apply_on_axes(vec.reshape(dims), u, (dims[j], dims[k]), (j, k))
     return tens.reshape(vec.shape)
 
 
@@ -420,13 +420,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if not keep or any(k < 0 or k >= n for k in keep):
         raise InvalidArgumentError(f"keep must name modes of a {n}-mode state, got {keep}")
     dims = rho.mode_dims
-    letters = string.ascii_lowercase
-    ket = list(letters[:n])
-    bra = [letters[n + i] if i in keep else ket[i] for i in range(n)]
-    out = "".join(ket[i] for i in keep) + "".join(bra[i] for i in keep)
-    spec = "".join(ket) + "".join(bra) + "->" + out
+    # axis labels: ket axis i is i, bra axis i is n + i if kept, else i (traced out)
+    bra = [n + i if i in keep else i for i in range(n)]
     tens = rho.matrix.reshape(dims + dims)
-    reduced = np.einsum(spec, tens)
+    reduced = np.einsum(tens, [*range(n), *bra], [*keep, *(n + i for i in keep)])
     kept_dims = tuple(dims[i] for i in keep)
     total = int(np.prod(kept_dims))
     return DensityMatrix(kept_dims, reduced.reshape(total, total))

@@ -208,9 +208,14 @@ def _check_invertible(cov: np.ndarray) -> float:
 
 def _normal_density(cov: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Normal density exp(-d^T cov^-1 d / 2) / ((2 pi)^(k/2) sqrt(det cov))
-    of a k x k covariance at each row d of ``diff`` (offsets from the mean)."""
+    of a k x k covariance at each row d of ``diff`` (offsets from the mean).
+
+    A form that overflows (inf - inf is NaN) counts as +inf: with cov
+    within the condition gate it is then beyond 1e300, where the density
+    is exactly 0."""
     det = _check_invertible(cov)
     quad = np.einsum("ni,ni->n", diff, np.linalg.solve(cov, diff.T).T)
+    quad = np.where(np.isfinite(quad), quad, np.inf)
     return np.exp(-0.5 * quad) / (TWO_PI ** (len(cov) / 2) * math.sqrt(det))
 
 
@@ -225,8 +230,8 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
     det cov = 1 and therefore peak value 1/(4 pi^2) at its mean.
     """
     r = np.asarray(point, dtype=float)
-    if r.shape != (4,):
-        raise InvalidArgumentError(f"point must have shape (4,), got {r.shape}")
+    if r.shape != (4,) or not np.all(np.isfinite(r)):
+        raise InvalidArgumentError(f"point must be 4 finite numbers, got {point}")
     return float(_normal_density(state.cov, (r - state.mean)[None])[0])
 
 

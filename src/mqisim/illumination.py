@@ -55,13 +55,21 @@ def _floats(value, name: str):
     return float(v) if v.ndim == 0 else v
 
 
-def _require(ok, message: str, *values):
-    """Raise unless ``ok`` holds at every point, formatting ``message`` with the
-    ``values`` at the first point where it does not."""
+def _require(ok, message: str, *values, error=InvalidArgumentError):
+    """Raise ``error`` unless ``ok`` holds at every point, formatting ``message``
+    with the ``values`` at the first point where it does not."""
     bad = np.flatnonzero(np.logical_not(ok))
     if bad.size:
         point = (np.broadcast_to(v, np.shape(ok)).flat[bad[0]].item() for v in values)
-        raise InvalidArgumentError(message.format(*point))
+        raise error(message.format(*point))
+
+
+def _quotient(num, den, name: str):
+    """num / den (den > 0), raising OverflowError where it overflows."""
+    with np.errstate(over="ignore"):
+        out = num / den
+    _require(np.isfinite(out), name + " overflows at {} / {}", num, den, error=OverflowError)
+    return out
 
 
 def _scalar(value):
@@ -104,7 +112,7 @@ class DetectionScenario:
     def snr(self) -> float | np.ndarray:
         """Signal-to-noise ratio interpreted as N_S / N_B (reporting only)."""
         _require(self.n_b != 0.0, "snr undefined for n_b = 0")
-        return self.n_s / self.n_b
+        return _quotient(self.n_s, self.n_b, "snr n_s / n_b")
 
     @property
     def pulses(self) -> float | np.ndarray:
@@ -114,13 +122,13 @@ class DetectionScenario:
 def classical_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the coherent-state transmitter."""
     _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
-    return scn.eta * scn.n_s / (4.0 * scn.n_b)
+    return _quotient(scn.eta * scn.n_s, 4.0 * scn.n_b, "rate eta n_s / (4 n_b)")
 
 
 def quantum_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the entangled transmitter."""
     _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
-    return scn.eta * scn.n_s / scn.n_b
+    return _quotient(scn.eta * scn.n_s, scn.n_b, "rate eta n_s / n_b")
 
 
 def advantage_db() -> float:
@@ -151,6 +159,7 @@ def error_probability(rate, pulses):
     _require(np.isfinite(r) & np.isfinite(m) & (r > 0.0) & (m > 0.0),
              "rate and pulses must be finite and > 0, got {}, {}", r, m)
     mr = m * r
+    _require(mr > 0.0, "pulses * rate underflows to 0 at {} * {}", m, r)
     return _scalar(np.exp(-mr) / (2.0 * np.sqrt(math.pi * mr)))
 
 
@@ -210,23 +219,20 @@ class HypothesisPair:
 
     rho0 is diagonal in the basis the pair is held in and is stored as
     that diagonal, ``p0``, over the flat basis (``mode_dims`` order, first
-    mode slowest).  rho1 is block-diagonal: each entry of ``blocks`` is
-    ``(index, rho1_block)``, ``index`` listing the flat basis positions
-    of the block's rows and columns.  Construction checks that the blocks
-    partition the basis, each is Hermitian within 1e-10 and both traces
-    are 1 within 1e-8; it symmetrizes the blocks, keeping their dtype
-    (real or complex; integers become float), and groups them by size
-    into ``stacks``, one ``(index, rho1)`` of shapes (n, k), (n, k, k) per
-    size k in order of first appearance (``blocks`` keeps the given order,
-    as views into the stacks).  ``rho0`` and ``rho1`` assemble the dense
-    states on access.
+    mode slowest).  rho1 is block-diagonal and is stored as ``stacks`` of
+    equal-size blocks: each entry is ``(index, rho1)`` of shapes (n, k)
+    and (n, k, k), ``index[j]`` listing the flat basis positions of the
+    rows and columns of block ``rho1[j]``.  Construction checks that the
+    blocks partition the basis, each is Hermitian within 1e-10 and both
+    traces are 1 within 1e-8; it symmetrizes the blocks, keeping their
+    dtype (real or complex; integers become float).  ``rho0`` and
+    ``rho1`` assemble the dense states on access.
     """
 
     mode_dims: tuple[int, ...]
     p0: np.ndarray
-    blocks: tuple
+    stacks: tuple
     params: dict = field(default_factory=dict)
-    stacks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.mode_dims)
@@ -235,34 +241,24 @@ class HypothesisPair:
             raise InvalidArgumentError(f"p0 of shape {p0.shape} does not match mode_dims {dims}")
         _check_unit_trace(p0.sum())
         p0.setflags(write=False)
-        groups: dict[int, list] = {}
-        for pos, (index, block) in enumerate(self.blocks):
-            index = np.asarray(index, dtype=int)
-            if np.shape(block) != (index.size, index.size):
-                raise InvalidArgumentError(
-                    f"block of shape {np.shape(block)} does not match its {index.size} indices"
-                )
-            groups.setdefault(index.size, []).append((pos, index, block))
         stacks = []
-        blocks = [None] * len(self.blocks)
-        trace = 0.0
-        for members in groups.values():
-            positions, index, stack = zip(*members)
-            index = np.stack(index)
-            stack = np.array(stack)
+        for index, stack in self.stacks:
+            index, stack = np.array(index, dtype=int), np.asarray(stack)
+            if index.ndim != 2 or stack.shape != index.shape + index.shape[1:]:
+                raise InvalidArgumentError(
+                    f"stack of shape {stack.shape} does not match its index of shape {index.shape}"
+                )
             stack = _hermitian_part(stack.astype(np.promote_types(stack.dtype, float)))
+            index.setflags(write=False)
             stack.setflags(write=False)
-            trace += complex(np.trace(stack, axis1=1, axis2=2).sum())
             stacks.append((index, stack))
-            for j, pos in enumerate(positions):
-                blocks[pos] = (index[j], stack[j])
         covered = np.sort(np.concatenate([index.ravel() for index, _ in stacks]))
         if not np.array_equal(covered, np.arange(p0.size)):
             raise InvalidArgumentError(f"block indices must partition the space of mode_dims {dims}")
-        _check_unit_trace(trace)
+        _check_unit_trace(sum(complex(np.trace(stack, axis1=1, axis2=2).sum())
+                              for _, stack in stacks))
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "stacks", tuple(stacks))
 
     @classmethod
@@ -275,7 +271,7 @@ class HypothesisPair:
             )
         p0, u = np.linalg.eigh(rho0.matrix)
         block = u.conj().T @ rho1.matrix @ u
-        return cls(rho0.mode_dims, p0, ((np.arange(rho0.dim), block),))
+        return cls(rho0.mode_dims, p0, ((np.arange(rho0.dim)[None], block[None]),))
 
     @property
     def dim(self) -> int:
@@ -288,8 +284,8 @@ class HypothesisPair:
     @property
     def rho1(self) -> DensityMatrix:
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        for index, block in self.blocks:
-            m[np.ix_(index, index)] = block
+        for index, stack in self.stacks:
+            m[index[:, :, None], index[:, None, :]] = stack
         return DensityMatrix(self.mode_dims, m)
 
 
@@ -386,15 +382,20 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     # amplitude of return s with idler i and noise input m: channel.amp[s, i, m] * weight[i, m]
     weight = np.sqrt(np.outer(p_idl0, p_noise))
 
-    blocks = []
-    for d in range(-n_idl, n_sig + 1):
-        i = np.arange(max(0, -d), min(n_idl, n_sig - d) + 1)
-        v = channel.amp[i + d, i, :] * weight[i]
-        blocks.append(((i + d) * (n_idl + 1) + i, v @ v.T))
+    # block d holds idler numbers i = lo .. lo + size - 1; one stack per size, d ascending
+    d = np.arange(-n_idl, n_sig + 1)
+    lo = np.maximum(0, -d)
+    size = np.minimum(n_idl, n_sig - d) - lo + 1
+    stacks = []
+    for k in range(1, n_idl + 2):
+        i = lo[size == k, None] + np.arange(k)
+        ret = i + d[size == k, None]
+        v = channel.amp[ret, i, :] * weight[i]
+        stacks.append((ret * (n_idl + 1) + i, v @ np.swapaxes(v, 1, 2)))
     return HypothesisPair(
         mode_dims=(n_sig + 1, n_idl + 1),
         p0=np.kron(p_ret0, p_idl0),
-        blocks=tuple(blocks),
+        stacks=tuple(stacks),
         params={
             "n_s": n_s,
             "eta": eta,
@@ -432,7 +433,7 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     return HypothesisPair(
         mode_dims=(cutoff + 1,),
         p0=p0,
-        blocks=((np.arange(cutoff + 1), (disp * p0) @ disp.conj().T),),
+        stacks=((np.arange(cutoff + 1)[None], ((disp * p0) @ disp.conj().T)[None]),),
         params={"n_s": n_s, "eta": eta, "n_b": n_b, "cutoff": cutoff, "alpha": alpha,
                 "background_discarded": discarded},
     )

@@ -381,9 +381,9 @@ class TestHypothesisBuilders:
 
     def test_qi_blocks_bounded_by_idler_cutoff(self):
         pair = build_qi_hypotheses(math.sinh(0.3) ** 2, 0.7, qi_channel(0.2, 36, 8, 36))
-        assert len(pair.blocks) == 36 + 8 + 1
-        assert max(len(index) for index, _ in pair.blocks) == 8 + 1
-        assert sum(len(index) for index, _ in pair.blocks) == pair.dim == 37 * 9
+        assert sum(len(index) for index, _ in pair.stacks) == 36 + 8 + 1
+        assert [index.shape[1] for index, _ in pair.stacks] == list(range(1, 8 + 2))
+        assert sum(index.size for index, _ in pair.stacks) == pair.dim == 37 * 9
 
     def test_params_record_discarded_masses(self):
         def tail(nbar, cutoff):
@@ -432,22 +432,22 @@ class TestHypothesisBuilders:
     def test_blocks_must_partition_the_space(self):
         p0 = np.full(4, 0.25)
         with pytest.raises(InvalidArgumentError, match="partition"):
-            HypothesisPair((4,), p0, ((np.arange(2), np.eye(2) / 2),))
+            HypothesisPair((4,), p0, (([np.arange(2)], [np.eye(2) / 2]),))
         with pytest.raises(InvalidArgumentError, match="partition"):
-            HypothesisPair((4,), p0, ((np.arange(3), np.eye(3) / 4),
-                                      (np.arange(2, 4), np.eye(2) / 8)))
+            HypothesisPair((4,), p0, (([np.arange(3)], [np.eye(3) / 4]),
+                                      ([np.arange(2, 4)], [np.eye(2) / 8])))
 
     def test_non_hermitian_block_rejected(self):
         for block in ([[0.5, 0.1], [0.0, 0.5]], [[0.5, np.nan], [np.nan, 0.5]]):
             with pytest.raises(InvalidArgumentError):
-                HypothesisPair((2,), np.full(2, 0.5), ((np.arange(2), np.array(block)),))
+                HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [block]),))
 
     @pytest.mark.parametrize("p0", [np.full(3, 1 / 3), np.full(4, 1 / 3), np.ones((2, 2)) / 4,
                                     np.array([0.5, 0.5, np.nan, 0.0])],
                              ids=["short", "trace", "shape", "nan"])
     def test_p0_must_be_a_unit_trace_diagonal_of_the_space(self, p0):
         with pytest.raises(InvalidArgumentError):
-            HypothesisPair((4,), p0, ((np.arange(4), np.eye(4) / 4),))
+            HypothesisPair((4,), p0, (([np.arange(4)], [np.eye(4) / 4]),))
 
     def test_blocks_keep_their_dtype(self):
         # the entangled transmitter's blocks are real symmetric and stay real
@@ -455,7 +455,7 @@ class TestHypothesisBuilders:
         assert all(stack.dtype == np.float64 for _, stack in qi.stacks)
         cl = build_classical_hypotheses(0.1, 0.5, 1.0, 20)
         assert cl.stacks[0][1].dtype == np.complex128
-        ints = HypothesisPair((2,), np.array([1.0, 0.0]), ((np.arange(2), np.diag([0, 1])),))
+        ints = HypothesisPair((2,), np.array([1.0, 0.0]), (([np.arange(2)], [np.diag([0, 1])]),))
         assert ints.stacks[0][1].dtype == np.float64
 
     def test_mismatched_dimensions_rejected(self):
@@ -534,10 +534,11 @@ class TestChernoffExponent:
         # reference: bisection on the sign of Q'(s), summed block by block
         pair = build_qi_hypotheses(0.1, n_b, qi_channel(0.1, 48, 12, 48))
         parts = []
-        for index, block1 in pair.blocks:
-            lam0, vec0 = np.linalg.eigh(np.diag(pair.p0[index]))
-            lam1, vec1 = np.linalg.eigh(block1)
-            parts.append((lam0, np.abs(vec0.conj().T @ vec1) ** 2, lam1))
+        for indices, stack in pair.stacks:
+            for index, block1 in zip(indices, stack):
+                lam0, vec0 = np.linalg.eigh(np.diag(pair.p0[index]))
+                lam1, vec1 = np.linalg.eigh(block1)
+                parts.append((lam0, np.abs(vec0.conj().T @ vec1) ** 2, lam1))
 
         def slope(s):
             total = 0.0
