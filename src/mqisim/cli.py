@@ -197,6 +197,10 @@ def _sweep_fields(p: dict, base: dict, what: str) -> dict:
         )
     elif p["sweep_steps"] < 2:
         raise InvalidArgumentError("--sweep-steps must be >= 2")
+    elif not (math.isfinite(p["sweep_from"]) and math.isfinite(p["sweep_to"])):
+        raise InvalidArgumentError(
+            f"--sweep-from and --sweep-to must be finite, got {p['sweep_from']}, {p['sweep_to']}"
+        )
     else:
         values = np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])
     return {**base, p["sweep_var"]: values}

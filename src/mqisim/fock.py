@@ -7,6 +7,7 @@ tail of the thermal (and so TMSV) law, and :func:`_check_discarded` raises
 :class:`TruncationError` above 1e-3 (QCB laws, FockTMSV.amplitude_matrix)
 or 1e-6 (squeeze-operator reference); :func:`displacement` requires
 |alpha|^2 <= (cutoff + 1) / 4.  Beam-splitter overflow is not yet measured.
+The beam splitter's sector layout lives in :func:`beam_splitter_amplitudes`.
 All unitaries are built by one real kernel, :func:`_tridiagonal_expm`: each
 generator is tridiagonal in a number basis up to a diagonal phase.
 
@@ -318,25 +319,29 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     return phase[:, None] * real * phase.conj()
 
 
-def beam_splitter_sector(total: int, dim_a: int, dim_b: int, theta: float,
-                         max_input: int | None = None):
-    """Beam-splitter block exp(theta (a'b - ab')) on one total-photon sector.
+def beam_splitter_amplitudes(dim_a: int, dim_b: int, eta: float,
+                             max_input: int | None = None) -> np.ndarray:
+    """Read-only amp[s, i, m] = <s, i + m - s| U |i, m> of the beam splitter
+    U = exp(theta (a'b - ab')), cos^2 theta = ``eta``, on modes of dimensions
+    dim_a and dim_b, for inputs i <= ``max_input`` (all by default); 0 where
+    the output i + m - s leaves 0..dim_b - 1.  Shape (dim_a, inputs i, dim_b).
 
-    The generator conserves n_a + n_b = total, so the unitary decomposes into
-    one real orthogonal block per sector, indexed by the mode-a photon numbers
-    ``s_vals`` (rows: output, columns: input).  Within the sector the generator
-    is theta G with G real antisymmetric tridiagonal, G[k+1, k] = -G[k, k+1] =
-    sqrt((s_k + 1)(total - s_k)), exponentiated by :func:`_tridiagonal_expm`;
-    only the input columns with n_a <= ``max_input`` (all by default) are formed.
-
-    Returns (s_vals, block), block of shape (len(s_vals), number of columns).
+    U conserves n_a + n_b = total: on each sector, indexed by the mode-a
+    photon numbers ``s_vals``, it is exp(theta G) with G real antisymmetric
+    tridiagonal, G[k+1, k] = sqrt((s_k + 1)(total - s_k)) (:func:`_tridiagonal_expm`).
     """
-    s_lo = max(0, total - (dim_b - 1))
-    s_hi = min(total, dim_a - 1)
-    s_vals = np.arange(s_lo, s_hi + 1)
-    cols = s_vals.size if max_input is None else max(0, min(s_hi, max_input) - s_lo + 1)
-    off = np.sqrt((s_vals[:-1] + 1.0) * (total - s_vals[:-1]))
-    return s_vals, _tridiagonal_expm(off, theta, cols)
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidArgumentError(f"transmissivity must be in [0, 1], got {eta}")
+    theta = math.acos(math.sqrt(eta))
+    n_in = dim_a if max_input is None else min(max_input + 1, dim_a)
+    amp = np.zeros((dim_a, n_in, dim_b))
+    for total in range(n_in + dim_b - 1):
+        s_vals = np.arange(max(0, total - (dim_b - 1)), min(total, dim_a - 1) + 1)
+        i = s_vals[s_vals < n_in]
+        off = np.sqrt((s_vals[:-1] + 1.0) * (total - s_vals[:-1]))
+        amp[s_vals[:, None], i, total - i] = _tridiagonal_expm(off, theta, i.size)
+    amp.setflags(write=False)
+    return amp
 
 
 def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
@@ -344,27 +349,16 @@ def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
 
     ``eta`` is the transmissivity of mode a (cos^2 theta = eta); the
     mode operators map to a -> cos(theta) a + sin(theta) b and
-    b -> cos(theta) b - sin(theta) a.  Assembled block-wise over total
-    photon number.  Flat index convention: (n_a, n_b) -> n_a * dim_b + n_b.
+    b -> cos(theta) b - sin(theta) a.  :func:`beam_splitter_amplitudes`
+    scattered with the flat index (n_a, n_b) -> n_a * dim_b + n_b.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError(f"transmissivity must be in [0, 1], got {eta}")
-    theta = math.acos(math.sqrt(eta))
+    amp = beam_splitter_amplitudes(dim_a, dim_b, eta)
+    s, i, m = np.indices(amp.shape)
+    out_b = i + m - s
+    inside = (0 <= out_b) & (out_b < dim_b)
     u = np.zeros((dim_a * dim_b, dim_a * dim_b))
-    for total in range(dim_a + dim_b - 1):
-        s_vals, block = beam_splitter_sector(total, dim_a, dim_b, theta)
-        flat = s_vals * dim_b + (total - s_vals)
-        u[np.ix_(flat, flat)] = block
+    u[(s * dim_b + out_b)[inside], (i * dim_b + m)[inside]] = amp[inside]
     return u
-
-
-def _apply_on_axes(tensor: np.ndarray, u: np.ndarray, dims: tuple[int, int], axes: tuple[int, int]):
-    """Apply a two-mode operator to the given pair of tensor axes."""
-    moved = np.moveaxis(tensor, axes, (0, 1))
-    tail = moved.shape[2:]
-    flat = moved.reshape(dims[0] * dims[1], -1)
-    out = (u @ flat).reshape(dims + tail)
-    return np.moveaxis(out, (0, 1), axes)
 
 
 def beam_splitter(state, eta: float, modes: tuple[int, int] = (0, 1), mode_dims=None):
@@ -375,33 +369,23 @@ def beam_splitter(state, eta: float, modes: tuple[int, int] = (0, 1), mode_dims=
     (returning an array of the same shape; ``mode_dims`` is then
     required).  Mode ``modes[0]`` keeps the fraction eta of its input.
     """
-    j, k = (int(m) for m in modes)
-    if j == k:
-        raise InvalidArgumentError("beam splitter needs two distinct modes")
-    if isinstance(state, DensityMatrix):
-        dims = state.mode_dims
-        _check_mode_pair(j, k, len(dims))
-        u = beam_splitter_unitary(dims[j], dims[k], eta)
-        n = len(dims)
-        tens = state.matrix.reshape(dims + dims)
-        # u is real, so it also acts on the bra axes as it is
-        tens = _apply_on_axes(tens, u, (dims[j], dims[k]), (j, k))
-        tens = _apply_on_axes(tens, u, (dims[j], dims[k]), (n + j, n + k))
-        total = int(np.prod(dims))
-        return DensityMatrix(dims, tens.reshape(total, total))
-    if mode_dims is None:
+    is_density = isinstance(state, DensityMatrix)
+    if not is_density and mode_dims is None:
         raise InvalidArgumentError("mode_dims is required for pure-state input")
-    dims = tuple(int(d) for d in mode_dims)
-    _check_mode_pair(j, k, len(dims))
-    vec = np.asarray(state, dtype=complex)
+    dims = state.mode_dims if is_density else tuple(int(d) for d in mode_dims)
+    flat = state.matrix if is_density else np.asarray(state, dtype=complex)
+    n, (j, k) = len(dims), (int(m) for m in modes)
+    if j == k or not (0 <= j < n and 0 <= k < n):
+        raise InvalidArgumentError(f"beam splitter needs two distinct modes of {n}, got ({j}, {k})")
     u = beam_splitter_unitary(dims[j], dims[k], eta)
-    tens = _apply_on_axes(vec.reshape(dims), u, (dims[j], dims[k]), (j, k))
-    return tens.reshape(vec.shape)
-
-
-def _check_mode_pair(j: int, k: int, n_modes: int):
-    if not (0 <= j < n_modes and 0 <= k < n_modes):
-        raise InvalidArgumentError(f"mode pair ({j}, {k}) out of range for {n_modes} modes")
+    # u is real, so it acts on the ket axes and, of a density matrix, the bra axes as it is
+    pairs = ((j, k), (n + j, n + k))[:1 + is_density]
+    tens = flat.reshape(dims * len(pairs))
+    for axes in pairs:
+        moved = np.moveaxis(tens, axes, (0, 1))
+        tens = np.moveaxis((u @ moved.reshape(u.shape[0], -1)).reshape(moved.shape), (0, 1), axes)
+    tens = tens.reshape(flat.shape)
+    return DensityMatrix(dims, tens) if is_density else tens
 
 
 # ---------------------------------------------------------------------------

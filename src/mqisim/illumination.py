@@ -39,7 +39,7 @@ from .fock import (
     _check_discarded,
     _check_unit_trace,
     _hermitian_part,
-    beam_splitter_sector,
+    beam_splitter_amplitudes,
     displacement,
     thermal_probabilities,
 )
@@ -122,7 +122,8 @@ class DetectionScenario:
 def classical_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the coherent-state transmitter."""
     _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
-    return _quotient(scn.eta * scn.n_s, 4.0 * scn.n_b, "rate eta n_s / (4 n_b)")
+    # 0.25 eta n_s / n_b: 4 n_b may overflow, and scaling by 0.25 is exact (normal range)
+    return _quotient(0.25 * scn.eta * scn.n_s, scn.n_b, "rate eta n_s / (4 n_b)")
 
 
 def quantum_error_rate(scn: DetectionScenario) -> float | np.ndarray:
@@ -180,10 +181,11 @@ class PulseRequirement:
 def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
     """Invert the error-probability envelope for the pulse count.
 
-    Solves exp(-x)/(2 sqrt(pi x)) = target_pe for x = M R with
-    :func:`_s_root` (the envelope is strictly decreasing), then returns
-    M = x / rate.  Solutions with x < 1 or M < 100 sit outside the
-    asymptotic window and are flagged rather than rejected.
+    Solves exp(-x)/(2 sqrt(pi x)) = p = target_pe for x = M R with :func:`_s_root`
+    (the envelope is strictly decreasing) on [1e-12, -ln p], a bracket: at
+    -ln p > ln 2 > 1/(4 pi) the envelope is below p.  Returns M = x / rate.
+    Solutions with x < 1 or M < 100 sit outside the asymptotic window and
+    are flagged rather than rejected.
     """
     r = float(rate)
     p = float(target_pe)
@@ -195,11 +197,7 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
     def log_ratio(x: float) -> tuple[float, float]:   # ln(p / envelope), increasing, and d/dx
         return x + math.log(2.0 * math.sqrt(math.pi * x)) + math.log(p), 1.0 + 0.5 / x
 
-    hi = 1.0
-    while log_ratio(hi)[0] < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ConvergenceError("failed to bracket the envelope inversion")
+    hi = -math.log(p)
     x, _ = _s_root(log_ratio, 1e-12, hi, 1e-15 * hi)
     resid = abs(error_probability(r, x / r) / p - 1.0)
     if resid > 1e-10:
@@ -312,24 +310,13 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
                noise_cutoff: int) -> QIChannel:
     """The :class:`QIChannel` of transmissivity ``eta`` on the given cutoffs.
 
-    Only the sector columns whose signal input is at most the idler
-    cutoff, the inputs the TMSV populates, are formed.  The signal cutoff
-    bounds the return mode and must be at least the idler cutoff.
+    Only the signal inputs the TMSV populates (up to the idler cutoff) are formed.
+    The signal cutoff bounds the return mode and must be at least the idler cutoff.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
     n_sig, n_idl, n_noise = map(_check_cutoff, (signal_cutoff, idler_cutoff, noise_cutoff))
     if n_sig < n_idl:
-        raise InvalidArgumentError(
-            f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})"
-        )
-    theta = math.acos(math.sqrt(eta))
-    amp = np.zeros((n_sig + 1, n_idl + 1, n_noise + 1))
-    for total in range(n_idl + n_noise + 1):
-        s_vals, block = beam_splitter_sector(total, n_sig + 1, n_noise + 1, theta, n_idl)
-        i = s_vals[:block.shape[1]]
-        amp[s_vals[:, None], i, total - i] = block
-    amp.setflags(write=False)
+        raise InvalidArgumentError(f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})")
+    amp = beam_splitter_amplitudes(n_sig + 1, n_noise + 1, eta, n_idl)
     return QIChannel(eta, n_sig, n_idl, n_noise, amp)
 
 
@@ -361,9 +348,7 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     raised.  Mode order of the result: (return, idler).
     """
     eta = channel.eta
-    for name, value in (("n_s", n_s), ("n_b", n_b)):
-        if value < 0.0 or not math.isfinite(value):
-            raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
+    DetectionScenario(eta, n_s, n_b)   # checks the three numbers
     if eta == 1.0 and n_b > 0.0:
         raise InvalidArgumentError(
             "eta = 1 with n_b > 0 is inconsistent with the noise-injection convention"
@@ -420,11 +405,7 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     may discard at most 1e-3 of its mass, else :class:`TruncationError`
     is raised.
     """
-    for name, value in (("n_s", n_s), ("n_b", n_b)):
-        if value < 0.0 or not math.isfinite(value):
-            raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
+    DetectionScenario(eta, n_s, n_b)   # checks the three numbers
     cutoff = int(cutoff)
     p0, discarded = thermal_probabilities(n_b, cutoff)
     _check_discarded("thermal background", discarded, cutoff)
@@ -490,7 +471,7 @@ def _s_root(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
     raise ConvergenceError(f"root search did not converge to {tol} in {evals} steps")
 
 
-def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffResult:
+def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     """Brute-force quantum Chernoff bound for a hypothesis pair.
 
     rho0 is diagonal, so its spectrum is ``pair.p0`` and its eigenvectors
@@ -505,7 +486,7 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
     are recorded.  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
     ln(lam0 / lam1) is increasing and Q is minimized on [0, 1] at its
     root (or the end of [0, 1] it moves towards), found by safeguarded
-    Newton steps (:func:`_s_root`) to |delta s| <= s_tol.  An 11-point
+    Newton steps (:func:`_s_root`) to |delta s| <= 1e-12.  An 11-point
     grid of Q values is kept in the diagnostics for a convexity audit.
 
     Where that grid is flat to rounding (dim * eps) s_star is NaN, and a
@@ -544,7 +525,7 @@ def chernoff_exponent(pair: HypothesisPair, s_tol: float = 1e-12) -> ChernoffRes
     s_grid = np.arange(1, 12) / 12.0
     q_grid = np.array([q_of(s) for s in s_grid])
 
-    s_star, evals = _s_root(slope, 0.0, 1.0, s_tol)
+    s_star, evals = _s_root(slope, 0.0, 1.0, 1e-12)
     q_min = q_of(s_star)
 
     k = int(np.argmin(q_grid))

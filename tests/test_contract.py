@@ -11,12 +11,15 @@ documents otherwise; and the same argv gives the same bytes.
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqisim.cli import main
+from mqisim.illumination import DetectionScenario, classical_error_rate
 
 VALUES = st.sampled_from([
     0.0, -0.0, 1e-300, 1e-320, 0.1, 0.5, 1.0, 2.5, 400.0, 1e6, 8e9, 12e9, 1e154, 1e300,
@@ -127,6 +130,7 @@ def _non_finite_allowed(column: str) -> set[str]:
     return set()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=250, deadline=None, database=None)
 @given(invocations())
 def test_every_input_gets_an_exit_code_and_an_honest_table(argv):
@@ -167,3 +171,24 @@ def test_rate_overflow_is_a_numerical_failure():
                   "--sweep-var", "n_b", "--sweep-values", "1e-12,1e-320"]):
         code, out, err = _run(argv)
         assert code == 3 and out == "" and "overflows" in err, argv
+
+
+def test_classical_rate_of_a_huge_background_is_finite():
+    # 4 n_b overflowed at n_b = 1e308, so r_cl read 0 and the call exited 2
+    assert classical_error_rate(DetectionScenario(1.0, 1.0, 1e308)) > 0.0
+    code, out, err = _run(["detect", "--eta", "1", "--n-s", "1", "--n-b", "1e308",
+                           "--pulses", "10"])
+    assert code == 0, err
+    _, rows = _table(out, "csv")
+    assert len(rows) == 1 and all(isinstance(c, bool) or math.isfinite(c) for c in rows[0])
+
+
+def test_infinite_sweep_bound_rejected():
+    # an infinite bound reached np.linspace, which warned twice and reported n_b=nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1",
+                               "--pulses", "10", "--sweep-var", "n_b", "--sweep-from=inf",
+                               "--sweep-to", "2", "--sweep-steps", "3"])
+    assert code == 2 and out == "" and "got inf, 2.0" in err, err
+    assert caught == []

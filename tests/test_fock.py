@@ -24,7 +24,7 @@ from mqisim import (
     tmsv_fock,
     unitarity_defect,
 )
-from mqisim.fock import _tridiagonal_expm, beam_splitter_sector
+from mqisim.fock import _tridiagonal_expm, beam_splitter_amplitudes
 from conftest import (
     displacement_expm,
     trace_distance,
@@ -291,14 +291,14 @@ class TestBeamSplitter:
     @pytest.mark.parametrize("eta", [0.0, 0.1, 0.5, 1.0])
     def test_sector_columns_match_dense_exponential(self, dims, eta):
         dim_a, dim_b = dims
-        ref = truncated_beam_splitter_expm(dim_a, dim_b, eta)
-        theta = math.acos(math.sqrt(eta))
-        for total in range(dim_a + dim_b - 1):
-            s_vals, block = beam_splitter_sector(total, dim_a, dim_b, theta, max_input=2)
-            assert block.shape == (s_vals.size, np.count_nonzero(s_vals <= 2))
-            flat = s_vals * dim_b + (total - s_vals)
-            want = ref[np.ix_(flat, flat[: block.shape[1]])]
-            assert np.max(np.abs(block - want), initial=0.0) <= 1e-12
+        ref = truncated_beam_splitter_expm(dim_a, dim_b, eta).reshape(dim_a, dim_b, dim_a, dim_b)
+        amp = beam_splitter_amplitudes(dim_a, dim_b, eta, max_input=2)
+        assert amp.shape == (dim_a, 3, dim_b)
+        s, i, m = np.indices(amp.shape)
+        out_b = i + m - s
+        inside = (out_b >= 0) & (out_b < dim_b)
+        want = np.where(inside, ref[s, np.clip(out_b, 0, dim_b - 1), i, m], 0.0)
+        assert np.max(np.abs(amp - want)) <= 1e-12
 
 
 class TestPartialTrace:
