@@ -455,7 +455,7 @@ _COMMANDS: dict[str, Command] = {
 # ---------------------------------------------------------------------------
 
 
-# rows formatted at a time: bounds the cell strings alive at once
+# rows gathered and joined at a time: bounds the row strings alive at once
 _BLOCK_ROWS = 4096
 
 
@@ -481,11 +481,27 @@ def _format_cells(col: np.ndarray, json_floats: bool) -> list[str]:
     return list(map(_json_float, out)) if json_floats else out
 
 
-def _row_cells(table: dict, rows: int, json_floats: bool):
-    """Formatted cells of each row, formatted one column of a block of rows at a time."""
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        yield from zip(*(_format_cells(col[start:stop], json_floats) for col in table.values()))
+def _column_blocks(col: np.ndarray, json_floats: bool):
+    """Formatted cells of a column, one block of rows at a time.
+
+    Each distinct bit pattern is formatted once and its string gathered by
+    index; keying on the bits rather than the values keeps -0.0 apart from
+    0.0.  A column without repeats, or of a width that no unsigned integer
+    has (long double), is formatted block by block instead.
+    """
+    starts = range(0, col.size, _BLOCK_ROWS)
+    if col.itemsize <= 8:
+        keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        if keys.size < col.size:
+            cells = np.array(_format_cells(keys.view(col.dtype), json_floats), dtype=object)
+            return (cells[index[s:s + _BLOCK_ROWS]].tolist() for s in starts)
+    return (_format_cells(col[s:s + _BLOCK_ROWS], json_floats) for s in starts)
+
+
+def _row_blocks(table: dict, json_floats: bool):
+    """Rows of formatted cells, one block of rows at a time."""
+    columns = [_column_blocks(col, json_floats) for col in table.values()]
+    return (zip(*cells) for cells in zip(*columns))
 
 
 def _json_float(cell: str) -> str:
@@ -518,9 +534,9 @@ def _meta_value(v) -> str:
 
 
 def emit_csv(table: dict, meta: dict) -> str:
-    rows = _row_count(table)
+    _row_count(table)   # raises TypeError on a malformed table
     lines = [",".join(table)]
-    lines.extend(map(",".join, _row_cells(table, rows, json_floats=False)))
+    lines.extend("\n".join(map(",".join, block)) for block in _row_blocks(table, json_floats=False))
     lines.extend(f"# {k} = {_meta_value(meta[k])}" for k in sorted(meta))
     return "\n".join(lines) + "\n"
 
@@ -537,11 +553,13 @@ def emit_json(table: dict, meta: dict) -> str:
                       indent=2, sort_keys=True, default=lambda v: v.item())
     if not rows:
         return head[:-2] + ',\n  "rows": []\n}\n'
-    row_texts = map(",\n      ".join, _row_cells(table, rows, json_floats=True))
+    row_sep = "\n    ],\n    [\n      "
+    blocks = (row_sep.join(map(",\n      ".join, block))
+              for block in _row_blocks(table, json_floats=True))
     return "".join([
         head[:-2],
         ',\n  "rows": [\n    [\n      ',
-        "\n    ],\n    [\n      ".join(row_texts),
+        row_sep.join(blocks),
         "\n    ]\n  ]\n}\n",
     ])
 

@@ -270,7 +270,8 @@ def wigner_grid(
     """Evaluate the Wigner density on a uniform grid over a 2-D slice.
 
     The two quadratures named by ``plane`` are varied over ``x_range``
-    and ``y_range`` (inclusive endpoints, ``samples`` points per axis);
+    and ``y_range`` (inclusive endpoints, ``samples`` points per axis;
+    an axis may descend but not have zero width);
     the two remaining quadratures are held at ``fixed_values``.  The
     slice convention is explicit because a 2-D rendering of the 4-D
     Wigner function is not unique.
@@ -283,6 +284,8 @@ def wigner_grid(
         raise InvalidArgumentError(f"need at least 2 samples per axis, got {samples}")
     if not all(map(math.isfinite, (*x_range, *y_range, *fixed_values))):
         raise InvalidArgumentError("ranges and fixed values must be finite")
+    if x_range[0] == x_range[1] or y_range[0] == y_range[1]:
+        raise InvalidArgumentError(f"axis ranges need distinct ends, got {x_range}, {y_range}")
     report = uncertainty_check(state)
     if not report.passed:
         raise InvalidStateError(

@@ -192,3 +192,11 @@ def test_infinite_sweep_bound_rejected():
                                "--sweep-to", "2", "--sweep-steps", "3"])
     assert code == 2 and out == "" and "got inf, 2.0" in err, err
     assert caught == []
+
+
+@pytest.mark.parametrize("ranges", [["--range=1,1"], ["--x-range=0,-0"], ["--y-range=2,2"]],
+                         ids=["both", "x_signed_zero", "y"])
+def test_zero_width_wigner_axis_rejected(ranges):
+    # a zero-width axis printed every grid row at one point and exited 0
+    code, out, err = _run(["wigner", "--kappa", "0.5", "--samples", "3", *ranges])
+    assert code == 2 and out == "" and "distinct ends" in err, err

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from mqisim import cli
 from mqisim.cli import _BLOCK_ROWS, emit_csv, emit_json
 
 
@@ -114,6 +115,49 @@ TABLES = {
               {"tool": "mqisim", "count": 0}),
 }
 
+# Columns that repeat values, which the emitters format once per distinct
+# bit pattern.  Rows of the long tables cross two block boundaries.
+_LONG = 2 * _BLOCK_ROWS + 3
+_NAN_INF_BITS = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                 0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000]
+_EDGE = np.arange(_LONG) * 0.375 - 7.0
+_EDGE[2 * _BLOCK_ROWS + 2] = _EDGE[0]   # the one repeat, in the first and the last block
+
+TABLES.update({
+    "stride_zero": (
+        {"c": np.broadcast_to(np.float64(0.1), (_LONG,)), "x": np.arange(_LONG) * 1e-3},
+        {"tool": "mqisim"},
+    ),
+    "signed_zero": ({"z": np.resize([0.0, -0.0], _LONG)}, {"tool": "mqisim"}),
+    # NaNs of different payloads and signs, and repeated infinities
+    "nan_inf": (
+        {"s": np.resize(np.array(_NAN_INF_BITS, dtype=np.uint64).view(np.float64), 60)},
+        {"tool": "mqisim"},
+    ),
+    "subnormal": (
+        {"s": np.resize([5e-324, 1.55772969e-318, 2.2250738585072014e-308, 5e-324], 40)},
+        {"tool": "mqisim"},
+    ),
+    "block_edge_repeat": (
+        {"edge": _EDGE, "distinct": np.arange(_LONG) * 1.1e-3, "rep": np.resize([0.5, 9e9], _LONG)},
+        {"tool": "mqisim"},
+    ),
+    "repeated_bool_int": (
+        {
+            "flag": np.arange(_LONG) % 3 == 0,
+            "n": (np.arange(_LONG) % 7 - 3) * 1000003,
+            "u": (np.arange(_LONG) % 5).astype(np.uint8),
+            "c": np.broadcast_to(np.int64(-2), (_LONG,)),
+        },
+        {"tool": "mqisim"},
+    ),
+    # no unsigned integer is as wide as a long double, so it is formatted cell by cell
+    "long_double": (
+        {"x": np.array([0.1, 1 / 3, 1e300, 0.1, 5e-324, 1 / 3], dtype=np.longdouble)},
+        {"tool": "mqisim"},
+    ),
+})
+
 
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
@@ -170,3 +214,26 @@ def test_column_of_mixed_kinds_raises(emit, cells):
 def test_malformed_table_raises(emit, table):
     with pytest.raises(TypeError):
         emit(table, {})
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+def test_each_distinct_value_is_formatted_once(monkeypatch, emit):
+    rows = 10_000
+    table = {
+        "x": np.resize([2.5, -0.0, 0.0], rows),
+        "n": np.resize([7, -1, 7, 0], rows),
+        "flag": np.resize([True, False, False], rows),
+        "c": np.broadcast_to(np.float64(1e-300), (rows,)),
+    }
+    formatted = []
+    format_cells = cli._format_cells
+
+    def counting(values, json_floats):
+        formatted.append(values.size)
+        return format_cells(values, json_floats)
+
+    monkeypatch.setattr(cli, "_format_cells", counting)
+    text = emit(table, {"tool": "mqisim"})
+    assert sorted(formatted) == [1, 2, 3, 3]
+    reference = ref_emit_csv if emit is emit_csv else ref_emit_json
+    assert text == reference(table, {"tool": "mqisim"})

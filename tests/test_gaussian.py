@@ -177,6 +177,10 @@ class TestWignerGrid:
         with pytest.raises(InvalidArgumentError):
             wigner_grid(vacuum_state(), samples=(1, 10))
 
+    def test_descending_axis_accepted(self):
+        grid = wigner_grid(vacuum_state(), x_range=(2.0, -2.0), samples=(5, 3))
+        np.testing.assert_array_equal(grid.x_axis, [2.0, 1.0, 0.0, -1.0, -2.0])
+
 
 @settings(deadline=None, max_examples=80)
 @given(kappa=st.floats(0.0, 3.0), phase=st.floats(0.0, 2 * math.pi, exclude_max=True))
