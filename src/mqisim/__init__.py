@@ -11,7 +11,8 @@ Submodules:
   brute-force quantum Chernoff bound;
 * :mod:`mqisim.spectrum` - squeezing-parameter frequency profiles and
   dB mappings;
-* :mod:`mqisim.cli` - the ``mqisim`` command-line tool.
+* :mod:`mqisim.cli` - the ``mqisim`` command-line tool;
+* :mod:`mqisim.digits` - its table cells at nine significant digits.
 """
 
 __version__ = "0.1.0"

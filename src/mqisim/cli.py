@@ -13,16 +13,14 @@ Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, digits
 from .errors import InvalidArgumentError, MqisimError
 from .gaussian import (
     QUADRATURE_NAMES,
@@ -203,6 +201,7 @@ def _sweep_fields(p: dict, base: dict, what: str) -> dict:
         )
     else:
         values = np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])
+        _require_resolved(f"{p['sweep_var']} sweep", values)
     return {**base, p["sweep_var"]: values}
 
 
@@ -245,6 +244,8 @@ def _run_wigner(p: dict):
         state, plane=plane, x_range=x_range, y_range=y_range,
         samples=(nx, ny), fixed_values=p["fixed"],
     )
+    _require_resolved(f"{xname} axis", grid.x_axis)
+    _require_resolved(f"{yname} axis", grid.y_axis)
     table = {
         xname: np.repeat(grid.x_axis, len(grid.y_axis)),
         yname: np.tile(grid.y_axis, len(grid.x_axis)),
@@ -273,6 +274,7 @@ def _run_spectrum(p: dict):
     start = p["nu_start"] if p["nu_start"] is not None else lo
     stop = p["nu_stop"] if p["nu_stop"] is not None else hi
     sweep = spectrum_sweep(profile, (start, stop), p["steps"])
+    _require_resolved("nu_s sweep", sweep.nu_s)
     table = {
         "nu_s_hz": sweep.nu_s,
         "nu_i_hz": sweep.nu_i,
@@ -455,7 +457,7 @@ _COMMANDS: dict[str, Command] = {
 # ---------------------------------------------------------------------------
 
 
-# rows gathered and joined at a time: bounds the row strings alive at once
+# rows gathered and joined at a time: bounds the row bytes alive at once
 _BLOCK_ROWS = 4096
 
 
@@ -471,56 +473,88 @@ def _row_count(table: dict) -> int:
     return lengths.pop() if lengths else 0
 
 
-def _format_cells(col: np.ndarray, json_floats: bool) -> list[str]:
-    cells = col.tolist()
-    if col.dtype.kind == "b":
-        return ["true" if v else "false" for v in cells]
-    if col.dtype.kind in "iu":
-        return list(map(str, cells))
-    out = list(map(format, cells, repeat(".9g")))
-    return list(map(_json_float, out)) if json_floats else out
+_BOOL_CELLS = digits.byte_rows(["false", "true"])
 
 
-def _column_blocks(col: np.ndarray, json_floats: bool):
-    """Formatted cells of a column, one block of rows at a time.
+def _distinct(col: np.ndarray):
+    """The column's distinct values and each row's index into them, or
+    ``(col, None)`` when no value repeats.
 
-    Each distinct bit pattern is formatted once and its string gathered by
-    index; keying on the bits rather than the values keeps -0.0 apart from
-    0.0.  A column without repeats, or of a width that no unsigned integer
-    has (long double), is formatted block by block instead.
+    Keyed on bit patterns, so -0.0 stays apart from 0.0 and NaNs of
+    different payloads apart from each other.  A strictly monotone column,
+    such as every linspace axis, has no repeats and skips the sort.
     """
-    starts = range(0, col.size, _BLOCK_ROWS)
-    if col.itemsize <= 8:
-        keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-        if keys.size < col.size:
-            cells = np.array(_format_cells(keys.view(col.dtype), json_floats), dtype=object)
-            return (cells[index[s:s + _BLOCK_ROWS]].tolist() for s in starts)
-    return (_format_cells(col[s:s + _BLOCK_ROWS], json_floats) for s in starts)
+    if (col[1:] > col[:-1]).all() or (col[1:] < col[:-1]).all():
+        return col, None
+    keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    return (col, None) if keys.size == col.size else (keys.view(col.dtype), index)
 
 
-def _row_blocks(table: dict, json_floats: bool):
-    """Rows of formatted cells, one block of rows at a time."""
-    columns = [_column_blocks(col, json_floats) for col in table.values()]
-    return (zip(*cells) for cells in zip(*columns))
+def _column_cells(table: dict, json_floats: bool) -> list:
+    """Per column, its cell rows and each table row's index into them
+    (``None``: one cell row per table row).
 
-
-def _json_float(cell: str) -> str:
-    """JSON token of a ``%.9g`` cell: the shortest repr of the double it names.
-
-    A fixed-notation cell already is that repr, given a ``.0`` when it has
-    no fraction, and so is a cell with a negative two-digit exponent.  repr
-    switches to exponent notation at 1e16 rather than 1e9, and subnormals
-    (below 1e-307) can round-trip with fewer than 9 digits, so ``e+`` and
-    ``e-3..`` cells are re-formatted.  JSON has no inf/nan token; those
-    become strings.
+    Each distinct value is formatted once, and all floats of the table in
+    one kernel call.  Byte columns that are NUL in every cell are dropped.
     """
-    if "." in cell and "e" not in cell:
-        return cell
-    if cell[-1] in "fn":
-        return f'"{cell}"'
-    if "e+" in cell or "e-3" in cell:
-        return repr(float(cell))
-    return cell if "e" in cell else cell + ".0"
+    columns, floats = [], []
+    for col in table.values():
+        if col.dtype.kind == "b":
+            columns.append([_BOOL_CELLS, col.view(np.uint8)])
+        elif col.dtype.kind in "iu":
+            keys, index = _distinct(col)
+            columns.append([digits.byte_rows(list(map(str, keys.tolist()))), index])
+        else:
+            # Python formats a long double as the double nearest it, inf beyond their range
+            with np.errstate(over="ignore"):
+                columns.append(list(_distinct(col.astype(np.float64, copy=False))))
+            floats.append(columns[-1])
+    if floats:
+        cells = digits.float_cells(np.concatenate([c[0] for c in floats]), json_floats)
+        ends = np.cumsum([c[0].size for c in floats])
+        for c, end in zip(floats, ends):
+            c[0] = cells[end - c[0].size:end]
+    for c in columns:
+        # OR each 8-byte lane down the column: numpy reduces one strided lane
+        # several times faster than axis 0 of the whole array
+        lanes = c[0].view(np.uint64)
+        used = np.array([np.bitwise_or.reduce(lane) for lane in lanes.T], np.uint64)
+        c[0] = c[0].take(np.flatnonzero(used.view(np.uint8)), axis=1)
+    return columns
+
+
+def _row_blocks(table: dict, sep: str, end: str, json_floats: bool):
+    """The text of the rows, one block of rows at a time: cells joined by
+    ``sep``, every row (the last too) followed by ``end``.
+
+    A block's cell rows and separators are laid side by side as bytes, and
+    the NULs dropped.
+    """
+    rows = _row_count(table)
+    columns = _column_cells(table, json_floats)
+    seps = [np.frombuffer(text.encode(), np.uint8) for text in [sep] * (len(columns) - 1) + [end]]
+    for s in range(0, rows, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, rows - s)
+        parts = []
+        for (cells, index), sep_bytes in zip(columns, seps):
+            parts.append(cells[s:s + n] if index is None else cells.take(index[s:s + n], axis=0))
+            parts.append(np.broadcast_to(sep_bytes, (n, sep_bytes.size)))
+        yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _require_resolved(name: str, values: np.ndarray) -> None:
+    """Raise unless adjacent values of a generated axis print different cells."""
+    neg, x, m, unsure = digits.decompose(values)
+    same = (neg[1:] == neg[:-1]) & (x[1:] == x[:-1]) & (m[1:] == m[:-1])
+    for i in np.flatnonzero(unsure[1:] | unsure[:-1]):
+        same[i] = format(values[i], ".9g") == format(values[i + 1], ".9g")
+    if same.any():
+        i = np.argmax(same)
+        a, b = values[i:i + 2].tolist()
+        raise InvalidArgumentError(
+            f"{name}: adjacent values {a!r} and {b!r} both print as {a:.9g}; "
+            "widen the range or take fewer points"
+        )
 
 
 def _meta_value(v) -> str:
@@ -534,11 +568,9 @@ def _meta_value(v) -> str:
 
 
 def emit_csv(table: dict, meta: dict) -> str:
-    _row_count(table)   # raises TypeError on a malformed table
-    lines = [",".join(table)]
-    lines.extend("\n".join(map(",".join, block)) for block in _row_blocks(table, json_floats=False))
-    lines.extend(f"# {k} = {_meta_value(meta[k])}" for k in sorted(meta))
-    return "\n".join(lines) + "\n"
+    footer = "".join(f"# {k} = {_meta_value(meta[k])}\n" for k in sorted(meta))
+    rows = _row_blocks(table, ",", "\n", json_floats=False)
+    return "".join([",".join(table), "\n", *rows, footer])
 
 
 def emit_json(table: dict, meta: dict) -> str:
@@ -547,21 +579,18 @@ def emit_json(table: dict, meta: dict) -> str:
     Rows come last in key order, so the document is dumped without them and
     the rows block is appended in the same layout.
     """
+    import json   # here, so that a CSV run does not pay for importing it
+
     rows = _row_count(table)
     # tuples dump as lists; numpy scalars, which json does not know, as their Python value
     head = json.dumps({"metadata": meta, "columns": list(table)},
                       indent=2, sort_keys=True, default=lambda v: v.item())
     if not rows:
         return head[:-2] + ',\n  "rows": []\n}\n'
-    row_sep = "\n    ],\n    [\n      "
-    blocks = (row_sep.join(map(",\n      ".join, block))
-              for block in _row_blocks(table, json_floats=True))
-    return "".join([
-        head[:-2],
-        ',\n  "rows": [\n    [\n      ',
-        row_sep.join(blocks),
-        "\n    ]\n  ]\n}\n",
-    ])
+    row_end = "\n    ],\n    [\n      "
+    blocks = list(_row_blocks(table, ",\n      ", row_end, json_floats=True))
+    blocks[-1] = blocks[-1][:-len(row_end)]   # the last row closes the list instead
+    return "".join([head[:-2], ',\n  "rows": [\n    [\n      ', *blocks, "\n    ]\n  ]\n}\n"])
 
 
 # ---------------------------------------------------------------------------

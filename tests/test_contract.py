@@ -200,3 +200,37 @@ def test_zero_width_wigner_axis_rejected(ranges):
     # a zero-width axis printed every grid row at one point and exited 0
     code, out, err = _run(["wigner", "--kappa", "0.5", "--samples", "3", *ranges])
     assert code == 2 and out == "" and "distinct ends" in err, err
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["wigner", "--kappa", "0.5", "--range=1,1.0000000001", "--samples", "3"], "qs axis"),
+    (["wigner", "--kappa", "0.5", "--y-range=-2e-9,-1.9999999999e-9", "--samples", "3"],
+     "ps axis"),
+    (["spectrum", "--kappa-max", "3", "--steps", "5", "--nu-start", "5e9",
+      "--nu-stop", "5.0000000001e9"], "nu_s sweep"),
+    (["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10",
+      "--sweep-var", "n_b", "--sweep-from", "1", "--sweep-to", "1.0000000001",
+      "--sweep-steps", "3"], "n_b sweep"),
+    (["qcb", "--transmitter", "classical", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1",
+      "--cutoff", "4", "--sweep-var", "eta", "--sweep-from", "0.5", "--sweep-to", "0.5000000001",
+      "--sweep-steps", "3"], "eta sweep"),
+], ids=["wigner", "wigner_y", "spectrum", "detect", "qcb"])
+def test_unresolved_axis_rejected(argv, axis):
+    # a step below the 9-digit resolution of the cells printed rows that could not be
+    # told apart, and exited 0
+    code, out, err = _run(argv)
+    assert code == 2 and out == "" and axis in err and "both print as" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--kappa", "0.5", "--range=1,1.00000002", "--samples", "3"],
+    ["spectrum", "--kappa-max", "3", "--steps", "3", "--nu-start", "5e9", "--nu-stop", "5.00000002e9"],
+    ["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10",
+     "--sweep-var", "n_b", "--sweep-from", "1.00000002", "--sweep-to", "1", "--sweep-steps", "3"],
+], ids=["wigner", "spectrum", "detect_descending"])
+def test_axis_at_the_resolution_accepted(argv):
+    # one unit of the ninth digit per step still prints distinct cells
+    code, out, err = _run(argv)
+    assert code == 0, err
+    _, rows = _table(out, "csv")
+    assert len({tuple(r) for r in rows}) == len(rows)

@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mqisim import cli
+from mqisim import digits
 from mqisim.cli import _BLOCK_ROWS, emit_csv, emit_json
 
 
@@ -159,6 +161,35 @@ TABLES.update({
 })
 
 
+# Fixed cases of the float kernel: every power of ten it formats, three
+# ulps either side; exact ties of the tenth digit, which only Python's
+# rounding decides, and their neighbours; float32 and float16 columns.
+_TENS = np.array([float(f"1e{k}") for k in range(-300, 301)])
+_NEAR_TENS = [_TENS]
+for _direction in (math.inf, -math.inf):
+    _step = _TENS
+    for _ in range(3):
+        _step = np.nextafter(_step, _direction)
+        _NEAR_TENS.append(_step)
+_TIES = np.array([100000000.5, 100000001.5, 1000000005.0, 1000000015.0, 12345678.25,
+                  12345678.75, 1234567.125, 999999999.5]
+                 + [float(f"999999999.5e{k}") for k in range(-300, 291, 7)])
+
+TABLES.update({
+    "powers_of_ten": ({"x": np.concatenate(_NEAR_TENS), "neg": -np.concatenate(_NEAR_TENS)},
+                      {"tool": "mqisim"}),
+    "ties": ({"x": np.concatenate([_TIES, np.nextafter(_TIES, math.inf),
+                                   np.nextafter(_TIES, -math.inf), -_TIES])},
+             {"tool": "mqisim"}),
+    "float32": ({"x": np.array([0.1, 1 / 3, -2.5, 3.4028235e38, 1.17549435e-38, 1e-45, 0.0,
+                                -0.0, 1e9, 16777217.0, math.inf, math.nan], dtype=np.float32)},
+                {"tool": "mqisim"}),
+    "float16": ({"x": np.array([0.1, 1 / 3, -2.5, 65504.0, 6.1e-5, 6e-8, 0.0, -0.0, 2049.0,
+                                math.inf, -math.inf, math.nan], dtype=np.float16)},
+                {"tool": "mqisim"}),
+})
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -225,15 +256,49 @@ def test_each_distinct_value_is_formatted_once(monkeypatch, emit):
         "flag": np.resize([True, False, False], rows),
         "c": np.broadcast_to(np.float64(1e-300), (rows,)),
     }
-    formatted = []
-    format_cells = cli._format_cells
+    kernel, python = [], []
+    format_floats, byte_rows = digits.format_floats, digits.byte_rows
 
-    def counting(values, json_floats):
-        formatted.append(values.size)
-        return format_cells(values, json_floats)
+    def counting_kernel(values, json_floats, out):
+        kernel.append(values.size)
+        format_floats(values, json_floats, out)
 
-    monkeypatch.setattr(cli, "_format_cells", counting)
+    def counting_python(cells):
+        python.append(len(cells))
+        return byte_rows(cells)
+
+    monkeypatch.setattr(digits, "format_floats", counting_kernel)
+    monkeypatch.setattr(digits, "byte_rows", counting_python)
     text = emit(table, {"tool": "mqisim"})
-    assert sorted(formatted) == [1, 2, 3, 3]
+    # the distinct floats of x and c in one kernel call; Python formats the
+    # distinct ints of n and 1e-300, whose exponent is beyond the kernel's
+    assert kernel == [4]
+    assert sorted(python) == [1, 3]
     reference = ref_emit_csv if emit is emit_csv else ref_emit_json
     assert text == reference(table, {"tool": "mqisim"})
+
+
+def _assert_float_cells_match(x):
+    table = {"x": x}
+    assert emit_csv(table, {}) == ref_emit_csv(table, {})
+    assert emit_json(table, {}) == ref_emit_json(table, {})
+
+
+def test_every_binade_matches_python_format():
+    # four mantissas in each of the 2098 binary exponents, subnormals included
+    mantissas = (1.0, 1.2345678901234567, 1.75, 1.9999999999999998)
+    x = np.concatenate([np.ldexp(m, np.arange(-1074, 1024)) for m in mantissas])
+    _assert_float_cells_match(np.concatenate([x, -x]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_random_bit_patterns_match_python_format(bits):
+    # uniform bit patterns draw every binade alike, and NaN payloads and infinities
+    _assert_float_cells_match(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_chunks_of_the_kernel_join_in_order():
+    x = np.arange(2 * digits.CHUNK + 5) * 0.1 + 1e-3
+    x[digits.CHUNK - 1:digits.CHUNK + 1] = [5e-324, 100000000.5]   # Python cells at a chunk edge
+    _assert_float_cells_match(x)
