@@ -22,28 +22,6 @@ import numpy as np
 
 from . import __version__, digits
 from .errors import InvalidArgumentError, MqisimError
-from .gaussian import (
-    QUADRATURE_NAMES,
-    SqueezeParam,
-    quadrature_index,
-    slice_mass,
-    tmsv_covariance,
-    wigner_grid,
-)
-from .fock import tmsv_fock
-from .illumination import (
-    DetectionScenario,
-    advantage_db,
-    build_classical_hypotheses,
-    build_qi_hypotheses,
-    chernoff_exponent,
-    classical_error_rate,
-    error_probability,
-    is_asymptotic,
-    qi_channel,
-    quantum_error_rate,
-)
-from .spectrum import MIXING_TYPES, PROFILE_SHAPES, SpectrumProfile, spectrum_sweep
 
 FORMATS = ("csv", "json")
 _GLOBAL_KEYS = {"output", "format", "quiet"}
@@ -101,7 +79,19 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
     return parse
 
 
+def _parse_spectrum_choice(name: str) -> Callable[[str], str]:
+    """``_parse_choice`` of the choices ``mqisim.spectrum.<name>``, read when a value is parsed."""
+    def parse(raw: str) -> str:
+        from . import spectrum
+
+        return _parse_choice(*getattr(spectrum, name))(raw)
+
+    return parse
+
+
 def _parse_plane(raw: str) -> tuple[str, str]:
+    from .gaussian import quadrature_index
+
     parts = [p.strip().lower() for p in raw.split(",")]
     if len(parts) != 2 or parts[0] == parts[1]:
         raise InvalidArgumentError(f"plane must be two distinct quadratures, got {raw!r}")
@@ -218,6 +208,9 @@ def _sweep_table(columns: dict) -> dict:
 
 
 def _run_state(p: dict):
+    from .fock import tmsv_fock
+    from .gaussian import SqueezeParam
+
     sq = SqueezeParam(p["kappa"], p["phase"])
     state = tmsv_fock(sq, p["cutoff"])
     coeffs = state.coeffs
@@ -232,6 +225,11 @@ def _run_state(p: dict):
 
 
 def _run_wigner(p: dict):
+    from .gaussian import (
+        QUADRATURE_NAMES, SqueezeParam, quadrature_index, slice_mass, tmsv_covariance,
+        wigner_grid,
+    )
+
     sq = SqueezeParam(p["kappa"], p["phase"])
     state = tmsv_covariance(sq)
     xname, yname = p["plane"]
@@ -262,6 +260,8 @@ def _run_wigner(p: dict):
 
 
 def _run_spectrum(p: dict):
+    from .spectrum import SpectrumProfile, spectrum_sweep
+
     profile = SpectrumProfile(
         kappa_max=p["kappa_max"],
         pump_freq=p["pump_freq"],
@@ -293,6 +293,11 @@ def _run_spectrum(p: dict):
 
 
 def _run_detect(p: dict):
+    from .illumination import (
+        DetectionScenario, advantage_db, classical_error_rate, error_probability,
+        is_asymptotic, quantum_error_rate,
+    )
+
     base = {
         "eta": p["eta"], "n_s": p["n_s"], "n_b": p["n_b"],
         "t_int": p["t_int"] if p["t_int"] is not None else 0.0,
@@ -324,6 +329,8 @@ def _safe_ratio(num, den):
 
 
 def _qcb_signal(p: dict) -> float:
+    from .gaussian import SqueezeParam
+
     if (p["n_s"] is None) == (p["kappa"] is None):
         raise InvalidArgumentError("provide exactly one of --n-s or --kappa")
     if p["kappa"] is not None:
@@ -335,6 +342,8 @@ def _qcb_signal(p: dict) -> float:
 
 def _chernoff_sweep(pairs) -> np.ndarray:
     """Rows s_star, q_min, exponent, clipped rho0 and clipped rho1 mass, one column per pair."""
+    from .qcb import chernoff_exponent
+
     results = map(chernoff_exponent, pairs)
     return np.array([
         (r.s_star, r.q_min, r.exponent,
@@ -346,6 +355,8 @@ def _chernoff_sweep(pairs) -> np.ndarray:
 def _qi_pairs(points, p: dict):
     """Entangled-transmitter hypotheses of the sweep points, building the beam-splitter
     channel again only where eta changes (a sweep holds eta fixed or varies it)."""
+    from .qcb import build_qi_hypotheses, qi_channel
+
     channel = None
     for eta, n_s, n_b in points:
         if channel is None or channel.eta != eta:
@@ -354,6 +365,9 @@ def _qi_pairs(points, p: dict):
 
 
 def _run_qcb(p: dict):
+    from .illumination import DetectionScenario, classical_error_rate, quantum_error_rate
+    from .qcb import build_classical_hypotheses
+
     transmitter = p["transmitter"]
     base = {"eta": p["eta"], "n_s": _qcb_signal(p), "n_b": p["n_b"]}
     scn = DetectionScenario(**_sweep_fields(p, base, "qcb"))
@@ -421,8 +435,9 @@ _COMMANDS: dict[str, Command] = {
         Param("pump-freq", _parse_float, default=12e9, help="pump frequency (Hz)"),
         Param("band-width", _parse_float, default=8e9, help="band width (Hz)"),
         Param("band-center", _parse_float, help="band center (Hz); default set by mixing"),
-        Param("mixing", _parse_choice(*MIXING_TYPES), default="3wm", help="3wm or 4wm"),
-        Param("shape", _parse_choice(*PROFILE_SHAPES), default="parabolic", help="profile shape"),
+        Param("mixing", _parse_spectrum_choice("MIXING_TYPES"), default="3wm", help="3wm or 4wm"),
+        Param("shape", _parse_spectrum_choice("PROFILE_SHAPES"), default="parabolic",
+              help="profile shape"),
         Param("nu-start", _parse_float, help="sweep start (Hz); default band edge"),
         Param("nu-stop", _parse_float, help="sweep stop (Hz); default band edge"),
         Param("steps", _parse_int, default=161, help="sweep points"),
@@ -482,12 +497,22 @@ def _distinct(col: np.ndarray):
 
     Keyed on bit patterns, so -0.0 stays apart from 0.0 and NaNs of
     different payloads apart from each other.  A strictly monotone column,
-    such as every linspace axis, has no repeats and skips the sort.
+    such as every linspace axis, has no repeats and skips the sort; a
+    monotone one, such as a repeated axis, holds each value in one run and
+    is split where its bits change (a run of zeros that mixes -0.0 and
+    0.0 gives a key per change).  NaN, which is unordered, takes the sort.
     """
-    if (col[1:] > col[:-1]).all() or (col[1:] < col[:-1]).all():
+    rises, falls = col[1:] > col[:-1], col[1:] < col[:-1]
+    if rises.all() or falls.all():
         return col, None
-    keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    return (col, None) if keys.size == col.size else (keys.view(col.dtype), index)
+    bits = col.view(f"u{col.itemsize}")
+    if not (rises.any() and falls.any()) and (rises | falls | (col[1:] == col[:-1])).all():
+        change = bits[1:] != bits[:-1]
+        keys, index = col[np.r_[True, change]], np.cumsum(np.r_[0, change])
+    else:
+        keys, index = np.unique(bits, return_inverse=True)
+        keys = keys.view(col.dtype)
+    return (col, None) if keys.size == col.size else (keys, index)
 
 
 def _column_cells(table: dict, json_floats: bool) -> list:

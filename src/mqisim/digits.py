@@ -88,6 +88,9 @@ _PREFIX = byte_rows([s + z for s in ("", "-") for z in ("", "0.", "0.0", "0.00",
                     8).view(np.uint64).ravel()
 _EXPONENT = byte_rows(["" if -4 <= x <= 8 else f"e{x:+03d}" for x in range(-290, 291)],
                       8).view(np.uint64).ravel()
+# JSON's tail of an integer cell of 1e9 to 1e16 (exponent x = 9 to 15) after
+# its nine digits: x - 8 zeros and ".0", in bytes 20-31
+_JSON_INTEGER_TAIL = byte_rows(["0" * (x - 8) + ".0" for x in range(9, 16)], 12)
 # 10**(x - 8) for x >= -299, correctly rounded
 _POW10 = np.array([float(f"1e{k}") for k in range(-307, 301)])
 
@@ -124,23 +127,26 @@ def decompose(values: np.ndarray):
 def format_floats(values: np.ndarray, json_floats: bool, out: np.ndarray) -> None:
     """Write the cells of float64 values into ``out``, a zeroed row per value.
 
-    The kernel writes ``%.9g`` (CSV), or for JSON the same digits with
-    ``.0`` after an integer, since a fixed cell and a normal ``e-`` cell
-    already are the shortest repr of the double they name.  Unsure values
-    and JSON cells of 1e9 and above, which repr writes in fixed notation
-    up to 1e16, go through Python's format and ``json_float``.
+    The kernel writes ``%.9g`` (CSV), or for JSON the shortest repr of
+    the double the ``%.9g`` cell names: the same digits with ``.0`` after
+    an integer, since a fixed cell and a normal ``e-`` cell already are
+    that repr.  From 1e9 to below 1e16 the cell names an integer that is
+    an exact double (``m 10**k = m 5**k 2**k`` with ``m 5**k < 2**53``
+    for ``k = x - 8 <= 7``), and repr writes it in fixed notation: the
+    nine digits, ``k`` zeros and ``.0``.  From 1e16 on repr is the ``e+``
+    cell itself.  Unsure values go through Python's format and
+    ``json_float``.
     """
     neg, x, m, unsure = decompose(values)
     fixed = (x >= -4) & (x <= 8)
-    if json_floats:
-        unsure |= x >= 9
+    integer = json_floats & (x >= 9) & (x <= 15)
     groups = (m // 1_000_000, m // 1000 % 1000, m % 1000)
     last = np.maximum(np.maximum(_LAST_NONZERO[groups[0]], _LAST_NONZERO[groups[1]] + 3),
                       _LAST_NONZERO[groups[2]] + 6)   # -4 for zero
     point = np.where(fixed, x, 0)          # the digit a '.' may follow
     below1 = fixed & (x < 0)
     dot = np.where(~below1 & ((last > point) | (json_floats & fixed)), point, -1)
-    shape = 10 * np.maximum(last, point) + dot + 1
+    shape = np.where(integer, 80, 10 * np.maximum(last, point) + dot + 1)   # 80: nine digits, no '.'
     words = out.view(np.uint32)
     for j, g in enumerate(groups):
         words[:, 2 + j] = _GROUPS[_SHAPES[j][shape] + g]
@@ -148,6 +154,7 @@ def format_floats(values: np.ndarray, json_floats: bool, out: np.ndarray) -> Non
     out.view(np.uint64)[:, 3] = _EXPONENT[x + 290]
     if json_floats:
         out[:, 20] = (fixed & ~below1 & (last <= point)) * np.uint8(ord("0"))
+        out[integer, 20:] = _JSON_INTEGER_TAIL[x[integer] - 9]
     if unsure.any():
         cells = list(map(format, values[unsure].tolist(), repeat(".9g")))
         out[unsure] = byte_rows(list(map(json_float, cells)) if json_floats else cells)

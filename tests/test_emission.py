@@ -124,6 +124,8 @@ _NAN_INF_BITS = [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                  0x7FF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000]
 _EDGE = np.arange(_LONG) * 0.375 - 7.0
 _EDGE[2 * _BLOCK_ROWS + 2] = _EDGE[0]   # the one repeat, in the first and the last block
+_RUNS = np.repeat(np.arange(-4, 5) * 0.25, -(-_LONG // 9))[:_LONG]
+_RUNS[np.flatnonzero(_RUNS == 0.0)[::3]] = -0.0
 
 TABLES.update({
     "stride_zero": (
@@ -142,6 +144,15 @@ TABLES.update({
     ),
     "block_edge_repeat": (
         {"edge": _EDGE, "distinct": np.arange(_LONG) * 1.1e-3, "rep": np.resize([0.5, 9e9], _LONG)},
+        {"tool": "mqisim"},
+    ),
+    # monotone columns hold each value in one run, a run of zeros of both signs among them
+    "monotone_runs": (
+        {
+            "up": _RUNS,
+            "down": _RUNS[::-1],
+            "n": np.arange(_LONG) // 1000,
+        },
         {"tool": "mqisim"},
     ),
     "repeated_bool_int": (
@@ -175,7 +186,18 @@ _TIES = np.array([100000000.5, 100000001.5, 1000000005.0, 1000000015.0, 12345678
                   12345678.75, 1234567.125, 999999999.5]
                  + [float(f"999999999.5e{k}") for k in range(-300, 291, 7)])
 
+# JSON's integer cells, which repr writes in fixed notation from 1e9 to
+# below 1e16: random values of each decade, 9-digit ties, both ends of the
+# band, and each value's neighbours and negation.
+_BAND = np.concatenate([
+    10.0 ** np.random.default_rng(15).uniform(9, 16, 2000),
+    [float(f"{d}5e{k}") for d in ("100000000", "123456789", "999999999") for k in range(7)],
+    [999999999.5, 1e9, 9.99999999e15, 9.999999995e15, 1e16],
+])
+_BAND = np.concatenate([_BAND, np.nextafter(_BAND, math.inf), np.nextafter(_BAND, -math.inf)])
+
 TABLES.update({
+    "json_integers": ({"x": _BAND, "neg": -_BAND}, {"tool": "mqisim"}),
     "powers_of_ten": ({"x": np.concatenate(_NEAR_TENS), "neg": -np.concatenate(_NEAR_TENS)},
                       {"tool": "mqisim"}),
     "ties": ({"x": np.concatenate([_TIES, np.nextafter(_TIES, math.inf),

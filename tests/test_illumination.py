@@ -31,7 +31,7 @@ from mqisim import (
     thermal_probabilities,
     tmsv_fock,
 )
-from mqisim.illumination import HypothesisPair
+from mqisim.qcb import HypothesisPair
 from conftest import trace_distance, truncated_beam_splitter_expm
 
 CL_CLOSED_FORM = 0.00857864376269  # eta n_s (sqrt(n_b+1) - sqrt(n_b))^2 at (0.1, 0.5, 1)

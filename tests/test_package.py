@@ -1,0 +1,92 @@
+"""The package's public names and the modules each CLI path loads.
+
+``import mqisim`` resolves its exports on first access, and each
+subcommand imports only the layers it runs, so that a fresh ``mqisim``
+process compiles and executes no module it does not use.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import mqisim
+
+# the function, class and constant names that `from mqisim import *` gave
+# when the package imported every layer eagerly
+EXPORTS = {
+    "ChernoffResult", "ConvergenceError", "DegenerateStateError", "DensityMatrix",
+    "DetectionScenario", "FockTMSV", "HypothesisPair", "InvalidArgumentError",
+    "InvalidStateError", "ModeOps", "MqisimError", "PulseRequirement", "QIChannel",
+    "QUADRATURE_NAMES", "SpectrumProfile", "SpectrumTable", "SqueezeParam", "TruncationError",
+    "TwoModeGaussianState", "UncertaintyReport", "WignerGrid", "advantage_db",
+    "antisqueezing_magnitude_db", "beam_splitter", "beam_splitter_unitary",
+    "build_classical_hypotheses", "build_qi_hypotheses", "chernoff_exponent",
+    "classical_error_rate", "displacement", "embed_operator", "error_probability",
+    "expectation", "gain_db", "idler_frequency", "is_asymptotic", "kappa_profile", "mode_ops",
+    "number_expectation", "partial_trace", "pulse_count", "qi_channel", "quadrature_index",
+    "quadrature_variance", "quantum_error_rate", "required_pulses", "slice_mass",
+    "spectrum_sweep", "squeeze_vacuum_operator", "squeezing_magnitude_db", "thermal_density",
+    "thermal_probabilities", "tmsv_covariance", "tmsv_fock", "uncertainty_check",
+    "unitarity_defect", "vacuum_state", "wigner_density", "wigner_grid",
+}
+
+
+def test_star_import_gives_every_export():
+    namespace = {}
+    exec("from mqisim import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTS
+    assert set(mqisim.__all__) == EXPORTS
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_export_is_the_object_of_its_home_module(name):
+    value = getattr(mqisim, name)
+    home = "mqisim.gaussian" if name == "QUADRATURE_NAMES" else value.__module__
+    assert getattr(sys.modules[home], name) is value
+    assert name in dir(mqisim)
+
+
+def test_submodules_are_attributes():
+    for name in ("errors", "gaussian", "fock", "illumination", "qcb", "spectrum"):
+        assert getattr(mqisim, name) is sys.modules["mqisim." + name]
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mqisim.no_such_name
+    assert not hasattr(mqisim, "MIXING_TYPES")
+
+
+# Runs ``mqisim.cli.main(argv)``, if given, in a fresh process and prints
+# the mqisim submodules loaded by then.
+_PROBE = """
+import contextlib, io, json, sys
+import mqisim.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mqisim.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith("mqisim."))))
+"""
+
+_LAYERS = {"gaussian", "fock", "illumination", "qcb", "spectrum"}
+
+
+@pytest.mark.parametrize("argv, never", [
+    ([], _LAYERS),
+    (["wigner", "--kappa", "0.5", "--plane", "qs,pi", "--samples", "5"],
+     {"fock", "illumination", "qcb", "spectrum"}),
+    (["spectrum", "--kappa-max", "3", "--steps", "5", "--mixing", "4wm",
+      "--shape", "raised_cosine"],
+     {"gaussian", "fock", "illumination", "qcb"}),
+    (["detect", "--eta", "1", "--n-s", "1", "--n-b", "1", "--pulses", "10"],
+     {"gaussian", "fock", "qcb"}),
+    (["state", "--kappa", "0.5", "--cutoff", "12"], {"illumination", "qcb", "spectrum"}),
+], ids=["import", "wigner", "spectrum", "detect", "state"])
+def test_each_path_loads_only_its_layers(argv, never):
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"cli", "digits", "errors"} <= loaded
+    assert not loaded & never
