@@ -5,8 +5,7 @@ Submodules:
 
 * :mod:`mqisim.gaussian` - covariance-matrix states, quadrature algebra,
   Wigner densities;
-* :mod:`mqisim.fock` - truncated Fock-space states, operators and
-  channels;
+* :mod:`mqisim.fock` - truncated Fock-space states and channels;
 * :mod:`mqisim.illumination` - detection error-rate envelopes;
 * :mod:`mqisim.qcb` - the brute-force quantum Chernoff bound on
   truncated Fock spaces;
@@ -50,22 +49,10 @@ _EXPORTS = {
         "wigner_grid",
     ),
     "fock": (
-        "DensityMatrix",
         "FockTMSV",
-        "ModeOps",
-        "beam_splitter",
-        "beam_splitter_unitary",
         "displacement",
-        "embed_operator",
-        "expectation",
-        "mode_ops",
-        "number_expectation",
-        "partial_trace",
-        "squeeze_vacuum_operator",
-        "thermal_density",
         "thermal_probabilities",
         "tmsv_fock",
-        "unitarity_defect",
     ),
     "illumination": (
         "DetectionScenario",

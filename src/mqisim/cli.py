@@ -329,13 +329,13 @@ def _safe_ratio(num, den):
 
 
 def _qcb_signal(p: dict) -> float:
-    from .gaussian import SqueezeParam
-
     if (p["n_s"] is None) == (p["kappa"] is None):
         raise InvalidArgumentError("provide exactly one of --n-s or --kappa")
     if p["kappa"] is not None:
         if p["sweep_var"] == "n_s":
             raise InvalidArgumentError("sweeping n_s conflicts with --kappa")
+        from .gaussian import SqueezeParam
+
         return SqueezeParam(p["kappa"]).mean_photon
     return p["n_s"]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,7 @@ def is_asymptotic(rate, pulses):
     return _scalar((np.multiply(pulses, rate) >= 1.0) & np.greater_equal(pulses, 100.0))
 
 
-@dataclass(frozen=True)
-class PulseRequirement:
+class PulseRequirement(NamedTuple):
     """Pulse budget solving the envelope for a target error probability."""
 
     pulses: float

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError
 from .fock import (
-    DensityMatrix,
     _check_cutoff,
     _check_discarded,
     _check_unit_trace,
@@ -56,8 +56,8 @@ class HypothesisPair:
     rows and columns of block ``rho1[j]``.  Construction checks that the
     blocks partition the basis, each is Hermitian within 1e-10 and both
     traces are 1 within 1e-8; it symmetrizes the blocks, keeping their
-    dtype (real or complex; integers become float).  ``rho0`` and
-    ``rho1`` assemble the dense states on access.
+    dtype (real or complex; integers become float).  No dense matrix is
+    formed.
     """
 
     mode_dims: tuple[int, ...]
@@ -92,36 +92,12 @@ class HypothesisPair:
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "stacks", tuple(stacks))
 
-    @classmethod
-    def from_states(cls, rho0: DensityMatrix, rho1: DensityMatrix) -> "HypothesisPair":
-        """Pair of two dense states on the same space, held in rho0's eigenbasis:
-        with rho0 = U diag(p0) U', ``p0`` and the single block U' rho1 U."""
-        if rho0.mode_dims != rho1.mode_dims:
-            raise InvalidArgumentError(
-                f"hypotheses must share a dimension, got {rho0.mode_dims} and {rho1.mode_dims}"
-            )
-        p0, u = np.linalg.eigh(rho0.matrix)
-        block = u.conj().T @ rho1.matrix @ u
-        return cls(rho0.mode_dims, p0, ((np.arange(rho0.dim)[None], block[None]),))
-
     @property
     def dim(self) -> int:
         return int(np.prod(self.mode_dims))
 
-    @property
-    def rho0(self) -> DensityMatrix:
-        return DensityMatrix(self.mode_dims, np.diag(self.p0.astype(complex)))
 
-    @property
-    def rho1(self) -> DensityMatrix:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for index, stack in self.stacks:
-            m[index[:, :, None], index[:, None, :]] = stack
-        return DensityMatrix(self.mode_dims, m)
-
-
-@dataclass(frozen=True)
-class QIChannel:
+class QIChannel(NamedTuple):
     """The entangled transmitter's beam splitter on truncated modes.
 
     ``amp[s, i, m]`` is the real amplitude <s, i + m - s| U |i, m> of the
@@ -258,15 +234,13 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernoffResult:
+class ChernoffResult(NamedTuple):
     """Minimized overlap Q(s*) = min_s tr(rho0^s rho1^{1-s}) and exponent."""
 
     s_star: float
     q_min: float
     exponent: float
-    diagnostics: dict = field(default_factory=dict)
-
+    diagnostics: dict
 
 
 def _clipped_spectrum(spectra: list, name: str) -> tuple[float, float]:

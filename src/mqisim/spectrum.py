@@ -153,14 +153,17 @@ def antisqueezing_magnitude_db(kappa):
 def gain_db(kappa):
     """Phase-preserving amplifier gain 10 log10(cosh^2 kappa) in dB (vectorized over kappa).
 
-    From kappa = 20 on, cosh kappa = e^kappa / 2 to double precision, so
-    the gain is (20 log10 e) kappa - 20 log10 2 there; cosh, which
-    overflows near kappa = 710, is evaluated only below 20.
+    Below kappa = 20 it is (20 log10 e) log1p(2 sinh^2(kappa / 2)), as
+    cosh kappa = 1 + 2 sinh^2(kappa / 2): 20 log10(cosh kappa) would lose
+    cosh kappa - 1 ~ kappa^2 / 2 to rounding at small kappa (all of it
+    below kappa ~ 1e-8).  From kappa = 20 on, cosh kappa = e^kappa / 2 to
+    double precision, so the gain is (20 log10 e) kappa - 20 log10 2 there;
+    sinh, which overflows near kappa = 710, is evaluated only below 20.
     """
     k = _check_kappa(kappa)
     val = np.where(
         k < _GAIN_CLOSED_FORM_KAPPA,
-        20.0 * np.log10(np.cosh(np.minimum(k, _GAIN_CLOSED_FORM_KAPPA))),
+        _DB_PER_KAPPA * np.log1p(2.0 * np.sinh(np.minimum(k, _GAIN_CLOSED_FORM_KAPPA) / 2.0) ** 2),
         _DB_PER_KAPPA * k - 20.0 * math.log10(2.0),
     )
     return float(val) if np.isscalar(kappa) else val

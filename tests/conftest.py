@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from mqisim import SqueezeParam, mode_ops, tmsv_fock
+from mqisim import SqueezeParam, tmsv_fock
+from reference import amplitude_matrix, mode_ops
 
 
 def fock_second_moments(kappa: float, cutoff: int, phase: float = math.pi / 2) -> np.ndarray:
@@ -22,7 +23,7 @@ def fock_second_moments(kappa: float, cutoff: int, phase: float = math.pi / 2) -
     photon-pair amplitude tensor (signal axis 0, idler axis 1) and
     taking inner products of the resulting vectors.
     """
-    psi = tmsv_fock(SqueezeParam(kappa, phase), cutoff).amplitude_matrix()
+    psi = amplitude_matrix(tmsv_fock(SqueezeParam(kappa, phase), cutoff))
     ops = mode_ops(cutoff)
 
     def apply(op, axis):

@@ -27,7 +27,6 @@ from mqisim import (
     quantum_error_rate,
     required_pulses,
     slice_mass,
-    squeeze_vacuum_operator,
     squeezing_magnitude_db,
     tmsv_covariance,
     tmsv_fock,
@@ -37,6 +36,7 @@ from mqisim import (
 )
 from mqisim.illumination import DetectionScenario
 from conftest import fock_second_moments, moment_cutoff, riemann_mass
+from reference import squeeze_vacuum_operator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

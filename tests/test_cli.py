@@ -12,13 +12,14 @@ from mqisim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# sha256 of the CSV output of each preset in configs/
+# sha256 of the CSV output of each preset in configs/; the spectrum presets
+# re-recorded when gain_db became a log1p, which moved their max_gain_db footer
 PRESET_SHA256 = {
     "detect_background_sweep": "e51b98fe1faa504c7d050e811092a11b37855d2710d0a60207828c0c058c36f5",
     "qcb_background_sweep": "ba935d4a3275c19aaf26b513fdf3f1fbc009e6ece08dc432ba0eadef24c152eb",
-    "spectrum_k05": "6b206b66f2bdc9b3eba10527c4869b19252636e966c5612e727d8f626bb6a6b4",
-    "spectrum_k15": "33efa41760036715e151f9ce77c3fe3a38eb2b85c779bf5f7e34926c1cf03277",
-    "spectrum_k30": "c01f27035ee8352d91f27f1af233296d246fb9d76400180cf735f9500112ac59",
+    "spectrum_k05": "4cf3bce11d1bc9aa013491394ac2ebc96bcb023848ad5b59802cfa24d71494c5",
+    "spectrum_k15": "f58ce234537604ec11191e0be477b240065de68b8294db5a8d1d8843106695d7",
+    "spectrum_k30": "9c64ff288992b7169084b8e053ed7227948da514a6ee0a52b4c99f7502f97e6e",
     "wigner_tmsv_k05_qs_pi": "2e6b8c5afd5313a8b28d99c46d6cd2a9db8141cd1d127ca238ff2d3319b8ba95",
     "wigner_tmsv_k05_qs_ps": "66ae30479e23494ec4ca70ecde38bd63648c6da1c03f4715ad4b1010fd82f675",
     "wigner_tmsv_k15_qs_pi": "2e9bee0ba58ae37e70a76641f105032af24acf4a900ed623329dbf7a22d709e8",
@@ -32,7 +33,9 @@ _C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--
 # sha256 of the output of the criterion-9 invocations, the benchmark's
 # large tables and a strongly squeezed Wigner slice, recorded at 7f7b0fe
 # (before tables were handed to the emitters as numpy columns); c9_state
-# re-recorded when its norm_deficit footer became the closed-form tail
+# re-recorded when its norm_deficit footer became the closed-form tail, and
+# c9_spectrum and large_spectrum when gain_db became a log1p (8 large_spectrum
+# cells and every max_gain_db footer moved)
 OUTPUT_SHA256 = {
     "c9_state": (
         ("state", "--kappa", "0.5", "--cutoff", "12"),
@@ -44,7 +47,7 @@ OUTPUT_SHA256 = {
     ),
     "c9_spectrum": (
         ("spectrum", "--kappa-max", "3", "--steps", "81"),
-        "94441c3a247769b595975cceaa793418acae34b6574adf15f72009efbac2cafb",
+        "85339f755f95d5382ada0d3b5a665c8cf954a8b9b55140aaef902dccf8753867",
     ),
     "c9_detect": (
         ("detect", "--eta", "1", "--n-s", "1", "--n-b", "1", "--pulses", "10"),
@@ -65,7 +68,7 @@ OUTPUT_SHA256 = {
     ),
     "large_spectrum": (
         ("spectrum", "--kappa-max", "3", "--steps", "100001"),
-        "406251e7c96a03975292ae6300ebd97128fe0ac10ae233b2db68c5e6f013045e",
+        "e4b4a07c9a60bd6416962cafbf181d262270707ac09857dadc0765379dbda2e5",
     ),
     "large_detect": (
         ("detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--t-int", "1e-3",
@@ -575,9 +578,9 @@ class TestCliContract:
         assert proc.stdout.strip() == "[]"
 
     def test_runs_without_scipy(self):
-        # the squeeze reference and the envelope inversion once imported scipy
+        # the Fock unitaries and the envelope inversion once imported scipy
         probe = ("import sys; sys.modules['scipy'] = None; import mqisim; "
-                 "mqisim.squeeze_vacuum_operator(mqisim.SqueezeParam(0.5), 30); "
+                 "mqisim.displacement(0.5, 30); "
                  "mqisim.required_pulses(1e-6, 1e-3)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

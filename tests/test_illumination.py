@@ -7,33 +7,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqisim import (
-    DensityMatrix,
     DetectionScenario,
     InvalidArgumentError,
     InvalidStateError,
     SqueezeParam,
     TruncationError,
     advantage_db,
-    beam_splitter,
     build_classical_hypotheses,
     build_qi_hypotheses,
     chernoff_exponent,
     classical_error_rate,
     error_probability,
     is_asymptotic,
-    number_expectation,
-    partial_trace,
     pulse_count,
     qi_channel,
     quantum_error_rate,
     required_pulses,
-    thermal_density,
     thermal_probabilities,
     tmsv_fock,
 )
 from mqisim.qcb import HypothesisPair
 from conftest import trace_distance, truncated_beam_splitter_expm
+from reference import (
+    DensityMatrix,
+    beam_splitter,
+    beam_splitter_unitary,
+    dense_rho0,
+    dense_rho1,
+    number_expectation,
+    pair_from_states,
+    partial_trace,
+    thermal_density,
+    unitarity_defect,
+)
 
+EPS = np.finfo(float).eps
 CL_CLOSED_FORM = 0.00857864376269  # eta n_s (sqrt(n_b+1) - sqrt(n_b))^2 at (0.1, 0.5, 1)
 
 
@@ -318,7 +326,7 @@ def dense_qi_rho1(sq, n_b, eta, cutoffs):
 class TestHypothesisBuilders:
     def test_qi_no_return_means_no_information(self):
         pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.0, 30, 10, 30))
-        assert trace_distance(pair.rho0.matrix, pair.rho1.matrix) <= 1e-8
+        assert trace_distance(dense_rho0(pair).matrix, dense_rho1(pair).matrix) <= 1e-8
 
     def test_qi_vacuum_source_gives_zero_exponent(self):
         pair = build_qi_hypotheses(0.0, 1.0, qi_channel(0.3, 30, 6, 30))
@@ -327,18 +335,18 @@ class TestHypothesisBuilders:
 
     def test_qi_returned_mode_occupancies(self):
         pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 48, 10, 48))
-        assert number_expectation(pair.rho0, 0) == pytest.approx(1.0, abs=2e-3)
-        assert number_expectation(pair.rho1, 0) == pytest.approx(1.01, abs=2e-3)
+        assert number_expectation(dense_rho0(pair), 0) == pytest.approx(1.0, abs=2e-3)
+        assert number_expectation(dense_rho1(pair), 0) == pytest.approx(1.01, abs=2e-3)
 
     def test_qi_idler_marginal_identical(self):
         pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 40, 10, 40))
-        assert number_expectation(pair.rho0, 1) == pytest.approx(
-            number_expectation(pair.rho1, 1), abs=1e-10
+        assert number_expectation(dense_rho0(pair), 1) == pytest.approx(
+            number_expectation(dense_rho1(pair), 1), abs=1e-10
         )
 
     def test_qi_states_pass_invariants(self):
         pair = build_qi_hypotheses(math.sinh(0.3) ** 2, 0.7, qi_channel(0.2, 36, 8, 36))
-        for rho in (pair.rho0, pair.rho1):
+        for rho in (dense_rho0(pair), dense_rho1(pair)):
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-8
             assert rho.min_eigenvalue() >= -1e-9
 
@@ -347,13 +355,13 @@ class TestHypothesisBuilders:
         pair = build_qi_hypotheses(0.1, n_b, qi_channel(eta, n_sig, n_idl, n_noise))
         ref = dense_qi_rho1(SqueezeParam(math.asinh(math.sqrt(0.1)), 0.0), n_b, eta,
                             (n_sig, n_idl, n_noise))
-        np.testing.assert_allclose(pair.rho1.matrix, ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dense_rho1(pair).matrix, ref, rtol=0.0, atol=1e-12)
         s, i = np.divmod(np.arange(ref.shape[0]), n_idl + 1)
         off_block = (s - i)[:, None] != (s - i)[None, :]
         assert np.all(ref[off_block] == 0.0)
         p_ret, _ = thermal_probabilities(n_b, n_sig)
         p_idl, _ = thermal_probabilities(0.1, n_idl)
-        np.testing.assert_allclose(pair.rho0.matrix, np.diag(np.kron(p_ret, p_idl)),
+        np.testing.assert_allclose(dense_rho0(pair).matrix, np.diag(np.kron(p_ret, p_idl)),
                                    rtol=0.0, atol=1e-15)
 
     def test_qi_exponent_does_not_depend_on_the_tmsv_phase(self):
@@ -361,7 +369,7 @@ class TestHypothesisBuilders:
         cutoffs = (10, 4, 10)
         pair = build_qi_hypotheses(0.1, 0.5, qi_channel(0.3, *cutoffs))
         rho1 = dense_qi_rho1(SqueezeParam(math.asinh(math.sqrt(0.1))), 0.5, 0.3, cutoffs)
-        dense = HypothesisPair.from_states(pair.rho0, DensityMatrix(pair.mode_dims, rho1))
+        dense = pair_from_states(dense_rho0(pair), DensityMatrix(pair.mode_dims, rho1))
         assert chernoff_exponent(pair).exponent == pytest.approx(
             chernoff_exponent(dense).exponent, rel=1e-12)
 
@@ -375,9 +383,15 @@ class TestHypothesisBuilders:
                               np.arange(n_noise + 1), indexing="ij")
         out = i + m - s   # noise output
         inside = (out >= 0) & (out <= n_noise)
-        want = np.where(inside, ref[s * (n_noise + 1) + np.clip(out, 0, n_noise),
-                                    i * (n_noise + 1) + m], 0.0)
-        assert np.max(np.abs(qi_channel(eta, *cutoffs).amp - want)) <= 1e-12
+        rows, cols = s * (n_noise + 1) + np.clip(out, 0, n_noise), i * (n_noise + 1) + m
+        want = np.where(inside, ref[rows, cols], 0.0)
+        amp = qi_channel(eta, *cutoffs).amp
+        assert np.max(np.abs(amp - want)) <= 1e-12
+        # the dense reference scatters the same sector kernel with every input formed:
+        # equal up to the rounding of the channel's narrower matrix products
+        dense = beam_splitter_unitary(n_sig + 1, n_noise + 1, eta)
+        assert unitarity_defect(dense) <= 1e-12
+        assert np.max(np.abs(amp - np.where(inside, dense[rows, cols], 0.0))) <= 4 * EPS
 
     def test_qi_blocks_bounded_by_idler_cutoff(self):
         pair = build_qi_hypotheses(math.sinh(0.3) ** 2, 0.7, qi_channel(0.2, 36, 8, 36))
@@ -417,15 +431,15 @@ class TestHypothesisBuilders:
 
     def test_classical_dark_target_identical(self):
         pair = build_classical_hypotheses(0.0, 0.5, 1.0, 20)
-        np.testing.assert_allclose(pair.rho0.matrix, pair.rho1.matrix, atol=1e-14)
+        np.testing.assert_allclose(dense_rho0(pair).matrix, dense_rho1(pair).matrix, atol=1e-14)
 
     def test_classical_mean_photon(self):
         pair = build_classical_hypotheses(0.1, 0.5, 1.0, 40)
-        assert number_expectation(pair.rho1, 0) == pytest.approx(0.05 + 1.0, abs=1e-6)
+        assert number_expectation(dense_rho1(pair), 0) == pytest.approx(0.05 + 1.0, abs=1e-6)
 
     def test_classical_states_pass_invariants(self):
         pair = build_classical_hypotheses(0.1, 0.5, 1.0, 40)
-        for rho in (pair.rho0, pair.rho1):
+        for rho in (dense_rho0(pair), dense_rho1(pair)):
             assert abs(np.trace(rho.matrix) - 1.0) <= 1e-8
             assert rho.min_eigenvalue() >= -1e-9
 
@@ -460,13 +474,13 @@ class TestHypothesisBuilders:
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            HypothesisPair.from_states(thermal_density(0.5, 4), thermal_density(0.5, 5))
+            pair_from_states(thermal_density(0.5, 4), thermal_density(0.5, 5))
 
 
 class TestChernoffExponent:
     def test_identical_states(self):
         rho = thermal_density(0.8, 25)
-        result = chernoff_exponent(HypothesisPair.from_states(rho, rho))
+        result = chernoff_exponent(pair_from_states(rho, rho))
         assert result.q_min == pytest.approx(1.0, abs=1e-12)
         assert result.exponent == pytest.approx(0.0, abs=1e-12)
         assert math.isnan(result.s_star)
@@ -476,7 +490,7 @@ class TestChernoffExponent:
         # walked to s = 0.99999999999909 and printed it
         zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
         plus = DensityMatrix.from_pure(np.array([1.0, 1.0]), (2,))
-        result = chernoff_exponent(HypothesisPair.from_states(zero, plus))
+        result = chernoff_exponent(pair_from_states(zero, plus))
         assert math.isnan(result.s_star)
         assert result.exponent == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -493,7 +507,7 @@ class TestChernoffExponent:
     def test_orthogonal_pure_states(self):
         zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
         one = DensityMatrix.from_pure(np.array([0.0, 1.0]), (2,))
-        result = chernoff_exponent(HypothesisPair.from_states(zero, one))
+        result = chernoff_exponent(pair_from_states(zero, one))
         assert result.q_min == 0.0
         assert math.isinf(result.exponent)
 
@@ -506,7 +520,7 @@ class TestChernoffExponent:
     def test_swap_symmetry(self):
         pair = build_classical_hypotheses(0.2, 0.5, 1.0, 30)
         fwd = chernoff_exponent(pair)
-        rev = chernoff_exponent(HypothesisPair.from_states(pair.rho1, pair.rho0))
+        rev = chernoff_exponent(pair_from_states(dense_rho1(pair), dense_rho0(pair)))
         assert rev.q_min == pytest.approx(fwd.q_min, rel=1e-9)
         assert rev.s_star == pytest.approx(1.0 - fwd.s_star, abs=2e-6)
 
@@ -523,7 +537,7 @@ class TestChernoffExponent:
 
     def test_block_sum_matches_dense_pair(self):
         pair = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 48, 10, 48))
-        dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
+        dense = pair_from_states(dense_rho0(pair), dense_rho1(pair))
         blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
         assert blocked.diagnostics["dim"] == single.diagnostics["dim"] == 49 * 11
         assert blocked.exponent == pytest.approx(single.exponent, rel=1e-12)
@@ -567,7 +581,7 @@ class TestChernoffExponent:
 
     def test_block_s_star_matches_dense_pair_at_72(self):
         pair = build_qi_hypotheses(0.1, 4.0, qi_channel(0.1, 72, 15, 72))
-        dense = HypothesisPair.from_states(pair.rho0, pair.rho1)
+        dense = pair_from_states(dense_rho0(pair), dense_rho1(pair))
         blocked, single = chernoff_exponent(pair), chernoff_exponent(dense)
         assert blocked.s_star == pytest.approx(single.s_star, abs=1e-9)
         # the dense 1168 x 1168 eigh resolves the smallest eigenvalues less
@@ -575,7 +589,7 @@ class TestChernoffExponent:
         assert blocked.exponent == pytest.approx(single.exponent, rel=1e-9)
 
     def test_dense_pair_matches_matrix_powers(self):
-        # rho0 is not diagonal in the basis it is given in: from_states rotates
+        # rho0 is not diagonal in the basis it is given in: pair_from_states rotates
         # the pair into rho0's eigenbasis, which must leave Q(s) unchanged
         rng = np.random.default_rng(7)
 
@@ -590,7 +604,7 @@ class TestChernoffExponent:
 
         rho0, rho1 = random_state(6), random_state(6)
         assert np.max(np.abs(rho0.matrix - np.diag(np.diag(rho0.matrix)))) > 0.1
-        result = chernoff_exponent(HypothesisPair.from_states(rho0, rho1))
+        result = chernoff_exponent(pair_from_states(rho0, rho1))
         for s, q in zip(result.diagnostics["s_grid"], result.diagnostics["q_grid"]):
             assert q == pytest.approx(np.trace(power(rho0, s) @ power(rho1, 1.0 - s)).real,
                                       rel=1e-12)
@@ -602,7 +616,7 @@ class TestChernoffExponent:
         zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = chernoff_exponent(HypothesisPair.from_states(zero, thermal_density(0.5, 1)))
+            result = chernoff_exponent(pair_from_states(zero, thermal_density(0.5, 1)))
         assert result.q_min == pytest.approx(0.75, rel=1e-12)
         assert result.s_star == pytest.approx(0.0, abs=1e-9)
 
@@ -613,4 +627,4 @@ class TestChernoffExponent:
         object.__setattr__(rho, "matrix", bad)
         good = thermal_density(0.5, 1)
         with pytest.raises(InvalidStateError):
-            chernoff_exponent(HypothesisPair.from_states(rho, good))
+            chernoff_exponent(pair_from_states(rho, good))

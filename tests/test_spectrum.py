@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -115,6 +116,18 @@ class TestDecibelMaps:
         assert gain_db(3.0) == pytest.approx(20.0585725288, rel=1e-10)
         assert gain_db(0.5) == pytest.approx(1.04330135137, rel=1e-10)
         assert gain_db(1.5) == pytest.approx(7.43025891739, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_gain_keeps_its_digits_at_small_kappa(self, kappa):
+        # 20 log10(cosh kappa) lost cosh kappa - 1 ~ kappa^2 / 2 to rounding: 6.9e-9
+        # relative at kappa = 1e-4, and 0 dB for 4.3e-16 dB at kappa = 1e-8
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            k = decimal.Decimal(kappa)
+            cosh = (k.exp() + (-k).exp()) / 2
+            want = float(10 * (cosh * cosh).log10())
+        assert gain_db(kappa) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert gain_db(np.array([kappa])).tolist() == [gain_db(kappa)]
 
     def test_gain_near_reported_anchors(self):
         assert abs(gain_db(3.0) - 20.0) <= 0.3
