@@ -79,7 +79,6 @@ _EXPORTS = {
         "SpectrumTable",
         "antisqueezing_magnitude_db",
         "gain_db",
-        "idler_frequency",
         "kappa_profile",
         "spectrum_sweep",
         "squeezing_magnitude_db",

@@ -46,8 +46,12 @@ def _parse_int(raw: str) -> int:
         raise InvalidArgumentError(f"expected an integer, got {raw!r}") from None
 
 
+def _parse_word(raw: str) -> str:
+    return raw.strip().lower()
+
+
 def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
+    low = _parse_word(raw)
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
@@ -71,20 +75,10 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
 
 def _parse_choice(*choices: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
-        low = raw.strip().lower()
+        low = _parse_word(raw)
         if low not in choices:
             raise InvalidArgumentError(f"expected one of {choices}, got {raw!r}")
         return low
-
-    return parse
-
-
-def _parse_spectrum_choice(name: str) -> Callable[[str], str]:
-    """``_parse_choice`` of the choices ``mqisim.spectrum.<name>``, read when a value is parsed."""
-    def parse(raw: str) -> str:
-        from . import spectrum
-
-        return _parse_choice(*getattr(spectrum, name))(raw)
 
     return parse
 
@@ -435,9 +429,9 @@ _COMMANDS: dict[str, Command] = {
         Param("pump-freq", _parse_float, default=12e9, help="pump frequency (Hz)"),
         Param("band-width", _parse_float, default=8e9, help="band width (Hz)"),
         Param("band-center", _parse_float, help="band center (Hz); default set by mixing"),
-        Param("mixing", _parse_spectrum_choice("MIXING_TYPES"), default="3wm", help="3wm or 4wm"),
-        Param("shape", _parse_spectrum_choice("PROFILE_SHAPES"), default="parabolic",
-              help="profile shape"),
+        # SpectrumProfile checks the mixing and the shape
+        Param("mixing", _parse_word, default="3wm", help="3wm or 4wm"),
+        Param("shape", _parse_word, default="parabolic", help="profile shape"),
         Param("nu-start", _parse_float, help="sweep start (Hz); default band edge"),
         Param("nu-stop", _parse_float, help="sweep stop (Hz); default band edge"),
         Param("steps", _parse_int, default=161, help="sweep points"),
@@ -647,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, str]:
     """Resolve parameters, run the subcommand, return (content, summary)."""
     fmt = args.format if args.format is not None else config.get("format", "csv")
-    fmt = fmt.strip().lower()
+    fmt = _parse_word(fmt)
     if fmt not in FORMATS:
         raise InvalidArgumentError(f"format must be one of {FORMATS}, got {fmt!r}")
     command = _COMMANDS[args.subcommand]
@@ -673,7 +667,7 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MqisimError, OverflowError) as exc:
+    except (MqisimError, OverflowError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -26,26 +26,6 @@ def byte_rows(cells: list[str], width: int = CELL) -> np.ndarray:
     return np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width)
 
 
-def json_float(cell: str) -> str:
-    """JSON token of a ``%.9g`` cell: the shortest repr of the double it names.
-
-    A fixed-notation cell already is that repr, given a ``.0`` when it has
-    no fraction, and so is an ``e-`` cell of a normal double.  repr
-    switches to exponent notation at 1e16 rather than 1e9, and subnormals
-    (below 1e-307) can round-trip with fewer than 9 digits, so ``e+`` and
-    subnormal cells are re-formatted; the ``e-3`` test also takes in the
-    ``e-30`` to ``e-39`` and ``e-300`` to ``e-307`` cells, whose repr is
-    the cell itself.  JSON has no inf/nan token; those become strings.
-    """
-    if "." in cell and "e" not in cell:
-        return cell
-    if cell[-1] in "fn":
-        return f'"{cell}"'
-    if "e+" in cell or "e-3" in cell:
-        return repr(float(cell))
-    return cell if "e" in cell else cell + ".0"
-
-
 def _digit_groups() -> np.ndarray:
     """Three ASCII digits of ``g`` with only the first ``k`` kept and a '.'
     after digit ``p - 1`` (none for ``p = 0``), as 4-byte words; entry
@@ -134,8 +114,9 @@ def format_floats(values: np.ndarray, json_floats: bool, out: np.ndarray) -> Non
     an exact double (``m 10**k = m 5**k 2**k`` with ``m 5**k < 2**53``
     for ``k = x - 8 <= 7``), and repr writes it in fixed notation: the
     nine digits, ``k`` zeros and ``.0``.  From 1e16 on repr is the ``e+``
-    cell itself.  Unsure values go through Python's format and
-    ``json_float``.
+    cell itself.  Python writes the unsure values: the ``%.9g`` cell, and
+    for JSON the repr of the double it names, or the quoted cell of inf,
+    -inf and nan, which JSON has no token for.
     """
     neg, x, m, unsure = decompose(values)
     fixed = (x >= -4) & (x <= 8)
@@ -157,7 +138,9 @@ def format_floats(values: np.ndarray, json_floats: bool, out: np.ndarray) -> Non
         out[integer, 20:] = _JSON_INTEGER_TAIL[x[integer] - 9]
     if unsure.any():
         cells = list(map(format, values[unsure].tolist(), repeat(".9g")))
-        out[unsure] = byte_rows(list(map(json_float, cells)) if json_floats else cells)
+        if json_floats:
+            cells = [f'"{c}"' if c[-1] in "fn" else repr(float(c)) for c in cells]
+        out[unsure] = byte_rows(cells)
 
 
 def float_cells(values: np.ndarray, json_floats: bool) -> np.ndarray:

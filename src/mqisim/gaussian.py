@@ -235,15 +235,14 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
     return float(_normal_density(state.cov, (r - state.mean)[None])[0])
 
 
-@dataclass(frozen=True)
-class WignerGrid:
+class WignerGrid(NamedTuple):
     """Wigner density sampled on a 2-D slice of the 4-D phase space.
 
     ``plane`` holds the indices of the two varied quadratures and
     ``fixed_values`` the coordinates of the two remaining quadratures
-    (in ascending index order).  ``values[i, j]`` is the density at
-    x_axis[i], y_axis[j]; files are emitted in row-major order (the
-    first plane axis is the slower one).
+    (in ascending index order).  ``values[i, j]`` (read-only, as are the
+    axes) is the density at x_axis[i], y_axis[j]; files are emitted in
+    row-major order (the first plane axis is the slower one).
     """
 
     plane: tuple[int, int]
@@ -251,12 +250,6 @@ class WignerGrid:
     x_axis: np.ndarray
     y_axis: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x_axis", "y_axis", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def wigner_grid(
@@ -301,13 +294,15 @@ def wigner_grid(
     pts[..., fixed_idx[0]] = fixed_values[0]
     pts[..., fixed_idx[1]] = fixed_values[1]
 
-    values = _normal_density(state.cov, pts.reshape(-1, 4) - state.mean)
+    values = _normal_density(state.cov, pts.reshape(-1, 4) - state.mean).reshape(nx, ny)
+    for arr in (x_axis, y_axis, values):
+        arr.setflags(write=False)
     return WignerGrid(
         plane=(i, j),
         fixed_values=(float(fixed_values[0]), float(fixed_values[1])),
         x_axis=x_axis,
         y_axis=y_axis,
-        values=values.reshape(nx, ny),
+        values=values,
     )
 
 

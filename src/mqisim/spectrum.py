@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,10 +90,6 @@ class SpectrumProfile:
         half = self.band_width / 2.0
         return (self.band_center - half, self.band_center + half)
 
-    def contains(self, nu_s: float) -> bool:
-        lo, hi = self.band_edges
-        return lo <= nu_s <= hi
-
 
 def kappa_profile(nu_s, profile: SpectrumProfile):
     """Squeezing modulus at signal frequency nu_s (vectorized over nu_s).
@@ -113,18 +110,6 @@ def kappa_profile(nu_s, profile: SpectrumProfile):
         val = profile.kappa_max
     val = np.where(np.abs(u) <= 1.0, val, 0.0)
     return float(val) if np.isscalar(nu_s) else val
-
-
-def idler_frequency(nu_s: float, profile: SpectrumProfile) -> float:
-    """Idler frequency paired with nu_s by energy conservation.
-
-    Three-wave mixing: nu_i = nu_p - nu_s; four-wave mixing:
-    nu_i = 2 nu_p - nu_s.  nu_s must lie within the profile band.
-    """
-    if not profile.contains(nu_s):
-        lo, hi = profile.band_edges
-        raise InvalidArgumentError(f"nu_s = {nu_s} outside the band [{lo}, {hi}]")
-    return profile.frequency_sum - nu_s
 
 
 def _check_kappa(kappa):
@@ -169,9 +154,8 @@ def gain_db(kappa):
     return float(val) if np.isscalar(kappa) else val
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Columns of a frequency sweep: nu_s, nu_i, kappa, S (dB), G (dB)."""
+class SpectrumTable(NamedTuple):
+    """Columns of a frequency sweep (read-only): nu_s, nu_i, kappa, S (dB), G (dB)."""
 
     profile: SpectrumProfile
     nu_s: np.ndarray
@@ -179,15 +163,6 @@ class SpectrumTable:
     kappa: np.ndarray
     squeezing_db: np.ndarray
     gain_db: np.ndarray
-
-    def __post_init__(self):
-        for name in ("nu_s", "nu_i", "kappa", "squeezing_db", "gain_db"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.nu_s)
 
 
 def spectrum_sweep(
@@ -211,8 +186,7 @@ def spectrum_sweep(
     profile._require_inside("sweep range", lo, hi)
     nu_s = np.linspace(lo, hi, int(steps))
     kap = kappa_profile(nu_s, profile)
-    nu_i = profile.frequency_sum - nu_s
-    return SpectrumTable(
-        profile=profile, nu_s=nu_s, nu_i=nu_i, kappa=kap,
-        squeezing_db=squeezing_magnitude_db(kap), gain_db=gain_db(kap),
-    )
+    columns = (nu_s, profile.frequency_sum - nu_s, kap, squeezing_magnitude_db(kap), gain_db(kap))
+    for col in columns:
+        col.setflags(write=False)
+    return SpectrumTable(profile, *columns)

@@ -121,6 +121,12 @@ QCB_SWEEP_EXPONENTS = {
 }
 
 
+# a size of 10**15 float64 values (7.1 PiB), which numpy refuses at its first
+# allocation without touching a page; a size the machine could grant would
+# take its memory instead
+HUGE = str(10**15)
+
+
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
         [sys.executable, "-m", "mqisim", *args],
@@ -535,6 +541,21 @@ class TestCliContract:
         out, err = capsys.readouterr()
         assert out == "" and "kappa" in err and "355.24" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "1e6",
+         "--sweep-var", "n_b", "--sweep-from", "1", "--sweep-to", "2", "--sweep-steps", HUGE),
+        ("spectrum", "--kappa-max", "1", "--steps", HUGE),
+        ("wigner", "--kappa", "1", "--samples", HUGE),
+        ("state", "--kappa", "1", "--cutoff", HUGE),
+        ("qcb", "--transmitter", "classical", "--n-s", "0.1", "--eta", "0.5", "--n-b", "1",
+         "--cutoff", HUGE),
+    ], ids=["detect", "spectrum", "wigner", "state", "qcb"])
+    def test_unallocatable_size_is_a_numerical_failure(self, argv, capsys):
+        # once numpy's MemoryError, a traceback and exit 1
+        assert main(list(argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure: ") and "allocate" in err
+
     def test_invalid_argument_exit_code(self):
         code, _, err = run_cli("state", "--kappa", "-1")
         assert code == 2 and "error" in err
@@ -584,3 +605,59 @@ class TestCliContract:
                  "mqisim.required_pulses(1e-6, 1e-3)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+_DETECT = ("detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10")
+
+
+class TestInputChecks:
+    """Every rejected input exits 2 with no table and a message naming the fault.
+
+    ``{tmp}`` in an argument is the test's temporary directory, where
+    ``run.cfg`` holds the case's config text, if any.
+    """
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (("state", "--kappa", "abc"), None, "expected a number"),
+        (("state", "--kappa", "0.5", "--cutoff", "1.5"), None, "expected an integer"),
+        (("state", "--config", "{tmp}/run.cfg"), "kappa = 0.5\nquiet = maybe\n",
+         "expected a boolean"),
+        (("wigner", "--kappa", "0.5", "--range", "1"), None, "expected 'a,b'"),
+        ((*_DETECT, "--sweep-var", "n_b", "--sweep-values", ","), None, "comma-separated"),
+        (("qcb", "--transmitter", "quantum", "--n-s", "0.1", "--eta", "0.5", "--n-b", "1"),
+         None, "expected one of ('qi', 'classical', 'both'), got 'quantum'"),
+        (("state", "--config", "{tmp}/missing.cfg"), None, "cannot read config file"),
+        (("state", "--config", "{tmp}/run.cfg"), "kappa 0.5\n", "expected 'key = value'"),
+        (("state",), None, "missing required parameter --kappa"),
+        ((*_DETECT, "--sweep-from", "1"), None, "--sweep-from requires --sweep-var"),
+        ((*_DETECT, "--sweep-var", "n_b", "--sweep-from", "1"), None, "detect sweep needs"),
+        ((*_DETECT, "--sweep-var", "n_b", "--sweep-from", "1", "--sweep-to", "2",
+          "--sweep-steps", "1"), None, "--sweep-steps must be >= 2"),
+        (("state", "--kappa", "0.5", "--output", "{tmp}/missing/out.csv"), None,
+         "cannot write"),
+        (("spectrum", "--kappa-max", "1", "--mixing", "5wm"), None,
+         "mixing must be one of ('3wm', '4wm'), got '5wm'"),
+        (("spectrum", "--kappa-max", "1", "--shape", "Square"), None,
+         "shape must be one of ('parabolic', 'raised_cosine', 'rectangular'), got 'square'"),
+    ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
+            "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
+            "mixing", "shape"])
+    def test_rejected(self, argv, config, message, tmp_path, capsys):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_config_quiet_suppresses_the_summary(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("kappa = 0.5\nquiet = true\n")
+        path = tmp_path / "out.csv"
+        assert main(["state", "--config", str(tmp_path / "run.cfg"), "--output", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert path.read_text().startswith("n,re_c,im_c,prob\n")
+
+    def test_output_prints_a_summary(self, tmp_path, capsys):
+        path = tmp_path / "out.csv"
+        assert main(["state", "--kappa", "0.5", "--cutoff", "12", "--output", str(path)]) == 0
+        assert capsys.readouterr() == ("", f"wrote {path}: state: 13 rows (csv)\n")

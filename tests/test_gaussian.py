@@ -173,6 +173,14 @@ class TestWignerGrid:
         with pytest.raises(InvalidStateError):
             wigner_grid(state)
 
+    def test_arrays_are_read_only(self):
+        grid = wigner_grid(vacuum_state(), samples=(5, 3))
+        for name in ("x_axis", "y_axis", "values"):
+            array = getattr(grid, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidArgumentError):
             wigner_grid(vacuum_state(), samples=(1, 10))

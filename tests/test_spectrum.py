@@ -13,7 +13,6 @@ from mqisim import (
     SpectrumProfile,
     antisqueezing_magnitude_db,
     gain_db,
-    idler_frequency,
     kappa_profile,
     spectrum_sweep,
     squeezing_magnitude_db,
@@ -80,21 +79,6 @@ class TestKappaProfile:
     def test_vectorized(self):
         vals = kappa_profile(np.array([2e9, 6e9, 10e9]), profile())
         np.testing.assert_allclose(vals, [0.0, 3.0, 0.0])
-
-
-class TestIdlerFrequency:
-    def test_three_wave(self):
-        assert idler_frequency(4e9, profile()) == 8e9
-
-    def test_degenerate_point(self):
-        assert idler_frequency(6e9, profile()) == 6e9
-
-    def test_four_wave(self):
-        assert idler_frequency(10e9, profile(mixing="4wm")) == 14e9
-
-    def test_out_of_band_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            idler_frequency(11e9, profile())
 
 
 class TestDecibelMaps:
@@ -195,7 +179,16 @@ class TestSpectrumSweep:
         np.testing.assert_allclose(table.squeezing_db, table.squeezing_db[::-1], atol=1e-9)
 
     def test_row_count(self):
-        assert len(spectrum_sweep(profile(), steps=2)) == 2
+        # a NamedTuple's len is its field count; the rows are a column's length
+        assert len(spectrum_sweep(profile(), steps=2).nu_s) == 2
+
+    def test_columns_are_read_only(self):
+        table = spectrum_sweep(profile(), steps=5)
+        for name in ("nu_s", "nu_i", "kappa", "squeezing_db", "gain_db"):
+            column = getattr(table, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
 
     def test_out_of_band_rows_are_zero(self):
         table = spectrum_sweep(profile(), nu_range=(0.5e9, 11.5e9), steps=23)
