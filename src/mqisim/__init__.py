@@ -12,7 +12,8 @@ Submodules:
 * :mod:`mqisim.spectrum` - squeezing-parameter frequency profiles and
   dB mappings;
 * :mod:`mqisim.cli` - the ``mqisim`` command-line tool;
-* :mod:`mqisim.digits` - its table cells at nine significant digits.
+* :mod:`mqisim.digits` - its CSV and JSON tables, nine significant
+  digits a cell.
 
 The names in ``__all__`` and the submodules are imported on first
 access (PEP 562), so that importing the package, or one submodule,

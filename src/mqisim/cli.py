@@ -4,7 +4,7 @@ Subcommands: state | wigner | spectrum | detect | qcb.  Parameters come
 from flags or from a flat ``key = value`` config file (flags override
 the file; both go through the same parsers).  Output is CSV (header
 row, data rows, '#'-prefixed metadata footer) or JSON with the same
-schema, written to --output or stdout.  Runs are random-free: the same
+schema, written by :mod:`mqisim.digits` to --output or stdout.  Runs are random-free: the same
 resolved parameters always produce byte-identical files.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, digits
+from . import __version__
+from .digits import emit_csv, emit_json, row_count, same_cells
 from .errors import InvalidArgumentError, MqisimError
 
 FORMATS = ("csv", "json")
@@ -157,6 +158,17 @@ def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str
     if unknown:
         raise InvalidArgumentError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
+
+
+def _require_resolved(name: str, values: np.ndarray) -> None:
+    """Raise unless adjacent values of a generated axis print different cells."""
+    same = np.flatnonzero(same_cells(values))
+    if same.size:
+        a, b = values[same[0]:same[0] + 2].tolist()
+        raise InvalidArgumentError(
+            f"{name}: adjacent values {a!r} and {b!r} both print as {a:.9g}; "
+            "widen the range or take fewer points"
+        )
 
 
 def _sweep_fields(p: dict, base: dict, what: str) -> dict:
@@ -306,10 +318,13 @@ def _run_detect(p: dict):
     pulses = p["pulses"] if p["pulses"] is not None else scn.pulses
     r_cl = classical_error_rate(scn)
     r_q = quantum_error_rate(scn)
+    # a decision between two equally likely hypotheses never errs more often than a
+    # guess: an envelope above 1/2 prints 1/2, and valid_* flags the row
+    pe_cl = np.minimum(error_probability(r_cl, pulses), 0.5)
+    pe_q = np.minimum(error_probability(r_q, pulses), 0.5)
     table = _sweep_table({
         "eta": scn.eta, "n_s": scn.n_s, "n_b": scn.n_b, "snr": scn.snr, "pulses": pulses,
-        "r_cl": r_cl, "r_q": r_q,
-        "pe_cl": error_probability(r_cl, pulses), "pe_q": error_probability(r_q, pulses),
+        "r_cl": r_cl, "r_q": r_q, "pe_cl": pe_cl, "pe_q": pe_q,
         "advantage_db": advantage_db(),
         "valid_cl": is_asymptotic(r_cl, pulses), "valid_q": is_asymptotic(r_q, pulses),
     })
@@ -462,157 +477,6 @@ _COMMANDS: dict[str, Command] = {
 
 
 # ---------------------------------------------------------------------------
-# Emission
-# ---------------------------------------------------------------------------
-
-
-# rows gathered and joined at a time: bounds the row bytes alive at once
-_BLOCK_ROWS = 4096
-
-
-def _row_count(table: dict) -> int:
-    """Rows of a table of 1-D bool, integer or float numpy columns of one length."""
-    lengths = set()
-    for name, col in table.items():
-        if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype.kind not in "biuf":
-            raise TypeError(f"column {name!r} is not a 1-D bool, integer or float array")
-        lengths.add(col.size)
-    if len(lengths) > 1:
-        raise TypeError(f"columns of unequal lengths {sorted(lengths)}")
-    return lengths.pop() if lengths else 0
-
-
-_BOOL_CELLS = digits.byte_rows(["false", "true"])
-
-
-def _distinct(col: np.ndarray):
-    """The column's distinct values and each row's index into them, or
-    ``(col, None)`` when no value repeats.
-
-    Keyed on bit patterns, so -0.0 stays apart from 0.0 and NaNs of
-    different payloads apart from each other.  A strictly monotone column,
-    such as every linspace axis, has no repeats and skips the sort; a
-    monotone one, such as a repeated axis, holds each value in one run and
-    is split where its bits change (a run of zeros that mixes -0.0 and
-    0.0 gives a key per change).  NaN, which is unordered, takes the sort.
-    """
-    rises, falls = col[1:] > col[:-1], col[1:] < col[:-1]
-    if rises.all() or falls.all():
-        return col, None
-    bits = col.view(f"u{col.itemsize}")
-    if not (rises.any() and falls.any()) and (rises | falls | (col[1:] == col[:-1])).all():
-        change = bits[1:] != bits[:-1]
-        keys, index = col[np.r_[True, change]], np.cumsum(np.r_[0, change])
-    else:
-        keys, index = np.unique(bits, return_inverse=True)
-        keys = keys.view(col.dtype)
-    return (col, None) if keys.size == col.size else (keys, index)
-
-
-def _column_cells(table: dict, json_floats: bool) -> list:
-    """Per column, its cell rows and each table row's index into them
-    (``None``: one cell row per table row).
-
-    Each distinct value is formatted once, and all floats of the table in
-    one kernel call.  Byte columns that are NUL in every cell are dropped.
-    """
-    columns, floats = [], []
-    for col in table.values():
-        if col.dtype.kind == "b":
-            columns.append([_BOOL_CELLS, col.view(np.uint8)])
-        elif col.dtype.kind in "iu":
-            keys, index = _distinct(col)
-            columns.append([digits.byte_rows(list(map(str, keys.tolist()))), index])
-        else:
-            # Python formats a long double as the double nearest it, inf beyond their range
-            with np.errstate(over="ignore"):
-                columns.append(list(_distinct(col.astype(np.float64, copy=False))))
-            floats.append(columns[-1])
-    if floats:
-        cells = digits.float_cells(np.concatenate([c[0] for c in floats]), json_floats)
-        ends = np.cumsum([c[0].size for c in floats])
-        for c, end in zip(floats, ends):
-            c[0] = cells[end - c[0].size:end]
-    for c in columns:
-        # OR each 8-byte lane down the column: numpy reduces one strided lane
-        # several times faster than axis 0 of the whole array
-        lanes = c[0].view(np.uint64)
-        used = np.array([np.bitwise_or.reduce(lane) for lane in lanes.T], np.uint64)
-        c[0] = c[0].take(np.flatnonzero(used.view(np.uint8)), axis=1)
-    return columns
-
-
-def _row_blocks(table: dict, sep: str, end: str, json_floats: bool):
-    """The text of the rows, one block of rows at a time: cells joined by
-    ``sep``, every row (the last too) followed by ``end``.
-
-    A block's cell rows and separators are laid side by side as bytes, and
-    the NULs dropped.
-    """
-    rows = _row_count(table)
-    columns = _column_cells(table, json_floats)
-    seps = [np.frombuffer(text.encode(), np.uint8) for text in [sep] * (len(columns) - 1) + [end]]
-    for s in range(0, rows, _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, rows - s)
-        parts = []
-        for (cells, index), sep_bytes in zip(columns, seps):
-            parts.append(cells[s:s + n] if index is None else cells.take(index[s:s + n], axis=0))
-            parts.append(np.broadcast_to(sep_bytes, (n, sep_bytes.size)))
-        yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _require_resolved(name: str, values: np.ndarray) -> None:
-    """Raise unless adjacent values of a generated axis print different cells."""
-    neg, x, m, unsure = digits.decompose(values)
-    same = (neg[1:] == neg[:-1]) & (x[1:] == x[:-1]) & (m[1:] == m[:-1])
-    for i in np.flatnonzero(unsure[1:] | unsure[:-1]):
-        same[i] = format(values[i], ".9g") == format(values[i + 1], ".9g")
-    if same.any():
-        i = np.argmax(same)
-        a, b = values[i:i + 2].tolist()
-        raise InvalidArgumentError(
-            f"{name}: adjacent values {a!r} and {b!r} both print as {a:.9g}; "
-            "widen the range or take fewer points"
-        )
-
-
-def _meta_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (tuple, list)):
-        return ",".join(_meta_value(x) for x in v)
-    return str(v)
-
-
-def emit_csv(table: dict, meta: dict) -> str:
-    footer = "".join(f"# {k} = {_meta_value(meta[k])}\n" for k in sorted(meta))
-    rows = _row_blocks(table, ",", "\n", json_floats=False)
-    return "".join([",".join(table), "\n", *rows, footer])
-
-
-def emit_json(table: dict, meta: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, rows written directly.
-
-    Rows come last in key order, so the document is dumped without them and
-    the rows block is appended in the same layout.
-    """
-    import json   # here, so that a CSV run does not pay for importing it
-
-    rows = _row_count(table)
-    # tuples dump as lists; numpy scalars, which json does not know, as their Python value
-    head = json.dumps({"metadata": meta, "columns": list(table)},
-                      indent=2, sort_keys=True, default=lambda v: v.item())
-    if not rows:
-        return head[:-2] + ',\n  "rows": []\n}\n'
-    row_end = "\n    ],\n    [\n      "
-    blocks = list(_row_blocks(table, ",\n      ", row_end, json_floats=True))
-    blocks[-1] = blocks[-1][:-len(row_end)]   # the last row closes the list instead
-    return "".join([head[:-2], ',\n  "rows": [\n    [\n      ', *blocks, "\n    ]\n  ]\n}\n"])
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -654,7 +518,7 @@ def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[st
     meta.update(extra)
     # called positionally: the traced benchmark worker reads the emitters' arguments by position
     content = emit_csv(table, meta) if fmt == "csv" else emit_json(table, meta)
-    return content, f"{args.subcommand}: {_row_count(table)} rows ({fmt})"
+    return content, f"{args.subcommand}: {row_count(table)} rows ({fmt})"
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,13 @@
-"""Cells of the command line's tables, nine significant digits, as byte rows.
+"""The command line's CSV and JSON tables, nine significant digits a cell.
 
 A cell is a row of ``CELL`` bytes in which an absent character is NUL, so
 the cells of a column form one uint8 array and a row of the table is the
-cells laid side by side with the NULs dropped.  ``float_cells`` writes
+cells laid side by side with the NULs dropped.  ``format_floats`` writes
 Python's ``format(v, ".9g")`` (or its JSON token) of float64 values with a
 numpy kernel, byte for byte, and leaves to Python only the values the
-kernel cannot decide.
+kernel cannot decide.  ``emit_csv`` and ``emit_json`` write a table (a
+dict of 1-D numpy columns) and its metadata; ``same_cells`` tells which
+adjacent values of a generated axis print the same cell.
 """
 
 from __future__ import annotations
@@ -143,9 +145,144 @@ def format_floats(values: np.ndarray, json_floats: bool, out: np.ndarray) -> Non
         out[unsure] = byte_rows(cells)
 
 
-def float_cells(values: np.ndarray, json_floats: bool) -> np.ndarray:
-    """Cell rows of float64 values, formatted ``CHUNK`` values at a time."""
-    out = np.zeros((values.size, CELL), np.uint8)
-    for s in range(0, values.size, CHUNK):
-        format_floats(values[s:s + CHUNK], json_floats, out[s:s + CHUNK])
-    return out
+def same_cells(values: np.ndarray) -> np.ndarray:
+    """Whether each value prints the same ``%.9g`` cell as the value after it."""
+    neg, x, m, unsure = decompose(values)
+    same = (neg[1:] == neg[:-1]) & (x[1:] == x[:-1]) & (m[1:] == m[:-1])
+    for i in np.flatnonzero(unsure[1:] | unsure[:-1]):
+        same[i] = format(values[i], ".9g") == format(values[i + 1], ".9g")
+    return same
+
+
+# rows gathered and joined at a time: bounds the row bytes alive at once
+_BLOCK_ROWS = 4096
+
+
+def row_count(table: dict) -> int:
+    """Rows of a table of 1-D bool, integer or float numpy columns of one length."""
+    lengths = set()
+    for name, col in table.items():
+        if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype.kind not in "biuf":
+            raise TypeError(f"column {name!r} is not a 1-D bool, integer or float array")
+        lengths.add(col.size)
+    if len(lengths) > 1:
+        raise TypeError(f"columns of unequal lengths {sorted(lengths)}")
+    return lengths.pop() if lengths else 0
+
+
+_BOOL_CELLS = byte_rows(["false", "true"])
+
+
+def _distinct(col: np.ndarray):
+    """The column's distinct values and each row's index into them, or
+    ``(col, None)`` when no value repeats.
+
+    Keyed on bit patterns, so -0.0 stays apart from 0.0 and NaNs of
+    different payloads apart from each other.  A strictly monotone column,
+    such as every linspace axis, has no repeats and skips the sort; a
+    monotone one, such as a repeated axis, holds each value in one run and
+    is split where its bits change (a run of zeros that mixes -0.0 and
+    0.0 gives a key per change).  NaN, which is unordered, takes the sort.
+    """
+    rises, falls = col[1:] > col[:-1], col[1:] < col[:-1]
+    if rises.all() or falls.all():
+        return col, None
+    bits = col.view(f"u{col.itemsize}")
+    if not (rises.any() and falls.any()) and (rises | falls | (col[1:] == col[:-1])).all():
+        change = bits[1:] != bits[:-1]
+        keys, index = col[np.r_[True, change]], np.cumsum(np.r_[0, change])
+    else:
+        keys, index = np.unique(bits, return_inverse=True)
+        keys = keys.view(col.dtype)
+    return (col, None) if keys.size == col.size else (keys, index)
+
+
+def _column_cells(table: dict, json_floats: bool) -> list:
+    """Per column, its cell rows and each table row's index into them
+    (``None``: one cell row per table row).
+
+    Each distinct value is formatted once, and all floats of the table in
+    one pass of the kernel, ``CHUNK`` values at a time.  Byte columns that are NUL in every cell are dropped.
+    """
+    columns, floats = [], []
+    for col in table.values():
+        if col.dtype.kind == "b":
+            columns.append([_BOOL_CELLS, col.view(np.uint8)])
+        elif col.dtype.kind in "iu":
+            keys, index = _distinct(col)
+            columns.append([byte_rows(list(map(str, keys.tolist()))), index])
+        else:
+            # Python formats a long double as the double nearest it, inf beyond their range
+            with np.errstate(over="ignore"):
+                columns.append(list(_distinct(col.astype(np.float64, copy=False))))
+            floats.append(columns[-1])
+    if floats:
+        values = np.concatenate([c[0] for c in floats])
+        cells = np.zeros((values.size, CELL), np.uint8)
+        for s in range(0, values.size, CHUNK):
+            format_floats(values[s:s + CHUNK], json_floats, cells[s:s + CHUNK])
+        ends = np.cumsum([c[0].size for c in floats])
+        for c, end in zip(floats, ends):
+            c[0] = cells[end - c[0].size:end]
+    for c in columns:
+        # OR each 8-byte lane down the column: numpy reduces one strided lane
+        # several times faster than axis 0 of the whole array
+        lanes = c[0].view(np.uint64)
+        used = np.array([np.bitwise_or.reduce(lane) for lane in lanes.T], np.uint64)
+        c[0] = c[0].take(np.flatnonzero(used.view(np.uint8)), axis=1)
+    return columns
+
+
+def _row_blocks(table: dict, sep: str, end: str, json_floats: bool):
+    """The text of the rows, one block of rows at a time: cells joined by
+    ``sep``, every row (the last too) followed by ``end``.
+
+    A block's cell rows and separators are laid side by side as bytes, and
+    the NULs dropped.
+    """
+    rows = row_count(table)
+    columns = _column_cells(table, json_floats)
+    seps = [np.frombuffer(text.encode(), np.uint8) for text in [sep] * (len(columns) - 1) + [end]]
+    for s in range(0, rows, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, rows - s)
+        parts = []
+        for (cells, index), sep_bytes in zip(columns, seps):
+            parts.append(cells[s:s + n] if index is None else cells.take(index[s:s + n], axis=0))
+            parts.append(np.broadcast_to(sep_bytes, (n, sep_bytes.size)))
+        yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _meta_value(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, (tuple, list)):
+        return ",".join(_meta_value(x) for x in v)
+    return str(v)
+
+
+def emit_csv(table: dict, meta: dict) -> str:
+    footer = "".join(f"# {k} = {_meta_value(meta[k])}\n" for k in sorted(meta))
+    rows = _row_blocks(table, ",", "\n", json_floats=False)
+    return "".join([",".join(table), "\n", *rows, footer])
+
+
+def emit_json(table: dict, meta: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, rows written directly.
+
+    Rows come last in key order, so the document is dumped without them and
+    the rows block is appended in the same layout.
+    """
+    import json   # here, so that a CSV run does not pay for importing it
+
+    rows = row_count(table)
+    # tuples dump as lists; numpy scalars, which json does not know, as their Python value
+    head = json.dumps({"metadata": meta, "columns": list(table)},
+                      indent=2, sort_keys=True, default=lambda v: v.item())
+    if not rows:
+        return head[:-2] + ',\n  "rows": []\n}\n'
+    row_end = "\n    ],\n    [\n      "
+    blocks = list(_row_blocks(table, ",\n      ", row_end, json_floats=True))
+    blocks[-1] = blocks[-1][:-len(row_end)]   # the last row closes the list instead
+    return "".join([head[:-2], ',\n  "rows": [\n    [\n      ', *blocks, "\n    ]\n  ]\n}\n"])

@@ -43,11 +43,11 @@ def _check_cutoff(cutoff: int) -> int:
     return int(cutoff)
 
 
-def _check_discarded(name: str, discarded: float, cutoff: int, tol: float = _DISCARD_TOL):
-    if not discarded <= tol:   # NaN fails too
+def _check_discarded(name: str, discarded: float, cutoff: int):
+    if not discarded <= _DISCARD_TOL:   # NaN fails too
         raise TruncationError(
             f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
-            f"above the tolerance {tol}; raise the cutoff"
+            f"above the tolerance {_DISCARD_TOL}; raise the cutoff"
         )
 
 
@@ -175,11 +175,10 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     return phase[:, None] * real * phase.conj()
 
 
-def beam_splitter_amplitudes(dim_a: int, dim_b: int, eta: float,
-                             max_input: int | None = None) -> np.ndarray:
+def beam_splitter_amplitudes(dim_a: int, dim_b: int, eta: float, max_input: int) -> np.ndarray:
     """Read-only amp[s, i, m] = <s, i + m - s| U |i, m> of the beam splitter
     U = exp(theta (a'b - ab')), cos^2 theta = ``eta``, on modes of dimensions
-    dim_a and dim_b, for inputs i <= ``max_input`` (all by default); 0 where
+    dim_a and dim_b, for inputs i <= ``max_input``; 0 where
     the output i + m - s leaves 0..dim_b - 1.  Shape (dim_a, inputs i, dim_b).
 
     U conserves n_a + n_b = total: on each sector, indexed by the mode-a
@@ -189,7 +188,7 @@ def beam_splitter_amplitudes(dim_a: int, dim_b: int, eta: float,
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"transmissivity must be in [0, 1], got {eta}")
     theta = math.acos(math.sqrt(eta))
-    n_in = dim_a if max_input is None else min(max_input + 1, dim_a)
+    n_in = min(max_input + 1, dim_a)
     amp = np.zeros((dim_a, n_in, dim_b))
     for total in range(n_in + dim_b - 1):
         s_vals = np.arange(max(0, total - (dim_b - 1)), min(total, dim_a - 1) + 1)

@@ -272,7 +272,9 @@ def wigner_grid(
     i, j = plane
     if i == j or not all(0 <= k < 4 for k in (i, j)):
         raise InvalidArgumentError(f"plane must be two distinct indices in 0..3, got {plane}")
-    nx, ny = samples
+    if not all(float(n).is_integer() for n in samples):
+        raise InvalidArgumentError(f"samples must be integers, got {samples}")
+    nx, ny = map(int, samples)
     if nx < 2 or ny < 2:
         raise InvalidArgumentError(f"need at least 2 samples per axis, got {samples}")
     if not all(map(math.isfinite, (*x_range, *y_range, *fixed_values))):

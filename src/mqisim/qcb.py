@@ -215,7 +215,7 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     is raised.
     """
     DetectionScenario(eta, n_s, n_b)   # checks the three numbers
-    cutoff = int(cutoff)
+    cutoff = _check_cutoff(cutoff)
     p0, discarded = thermal_probabilities(n_b, cutoff)
     _check_discarded("thermal background", discarded, cutoff)
     alpha = math.sqrt(eta * n_s)

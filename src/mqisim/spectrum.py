@@ -178,6 +178,8 @@ def spectrum_sweep(
     rather than raising; the idler column follows the conservation
     formula everywhere.
     """
+    if not float(steps).is_integer():
+        raise InvalidArgumentError(f"steps must be an integer, got {steps}")
     if steps < 2:
         raise InvalidArgumentError(f"steps must be >= 2, got {steps}")
     lo, hi = profile.band_edges if nu_range is None else (float(nu_range[0]), float(nu_range[1]))

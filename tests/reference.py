@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mqisim.errors import InvalidArgumentError
+from mqisim.errors import InvalidArgumentError, TruncationError
 from mqisim.fock import (
     _check_cutoff,
     _check_discarded,
@@ -106,7 +106,11 @@ def squeeze_vacuum_operator(sq, cutoff: int) -> np.ndarray:
     """
     cutoff = _check_cutoff(cutoff)
     deficit = thermal_probabilities(sq.mean_photon, cutoff)[1]
-    _check_discarded("TMSV pair", deficit, cutoff, SQUEEZE_DEFICIT_TOL)
+    if not deficit <= SQUEEZE_DEFICIT_TOL:   # NaN fails too
+        raise TruncationError(
+            f"cutoff {cutoff} discards {deficit:.3e} of the TMSV pair distribution, "
+            f"above the tolerance {SQUEEZE_DEFICIT_TOL}; raise the cutoff"
+        )
     column = _tridiagonal_expm(np.arange(1.0, cutoff + 1), sq.kappa, 1)[:, 0]
     return np.diag(np.exp(1j * sq.phase * np.arange(cutoff + 1)) * column)
 
@@ -190,7 +194,7 @@ def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
     b -> cos(theta) b - sin(theta) a.  :func:`beam_splitter_amplitudes`
     scattered with the flat index (n_a, n_b) -> n_a * dim_b + n_b.
     """
-    amp = beam_splitter_amplitudes(dim_a, dim_b, eta)
+    amp = beam_splitter_amplitudes(dim_a, dim_b, eta, dim_a - 1)
     s, i, m = np.indices(amp.shape)
     out_b = i + m - s
     inside = (0 <= out_b) & (out_b < dim_b)

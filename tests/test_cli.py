@@ -13,7 +13,9 @@ from mqisim.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # sha256 of the CSV output of each preset in configs/; the spectrum presets
-# re-recorded when gain_db became a log1p, which moved their max_gain_db footer
+# re-recorded when gain_db became a log1p, which moved their max_gain_db footer.
+# Footer floats are printed with repr on purpose (README "Output format"), so a
+# one-ulp move of a derived footer value is a real change and re-records its pin.
 PRESET_SHA256 = {
     "detect_background_sweep": "e51b98fe1faa504c7d050e811092a11b37855d2710d0a60207828c0c058c36f5",
     "qcb_background_sweep": "ba935d4a3275c19aaf26b513fdf3f1fbc009e6ece08dc432ba0eadef24c152eb",
@@ -29,6 +31,17 @@ PRESET_SHA256 = {
 _WIGNER_LARGE = ("wigner", "--kappa", "1.5", "--plane", "qs,pi", "--range=-8,8", "--samples", "401")
 _C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--n-b", "1",
              "--sweep-var", "n_b", "--sweep-values", "1,2,4")
+
+# sha256 of the --help text of the parser ("") and of each subcommand at 80
+# columns, as argparse of Python 3.11 lays it out
+HELP_SHA256 = {
+    "": "8fd420855a0d0bf290e78b9325f0c3a24b722f602bebfc042422088a656e2f6a",
+    "state": "03194eacd1a6b295813ba8c17b105186fd733c6f6a3e6902544dba8a4f239170",
+    "wigner": "6b3a071647504f1e27a79b007c13d162e2c09f0ca14ddb79734f514c9439a699",
+    "spectrum": "bc3d2f8ac7158728842fa3154855a6f6df7343f1b3e0696d53afd536444011a0",
+    "detect": "aa10853d927eda13d3d79d8f8fba0d75a08013d47d3cddef247f88549b14ed95",
+    "qcb": "4c08f46cbb6c2cfa2b349396ad3130d7ebe425f4c67474cc6f86593b6de5ec1f",
+}
 
 # sha256 of the output of the criterion-9 invocations, the benchmark's
 # large tables and a strongly squeezed Wigner slice, recorded at 7f7b0fe
@@ -293,6 +306,19 @@ class TestDetectCommand:
         adv = {dict(zip(header, r))["advantage_db"] for r in rows}
         assert pe_cl == sorted(pe_cl) and pe_q == sorted(pe_q)
         assert adv == {"6.02059991"}
+
+    @pytest.mark.parametrize("argv", [
+        ("--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "1"),
+        ("--eta", "1", "--n-s", "1", "--n-b", "1e308", "--pulses", "10"),
+    ], ids=["envelope_5_63", "envelope_1e153"])
+    def test_error_probability_is_at_most_one_half(self, argv, capsys):
+        # the envelope printed pe_cl = 5.62780871 and pe_q = 2.79287902, and at
+        # n_b = 1e308 pe_cl = 1.78412412e+153; valid_* still flags the row
+        assert main(["detect", *argv]) == 0
+        header, rows = csv_rows(capsys.readouterr().out)
+        row = dict(zip(header, rows[0]))
+        assert [row[k] for k in ("pe_cl", "pe_q", "valid_cl", "valid_q")] == [
+            "0.5", "0.5", "false", "false"]
 
     def test_missing_pulse_information(self):
         code, _, err = run_cli("detect", "--eta", "1", "--n-s", "1", "--n-b", "1")
@@ -591,6 +617,15 @@ class TestCliContract:
         assert main([*argv, "--output", str(path), "--quiet"]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("subcommand", sorted(HELP_SHA256), ids=lambda s: s or "parser")
+    def test_help_pinned(self, subcommand, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"] if subcommand else ["--help"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[subcommand]
+
     def test_import_loads_no_scipy(self):
         # scipy is a test-only reference; the package never imports it
         probe = "import sys, mqisim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
@@ -639,9 +674,13 @@ class TestInputChecks:
          "mixing must be one of ('3wm', '4wm'), got '5wm'"),
         (("spectrum", "--kappa-max", "1", "--shape", "Square"), None,
          "shape must be one of ('parabolic', 'raised_cosine', 'rectangular'), got 'square'"),
+        (("wigner", "--kappa", "0.5", "--range=inf,1"), None,
+         "ranges and fixed values must be finite"),
+        (("wigner", "--kappa", "0.5", "--fixed=nan,0"), None,
+         "ranges and fixed values must be finite"),
     ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
             "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
-            "mixing", "shape"])
+            "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan"])
     def test_rejected(self, argv, config, message, tmp_path, capsys):
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)

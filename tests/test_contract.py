@@ -144,6 +144,8 @@ def test_every_input_gets_an_exit_code_and_an_honest_table(argv):
             for column, cell in zip(header, row):
                 assert (isinstance(cell, bool) or math.isfinite(cell)
                         or repr(cell) in _non_finite_allowed(column)), (argv, column, cell)
+                # a binary decision with equal priors errs at most as often as a guess
+                assert not column.startswith("pe_") or 0.0 <= cell <= 0.5, (argv, column, cell)
     assert _run(argv) == (code, out, err)
 
 

@@ -2,7 +2,7 @@
 
 The reference below turns a table's numpy columns into rows, formats
 every cell on its own and lets the standard ``json`` encoder lay out the
-whole document; ``mqisim.cli`` formats tables one column at a time and
+whole document; ``mqisim.digits`` formats tables one column at a time and
 writes the JSON rows block itself.  The two must agree byte for byte.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqisim import digits
-from mqisim.cli import _BLOCK_ROWS, emit_csv, emit_json
+from mqisim.digits import _BLOCK_ROWS, emit_csv, emit_json
 
 
 def _ref_csv_cell(v) -> str:

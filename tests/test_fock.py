@@ -176,6 +176,11 @@ class TestThermalDensity:
         np.testing.assert_allclose(p, raw / (1.0 - discarded), rtol=1e-12)
         assert thermal_probabilities(0.0, cutoff)[1] == 0.0
 
+    @pytest.mark.parametrize("nbar", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_bad_occupation_rejected(self, nbar):
+        with pytest.raises(InvalidArgumentError, match="nbar must be finite and >= 0"):
+            thermal_probabilities(nbar, 5)
+
     def test_mean_occupation(self):
         rho = thermal_density(1.5, 80)
         assert number_expectation(rho, 0) == pytest.approx(1.5, abs=1e-9)

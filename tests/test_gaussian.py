@@ -185,9 +185,36 @@ class TestWignerGrid:
         with pytest.raises(InvalidArgumentError):
             wigner_grid(vacuum_state(), samples=(1, 10))
 
+    def test_fractional_samples_rejected(self):
+        # numpy's linspace raised TypeError on 2.5 points
+        with pytest.raises(InvalidArgumentError, match="samples must be integers"):
+            wigner_grid(vacuum_state(), samples=(2.5, 3))
+
     def test_descending_axis_accepted(self):
         grid = wigner_grid(vacuum_state(), x_range=(2.0, -2.0), samples=(5, 3))
         np.testing.assert_array_equal(grid.x_axis, [2.0, 1.0, 0.0, -1.0, -2.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TwoModeGaussianState(np.zeros(3), np.eye(4)), "mean must have shape (4,)"),
+    (lambda: TwoModeGaussianState(np.zeros(4), np.eye(3)), "cov must have shape (4, 4)"),
+    (lambda: TwoModeGaussianState([0.0, 0.0, math.nan, 0.0], np.eye(4)), "must be finite"),
+    (lambda: TwoModeGaussianState(np.zeros(4), np.diag([1.0, 1.0, 1.0, math.inf])),
+     "must be finite"),
+    (lambda: TwoModeGaussianState(np.zeros(4), np.eye(4) + np.eye(4, k=1)),
+     "cov must be symmetric"),
+    (lambda: quadrature_variance(vacuum_state(), [1.0, 0.0, 0.0]), "coeffs must have shape (4,)"),
+    (lambda: wigner_density(vacuum_state(), [0.0, 0.0, 0.0]), "point must be 4 finite numbers"),
+    (lambda: wigner_density(vacuum_state(), [0.0, math.nan, 0.0, 0.0]),
+     "point must be 4 finite numbers"),
+    (lambda: wigner_grid(vacuum_state(), plane=(0, 0)), "plane must be two distinct indices"),
+    (lambda: wigner_grid(vacuum_state(), plane=(0, 4)), "plane must be two distinct indices"),
+], ids=["mean_shape", "cov_shape", "mean_nan", "cov_inf", "cov_asymmetric", "coeffs_shape",
+        "point_shape", "point_nan", "plane_repeated", "plane_out_of_range"])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert message in str(exc.value)
 
 
 @settings(deadline=None, max_examples=80)

@@ -463,6 +463,15 @@ class TestHypothesisBuilders:
         with pytest.raises(InvalidArgumentError):
             HypothesisPair((4,), p0, (([np.arange(4)], [np.eye(4) / 4]),))
 
+    def test_stack_must_match_its_index(self):
+        with pytest.raises(InvalidArgumentError, match="does not match its index"):
+            HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [np.eye(3) / 3]),))
+
+    def test_fractional_classical_cutoff_rejected(self):
+        # int(cutoff) truncated 30.7 to a 31-level pair
+        with pytest.raises(InvalidArgumentError, match="cutoff"):
+            build_classical_hypotheses(0.1, 0.5, 1.0, 30.7)
+
     def test_blocks_keep_their_dtype(self):
         # the entangled transmitter's blocks are real symmetric and stay real
         qi = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 20, 6, 20))

@@ -208,6 +208,11 @@ class TestSpectrumSweep:
         with pytest.raises(InvalidArgumentError):
             spectrum_sweep(profile(), steps=1)
 
+    def test_fractional_steps_rejected(self):
+        # int(steps) truncated 2.5 to a 2-row table
+        with pytest.raises(InvalidArgumentError, match="steps must be an integer"):
+            spectrum_sweep(profile(), steps=2.5)
+
     # a range reaching 0 Hz or nu_s + nu_i (nu_p for 3wm, 2 nu_p for 4wm) gives a
     # signal or idler frequency at or below 0 Hz
     @pytest.mark.parametrize("mixing, nu_range", [
