@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .digits import emit_csv, emit_json, row_count, same_cells
-from .errors import InvalidArgumentError, MqisimError
+from .errors import InvalidArgumentError, MqisimError, check_count
 
 FORMATS = ("csv", "json")
 _GLOBAL_KEYS = {"output", "format", "quiet"}
@@ -189,14 +189,12 @@ def _sweep_fields(p: dict, base: dict, what: str) -> dict:
         raise InvalidArgumentError(
             f"{what} sweep needs --sweep-values or --sweep-from/--sweep-to/--sweep-steps"
         )
-    elif p["sweep_steps"] < 2:
-        raise InvalidArgumentError("--sweep-steps must be >= 2")
-    elif not (math.isfinite(p["sweep_from"]) and math.isfinite(p["sweep_to"])):
-        raise InvalidArgumentError(
-            f"--sweep-from and --sweep-to must be finite, got {p['sweep_from']}, {p['sweep_to']}"
-        )
     else:
-        values = np.linspace(p["sweep_from"], p["sweep_to"], p["sweep_steps"])
+        steps = check_count("--sweep-steps", p["sweep_steps"], 2)
+        if not (math.isfinite(p["sweep_from"]) and math.isfinite(p["sweep_to"])):
+            raise InvalidArgumentError("--sweep-from and --sweep-to must be finite, "
+                                       f"got {p['sweep_from']}, {p['sweep_to']}")
+        values = np.linspace(p["sweep_from"], p["sweep_to"], steps)
         _require_resolved(f"{p['sweep_var']} sweep", values)
     return {**base, p["sweep_var"]: values}
 
@@ -268,18 +266,9 @@ def _run_wigner(p: dict):
 def _run_spectrum(p: dict):
     from .spectrum import SpectrumProfile, spectrum_sweep
 
-    profile = SpectrumProfile(
-        kappa_max=p["kappa_max"],
-        pump_freq=p["pump_freq"],
-        band_width=p["band_width"],
-        band_center=p["band_center"],
-        mixing=p["mixing"],
-        shape=p["shape"],
-    )
-    lo, hi = profile.band_edges
-    start = p["nu_start"] if p["nu_start"] is not None else lo
-    stop = p["nu_stop"] if p["nu_stop"] is not None else hi
-    sweep = spectrum_sweep(profile, (start, stop), p["steps"])
+    profile = SpectrumProfile(kappa_max=p["kappa_max"], pump_freq=p["pump_freq"],
+                              band_width=p["band_width"], mixing=p["mixing"], shape=p["shape"])
+    sweep = spectrum_sweep(profile, (p["nu_start"], p["nu_stop"]), p["steps"])
     _require_resolved("nu_s sweep", sweep.nu_s)
     table = {
         "nu_s_hz": sweep.nu_s,
@@ -290,8 +279,8 @@ def _run_spectrum(p: dict):
     }
     meta = {
         "band_center_effective": profile.band_center,
-        "nu_start_effective": start,
-        "nu_stop_effective": stop,
+        "nu_start_effective": float(sweep.nu_s[0]),
+        "nu_stop_effective": float(sweep.nu_s[-1]),
         "min_squeezing_db": float(np.min(sweep.squeezing_db)),
         "max_gain_db": float(np.max(sweep.gain_db)),
     }
@@ -442,8 +431,8 @@ _COMMANDS: dict[str, Command] = {
     "spectrum": Command(_run_spectrum, "squeezing and gain across the band", [
         Param("kappa-max", _parse_float, required=True, help="apical squeezing modulus"),
         Param("pump-freq", _parse_float, default=12e9, help="pump frequency (Hz)"),
-        Param("band-width", _parse_float, default=8e9, help="band width (Hz)"),
-        Param("band-center", _parse_float, help="band center (Hz); default set by mixing"),
+        Param("band-width", _parse_float, default=8e9,
+              help="band width (Hz), centred on the degenerate frequency"),
         # SpectrumProfile checks the mixing and the shape
         Param("mixing", _parse_word, default="3wm", help="3wm or 4wm"),
         Param("shape", _parse_word, default="parabolic", help="profile shape"),

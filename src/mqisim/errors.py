@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all mqisim modules."""
+"""Exception hierarchy shared by all mqisim modules, and their one rule for counts."""
+
+from numbers import Real
 
 
 class MqisimError(Exception):
@@ -23,3 +25,10 @@ class TruncationError(MqisimError):
 
 class ConvergenceError(MqisimError):
     """An iterative numerical routine failed to converge."""
+
+
+def check_count(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int; unless a whole number >= ``minimum``, InvalidArgumentError."""
+    if not (isinstance(value, Real) and float(value).is_integer() and value >= minimum):
+        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TruncationError
+from .errors import InvalidArgumentError, TruncationError, check_count
 
 if TYPE_CHECKING:
     from .gaussian import SqueezeParam
@@ -35,12 +35,6 @@ if TYPE_CHECKING:
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-8
 _DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
-
-
-def _check_cutoff(cutoff: int) -> int:
-    if int(cutoff) != cutoff or cutoff < 0:
-        raise InvalidArgumentError(f"cutoff must be a non-negative integer, got {cutoff}")
-    return int(cutoff)
 
 
 def _check_discarded(name: str, discarded: float, cutoff: int):
@@ -123,7 +117,7 @@ def tmsv_fock(sq: SqueezeParam, cutoff: int) -> FockTMSV:
     cutoff : int
         Largest photon number kept per mode.
     """
-    cutoff = _check_cutoff(cutoff)
+    cutoff = check_count("cutoff", cutoff)
     n = np.arange(cutoff + 1)
     ratio = np.exp(1j * sq.phase) * math.tanh(sq.kappa)
     coeffs = ratio**n / math.cosh(sq.kappa)
@@ -140,7 +134,7 @@ def thermal_probabilities(nbar: float, cutoff: int) -> tuple[np.ndarray, float]:
     0..cutoff; the mass beyond, (nbar / (1 + nbar))^{cutoff+1}, is
     returned in closed form, so that a tiny tail keeps its precision.
     """
-    cutoff = _check_cutoff(cutoff)
+    cutoff = check_count("cutoff", cutoff)
     if not math.isfinite(nbar) or nbar < 0.0:
         raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0.0:
@@ -164,7 +158,7 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     Built as R D(|alpha|) R' with R = diag(e^{i arg(alpha) n}) and the real
     D(|alpha|) from :func:`_tridiagonal_expm`.
     """
-    cutoff = _check_cutoff(cutoff)
+    cutoff = check_count("cutoff", cutoff)
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise InvalidArgumentError(f"alpha must be finite, got {alpha}")

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStateError, InvalidArgumentError, InvalidStateError
+from .errors import DegenerateStateError, InvalidArgumentError, InvalidStateError, check_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -235,6 +235,15 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
     return float(_normal_density(state.cov, (r - state.mean)[None])[0])
 
 
+def _pair(name: str, value) -> tuple:
+    """The two entries of ``value``, or :class:`InvalidArgumentError` naming ``name``."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be a pair, got {value}") from None
+    return first, second
+
+
 class WignerGrid(NamedTuple):
     """Wigner density sampled on a 2-D slice of the 4-D phase space.
 
@@ -269,14 +278,13 @@ def wigner_grid(
     slice convention is explicit because a 2-D rendering of the 4-D
     Wigner function is not unique.
     """
-    i, j = plane
+    i, j = _pair("plane", plane)
     if i == j or not all(0 <= k < 4 for k in (i, j)):
         raise InvalidArgumentError(f"plane must be two distinct indices in 0..3, got {plane}")
-    if not all(float(n).is_integer() for n in samples):
-        raise InvalidArgumentError(f"samples must be integers, got {samples}")
-    nx, ny = map(int, samples)
-    if nx < 2 or ny < 2:
-        raise InvalidArgumentError(f"need at least 2 samples per axis, got {samples}")
+    nx, ny = (check_count("samples", n, 2) for n in _pair("samples", samples))
+    x_range = _pair("x_range", x_range)
+    y_range = _pair("y_range", y_range)
+    fixed_values = _pair("fixed_values", fixed_values)
     if not all(map(math.isfinite, (*x_range, *y_range, *fixed_values))):
         raise InvalidArgumentError("ranges and fixed values must be finite")
     if x_range[0] == x_range[1] or y_range[0] == y_range[1]:
@@ -319,7 +327,7 @@ def slice_mass(
     density of the two fixed quadratures evaluated at ``fixed_values``.
     Used as the reference for grid Riemann sums.
     """
-    i, j = plane
+    i, j = _pair("plane", plane)
     fixed_idx = [k for k in range(4) if k not in (i, j)]
-    d = np.asarray(fixed_values, dtype=float) - state.mean[fixed_idx]
+    d = np.asarray(_pair("fixed_values", fixed_values), dtype=float) - state.mean[fixed_idx]
     return float(_normal_density(state.cov[np.ix_(fixed_idx, fixed_idx)], d[None])[0])

@@ -24,9 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError
+from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError, check_count
 from .fock import (
-    _check_cutoff,
     _check_discarded,
     _check_unit_trace,
     _hermitian_part,
@@ -122,7 +121,8 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
     Only the signal inputs the TMSV populates (up to the idler cutoff) are formed.
     The signal cutoff bounds the return mode and must be at least the idler cutoff.
     """
-    n_sig, n_idl, n_noise = map(_check_cutoff, (signal_cutoff, idler_cutoff, noise_cutoff))
+    n_sig, n_idl, n_noise = map(check_count, ("signal_cutoff", "idler_cutoff", "noise_cutoff"),
+                                (signal_cutoff, idler_cutoff, noise_cutoff))
     if n_sig < n_idl:
         raise InvalidArgumentError(f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})")
     amp = beam_splitter_amplitudes(n_sig + 1, n_noise + 1, eta, n_idl)
@@ -215,7 +215,7 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     is raised.
     """
     DetectionScenario(eta, n_s, n_b)   # checks the three numbers
-    cutoff = _check_cutoff(cutoff)
+    cutoff = check_count("cutoff", cutoff)
     p0, discarded = thermal_probabilities(n_b, cutoff)
     _check_discarded("thermal background", discarded, cutoff)
     alpha = math.sqrt(eta * n_s)

@@ -3,9 +3,9 @@
 The device-physics model for kappa(nu) is out of scope here; a
 phenomenological profile (truncated parabola by default, raised-cosine
 or rectangular as alternatives) stands in for it, parameterized by the
-apical value, band center and band width.  Frequency bookkeeping
-follows the mixing process: a three-wave mixer conserves
-nu_s + nu_i = nu_p, a four-wave mixer nu_s + nu_i = 2 nu_p.
+apical value and the band width.  Frequency bookkeeping follows the
+mixing process: a three-wave mixer conserves nu_s + nu_i = nu_p, a
+four-wave mixer nu_s + nu_i = 2 nu_p, and the band is centred on (nu_s + nu_i) / 2.
 
 The dB conventions, with the unit-vacuum-variance quadratures used
 package-wide: squeezed joint-quadrature variance e^{-2 kappa} gives a
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_count
 
 MIXING_TYPES = ("3wm", "4wm")
 PROFILE_SHAPES = ("parabolic", "raised_cosine", "rectangular")
@@ -35,20 +35,18 @@ _GAIN_CLOSED_FORM_KAPPA = 20.0
 class SpectrumProfile:
     """Phenomenological squeezing-parameter profile over a frequency band.
 
-    kappa(nu) equals ``kappa_max`` at ``band_center``, falls off with
-    the selected ``shape`` and is zero outside the band.  When
-    ``band_center`` is omitted it defaults to the degenerate signal
-    frequency of the mixing process: nu_p / 2 for a three-wave mixer,
-    nu_p for a four-wave mixer.  The band must lie above 0 Hz and below
-    nu_p (three-wave) or 2 nu_p (four-wave), where the idler frequency
-    nu_p - nu_s or 2 nu_p - nu_s is positive.
+    kappa(nu) equals ``kappa_max`` at ``band_center``, the degenerate
+    frequency nu_p / 2 (three-wave) or nu_p (four-wave), falls off with the
+    selected ``shape`` and is zero outside the band.  So kappa(nu) =
+    kappa(nu_s + nu_i - nu): a signal and its idler, one TMSV pair, share
+    one kappa.  The band, of width below nu_s + nu_i, lies above 0 Hz and
+    below nu_p (three-wave) or 2 nu_p (four-wave), where both are positive.
     """
 
     kappa_max: float
     pump_freq: float
     band_width: float
     mixing: str = "3wm"
-    band_center: float | None = None
     shape: str = "parabolic"
 
     def __post_init__(self):
@@ -62,18 +60,17 @@ class SpectrumProfile:
             raise InvalidArgumentError(f"mixing must be one of {MIXING_TYPES}, got {self.mixing!r}")
         if self.shape not in PROFILE_SHAPES:
             raise InvalidArgumentError(f"shape must be one of {PROFILE_SHAPES}, got {self.shape!r}")
-        if self.band_center is None:
-            object.__setattr__(self, "band_center", self.frequency_sum / 2.0)
-        elif self.band_center <= 0.0 or not math.isfinite(self.band_center):
-            raise InvalidArgumentError(
-                f"band_center must be finite and > 0, got {self.band_center}"
-            )
         self._require_inside("band", *self.band_edges)
 
     @property
     def frequency_sum(self) -> float:
         """nu_s + nu_i fixed by the mixing process: nu_p (3wm) or 2 nu_p (4wm)."""
         return self.pump_freq if self.mixing == "3wm" else 2.0 * self.pump_freq
+
+    @property
+    def band_center(self) -> float:
+        """The degenerate signal frequency (nu_s + nu_i) / 2, where the band is centred."""
+        return self.frequency_sum / 2.0
 
     def _require_inside(self, what: str, lo: float, hi: float):
         """Raise unless [lo, hi] lies inside (0, nu_s + nu_i), where signal and idler
@@ -167,26 +164,24 @@ class SpectrumTable(NamedTuple):
 
 def spectrum_sweep(
     profile: SpectrumProfile,
-    nu_range: tuple[float, float] | None = None,
+    nu_range: tuple[float | None, float | None] | None = None,
     steps: int = 161,
 ) -> SpectrumTable:
     """Sweep the signal frequency and tabulate kappa, squeezing and gain.
 
-    ``nu_range`` defaults to the profile band and, like the band, must lie
-    inside (0, nu_s + nu_i), where both frequencies are positive.  Rows
-    outside the band carry kappa = 0 (hence 0 dB squeezing and gain)
-    rather than raising; the idler column follows the conservation
-    formula everywhere.
+    ``nu_range`` is (start, stop); a ``None`` end, or no range, is the
+    band edge.  The range, like the band, must lie inside (0, nu_s + nu_i),
+    where both frequencies are positive.  Rows outside the band carry
+    kappa = 0 (hence 0 dB squeezing and gain) rather than raising; the
+    idler column follows the conservation formula everywhere.
     """
-    if not float(steps).is_integer():
-        raise InvalidArgumentError(f"steps must be an integer, got {steps}")
-    if steps < 2:
-        raise InvalidArgumentError(f"steps must be >= 2, got {steps}")
-    lo, hi = profile.band_edges if nu_range is None else (float(nu_range[0]), float(nu_range[1]))
+    steps = check_count("steps", steps, 2)
+    ends = (None, None) if nu_range is None else nu_range
+    lo, hi = (float(edge if end is None else end) for end, edge in zip(ends, profile.band_edges))
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise InvalidArgumentError(f"invalid sweep range ({lo}, {hi})")
     profile._require_inside("sweep range", lo, hi)
-    nu_s = np.linspace(lo, hi, int(steps))
+    nu_s = np.linspace(lo, hi, steps)
     kap = kappa_profile(nu_s, profile)
     columns = (nu_s, profile.frequency_sum - nu_s, kap, squeezing_magnitude_db(kap), gain_db(kap))
     for col in columns:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mqisim.errors import InvalidArgumentError, TruncationError
+from mqisim.errors import InvalidArgumentError, TruncationError, check_count
 from mqisim.fock import (
-    _check_cutoff,
     _check_discarded,
     _check_unit_trace,
     _hermitian_part,
@@ -61,7 +60,7 @@ class ModeOps:
 
 def mode_ops(cutoff: int) -> ModeOps:
     """Build the single-mode operator set for a cutoff."""
-    cutoff = _check_cutoff(cutoff)
+    cutoff = check_count("cutoff", cutoff)
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
     adag = a.T.copy()
     n = np.diag(np.arange(cutoff + 1, dtype=float))
@@ -104,7 +103,7 @@ def squeeze_vacuum_operator(sq, cutoff: int) -> np.ndarray:
         If the pair expansion discards tanh^{2(cutoff+1)}(kappa) > 1e-6,
         i.e. the cutoff is too small for the squeeze strength.
     """
-    cutoff = _check_cutoff(cutoff)
+    cutoff = check_count("cutoff", cutoff)
     deficit = thermal_probabilities(sq.mean_photon, cutoff)[1]
     if not deficit <= SQUEEZE_DEFICIT_TOL:   # NaN fails too
         raise TruncationError(

@@ -33,12 +33,13 @@ _C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--
              "--sweep-var", "n_b", "--sweep-values", "1,2,4")
 
 # sha256 of the --help text of the parser ("") and of each subcommand at 80
-# columns, as argparse of Python 3.11 lays it out
+# columns, as argparse of Python 3.11 lays it out; spectrum re-recorded when
+# --band-center left (the band is centred on the degenerate frequency)
 HELP_SHA256 = {
     "": "8fd420855a0d0bf290e78b9325f0c3a24b722f602bebfc042422088a656e2f6a",
     "state": "03194eacd1a6b295813ba8c17b105186fd733c6f6a3e6902544dba8a4f239170",
     "wigner": "6b3a071647504f1e27a79b007c13d162e2c09f0ca14ddb79734f514c9439a699",
-    "spectrum": "bc3d2f8ac7158728842fa3154855a6f6df7343f1b3e0696d53afd536444011a0",
+    "spectrum": "fe1511e5f4765ac5103d3069b9f667f8bc81b7ce3836d7ff10bed0d5e8818211",
     "detect": "aa10853d927eda13d3d79d8f8fba0d75a08013d47d3cddef247f88549b14ed95",
     "qcb": "4c08f46cbb6c2cfa2b349396ad3130d7ebe425f4c67474cc6f86593b6de5ec1f",
 }
@@ -238,22 +239,15 @@ class TestSpectrumCommand:
         assert len(rows) == 2
 
 
-    @pytest.mark.parametrize("center", ["nan", "inf", "-6e9"])
-    def test_band_center_must_be_finite_and_positive(self, center, capsys):
-        argv = ["spectrum", "--kappa-max", "1", "--steps", "3", f"--band-center={center}",
-                "--nu-start", "1e9", "--nu-stop", "2e9"]
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "band_center" in err
-
-    # lower edge at or below 0 Hz, or upper edge at or above nu_p (3wm) or 2 nu_p (4wm)
+    # the band is centred on nu_sum / 2, so a band too wide for the pump puts its lower
+    # edge at or below 0 Hz and its upper edge at or above nu_p (3wm) or 2 nu_p (4wm)
     @pytest.mark.parametrize("flags", [
-        ("--band-center", "1e9"),
-        ("--band-center", "4e9"),
-        ("--band-center", "9e9"),
-        ("--band-center", "8e9"),
-        ("--mixing", "4wm", "--band-center", "21e9"),
-        ("--mixing", "4wm", "--band-center", "20e9"),
+        ("--band-width", "13e9"),
+        ("--band-width", "12e9"),
+        ("--pump-freq", "6e9"),
+        ("--pump-freq", "8e9"),
+        ("--mixing", "4wm", "--band-width", "30e9"),
+        ("--mixing", "4wm", "--band-width", "24e9"),
     ])
     def test_band_edges_must_keep_frequencies_positive(self, flags, capsys):
         argv = ["spectrum", "--kappa-max", "1", "--steps", "3", *flags]
@@ -271,13 +265,23 @@ class TestSpectrumCommand:
         out, err = capsys.readouterr()
         assert out == "" and "sweep range [" in err
 
+    def test_band_center_is_not_an_option(self, capsys):
+        # an off-centre band printed kappa 0.5 for the pair (4, 8) GHz and 0 for
+        # (8, 4) GHz, and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--kappa-max", "0.5", "--pump-freq", "12e9", "--band-width", "4e9",
+                  "--band-center", "4e9", "--nu-start", "2e9", "--nu-stop", "10e9", "--steps", "5"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments: --band-center 4e9" in err
+
     def test_four_wave_band_may_exceed_the_pump(self, capsys):
         argv = ["spectrum", "--kappa-max", "1", "--steps", "3", "--mixing", "4wm",
-                "--band-center", "19e9"]
+                "--band-width", "20e9"]
         assert main(argv) == 0
         _, rows = csv_rows(capsys.readouterr().out)
-        assert [row[:2] for row in rows] == [["1.5e+10", "9e+09"], ["1.9e+10", "5e+09"],
-                                             ["2.3e+10", "1e+09"]]
+        assert [row[:2] for row in rows] == [["2e+09", "2.2e+10"], ["1.2e+10", "1.2e+10"],
+                                             ["2.2e+10", "2e+09"]]
 
 
 class TestDetectCommand:
@@ -667,7 +671,7 @@ class TestInputChecks:
         ((*_DETECT, "--sweep-from", "1"), None, "--sweep-from requires --sweep-var"),
         ((*_DETECT, "--sweep-var", "n_b", "--sweep-from", "1"), None, "detect sweep needs"),
         ((*_DETECT, "--sweep-var", "n_b", "--sweep-from", "1", "--sweep-to", "2",
-          "--sweep-steps", "1"), None, "--sweep-steps must be >= 2"),
+          "--sweep-steps", "1"), None, "--sweep-steps must be an integer >= 2, got 1"),
         (("state", "--kappa", "0.5", "--output", "{tmp}/missing/out.csv"), None,
          "cannot write"),
         (("spectrum", "--kappa-max", "1", "--mixing", "5wm"), None,
@@ -678,9 +682,18 @@ class TestInputChecks:
          "ranges and fixed values must be finite"),
         (("wigner", "--kappa", "0.5", "--fixed=nan,0"), None,
          "ranges and fixed values must be finite"),
+        (("qcb", "--transmitter", "qi", "--kappa", "0.3", "--eta", "0.1", "--n-b", "1",
+          "--sweep-var", "n_s", "--sweep-values", "0.1,0.2"), None,
+         "sweeping n_s conflicts with --kappa"),
+        (("state", "--kappa", "1", "--phase", "nan"), None, "phase must be finite"),
+        (("spectrum", "--kappa-max", "1", "--steps", "3", "--nu-start", "5e9",
+          "--nu-stop", "4e9"), None, "invalid sweep range"),
+        (("spectrum", "--config", "{tmp}/run.cfg"), "kappa-max = 0.5\nband-center = 4e9\n",
+         "unknown config keys: band_center"),
     ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
             "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
-            "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan"])
+            "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan", "qcb_kappa_sweep_n_s",
+            "phase_nan", "spectrum_descending", "config_band_center"])
     def test_rejected(self, argv, config, message, tmp_path, capsys):
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)

@@ -187,7 +187,7 @@ class TestWignerGrid:
 
     def test_fractional_samples_rejected(self):
         # numpy's linspace raised TypeError on 2.5 points
-        with pytest.raises(InvalidArgumentError, match="samples must be integers"):
+        with pytest.raises(InvalidArgumentError, match="samples must be an integer"):
             wigner_grid(vacuum_state(), samples=(2.5, 3))
 
     def test_descending_axis_accepted(self):
@@ -215,6 +215,23 @@ def test_malformed_input_rejected(call, message):
     with pytest.raises(InvalidArgumentError) as exc:
         call()
     assert message in str(exc.value)
+
+
+# a third value was ignored, and a single one raised a bare unpacking or broadcast ValueError
+@pytest.mark.parametrize("call, name", [
+    (lambda: wigner_grid(vacuum_state(), x_range=(-4, 4, 9)), "x_range"),
+    (lambda: wigner_grid(vacuum_state(), y_range=(1,)), "y_range"),
+    (lambda: wigner_grid(vacuum_state(), fixed_values=(0, 0, 5)), "fixed_values"),
+    (lambda: wigner_grid(vacuum_state(), samples=(3,)), "samples"),
+    (lambda: wigner_grid(vacuum_state(), plane=(0,)), "plane"),
+    (lambda: wigner_grid(vacuum_state(), plane=(0, 1, 2)), "plane"),
+    (lambda: slice_mass(vacuum_state(), (0, 1), (0, 0, 7)), "fixed_values"),
+    (lambda: slice_mass(vacuum_state(), (0, 1, 2)), "plane"),
+], ids=["x_range", "y_range", "fixed", "samples", "plane_short", "plane_long",
+        "slice_fixed", "slice_plane"])
+def test_pair_of_another_length_rejected(call, name):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be a pair, got "):
+        call()
 
 
 @settings(deadline=None, max_examples=80)

@@ -98,6 +98,29 @@ def test_every_export_is_used_or_an_acceptance_criterion():
     assert unused == ACCEPTANCE_ONLY
 
 
+def _public_definitions() -> dict:
+    """Public top-level functions, classes and constants of src/mqisim/, by module."""
+    found = {}
+    for path in Path(mqisim.__file__).parent.glob("*.py"):
+        names = set()
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        found[path.stem] = {name for name in names if not name.startswith("_")}
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that no code in src/ uses, that is not exported and that no
+    # acceptance criterion calls is code with no caller
+    used = _src_references() | EXPORTS | _acceptance_calls()
+    unused = {module: names - used for module, names in _public_definitions().items()}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
 def test_submodules_are_attributes():
     for name in ("errors", "gaussian", "fock", "illumination", "qcb", "spectrum"):
         assert getattr(mqisim, name) is sys.modules["mqisim." + name]

@@ -42,10 +42,43 @@ class TestSpectrumProfile:
             profile(mixing="5wm")
         with pytest.raises(InvalidArgumentError):
             profile(shape="gaussian")
-        with pytest.raises(InvalidArgumentError):
-            profile(band_center=3e9)   # lower edge -1e9 Hz
-        with pytest.raises(InvalidArgumentError):
-            profile(band_center=9e9)   # upper edge 13e9 Hz, above the pump
+        with pytest.raises(InvalidArgumentError, match="band"):
+            profile(band_width=12e9)   # edges at 0 Hz and at the pump, 12e9 Hz
+        with pytest.raises(InvalidArgumentError, match="band"):
+            profile(band_width=30e9, mixing="4wm")   # edges -3e9 Hz and 27e9 Hz > 2 nu_p
+
+
+class TestPairRule:
+    """A signal at nu and its idler at nu_sum - nu are one pair of the TMSV, so
+    they share one kappa: the band is centred on the degenerate frequency."""
+
+    def test_band_center_is_not_a_field(self):
+        # an off-centre band gave the pair (4, 8) GHz kappa 0.5 and (8, 4) GHz kappa 0
+        with pytest.raises(TypeError, match="band_center"):
+            profile(band_center=4e9)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(mixing=st.sampled_from(["3wm", "4wm"]),
+           shape=st.sampled_from(["parabolic", "raised_cosine", "rectangular"]),
+           kappa_max=st.floats(0.01, 5.0), pump=st.floats(1e9, 2e10),
+           width=st.floats(0.01, 0.99), u=st.floats(-1.0, 1.0))
+    def test_signal_and_idler_share_kappa(self, mixing, shape, kappa_max, pump, width, u):
+        total = pump if mixing == "3wm" else 2.0 * pump
+        p = profile(kappa_max, pump_freq=pump, band_width=width * total, mixing=mixing,
+                    shape=shape)
+        if shape == "rectangular":
+            # kappa jumps at a rectangular edge, and within a rounding of it nu and
+            # nu_sum - nu may fall on two sides (CHANGES.md, the FOUND line on the
+            # rectangular band edge); keep nu 1e-9 band widths inside the band
+            u = max(-1.0 + 2e-9, min(u, 1.0 - 2e-9))
+        nu = p.band_center + u * p.band_width / 2.0
+        signal, idler = kappa_profile(np.array([nu, p.frequency_sum - nu]), p)
+        assert abs(signal - idler) <= 1e-12 * kappa_max
+
+    def test_mirrored_rows_share_kappa(self):
+        table = spectrum_sweep(profile(0.5, band_width=4e9), nu_range=(2e9, 10e9), steps=5)
+        np.testing.assert_array_equal(table.nu_s, table.nu_i[::-1])
+        np.testing.assert_array_equal(table.kappa, table.kappa[::-1])
 
 
 class TestKappaProfile:
