@@ -191,9 +191,10 @@ def _sweep_fields(p: dict, base: dict, what: str) -> dict:
         )
     else:
         steps = check_count("--sweep-steps", p["sweep_steps"], 2)
-        if not (math.isfinite(p["sweep_from"]) and math.isfinite(p["sweep_to"])):
-            raise InvalidArgumentError("--sweep-from and --sweep-to must be finite, "
-                                       f"got {p['sweep_from']}, {p['sweep_to']}")
+        # a width beyond the largest double would reach np.linspace as inf
+        if not math.isfinite(p["sweep_to"] - p["sweep_from"]):
+            raise InvalidArgumentError("--sweep-from, --sweep-to and their difference must be "
+                                       f"finite, got {p['sweep_from']}, {p['sweep_to']}")
         values = np.linspace(p["sweep_from"], p["sweep_to"], steps)
         _require_resolved(f"{p['sweep_var']} sweep", values)
     return {**base, p["sweep_var"]: values}
@@ -238,16 +239,9 @@ def _run_wigner(p: dict):
     state = tmsv_covariance(sq)
     xname, yname = p["plane"]
     plane = (quadrature_index(xname), quadrature_index(yname))
-    x_range = p["x_range"] if p["x_range"] is not None else p["range"]
-    y_range = p["y_range"] if p["y_range"] is not None else p["range"]
-    nx = p["x_samples"] if p["x_samples"] is not None else p["samples"]
-    ny = p["y_samples"] if p["y_samples"] is not None else p["samples"]
-    grid = wigner_grid(
-        state, plane=plane, x_range=x_range, y_range=y_range,
-        samples=(nx, ny), fixed_values=p["fixed"],
-    )
-    _require_resolved(f"{xname} axis", grid.x_axis)
-    _require_resolved(f"{yname} axis", grid.y_axis)
+    grid = wigner_grid(state, plane=plane, x_range=p["range"], y_range=p["range"],
+                       samples=(p["samples"], p["samples"]), fixed_values=p["fixed"])
+    _require_resolved(f"{xname} axis", grid.x_axis)   # the y axis is the same
     table = {
         xname: np.repeat(grid.x_axis, len(grid.y_axis)),
         yname: np.tile(grid.y_axis, len(grid.x_axis)),
@@ -423,10 +417,6 @@ _COMMANDS: dict[str, Command] = {
         Param("fixed", _parse_pair, default=(0.0, 0.0), help="values of the two fixed quadratures"),
         Param("range", _parse_pair, default=(-4.0, 4.0), help="axis range for both axes"),
         Param("samples", _parse_int, default=81, help="grid points per axis"),
-        Param("x-range", _parse_pair, help="override range of the first plane axis"),
-        Param("y-range", _parse_pair, help="override range of the second plane axis"),
-        Param("x-samples", _parse_int, help="override samples of the first plane axis"),
-        Param("y-samples", _parse_int, help="override samples of the second plane axis"),
     ]),
     "spectrum": Command(_run_spectrum, "squeezing and gain across the band", [
         Param("kappa-max", _parse_float, required=True, help="apical squeezing modulus"),

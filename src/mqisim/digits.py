@@ -6,8 +6,10 @@ cells laid side by side with the NULs dropped.  ``format_floats`` writes
 Python's ``format(v, ".9g")`` (or its JSON token) of float64 values with a
 numpy kernel, byte for byte, and leaves to Python only the values the
 kernel cannot decide.  ``emit_csv`` and ``emit_json`` write a table (a
-dict of 1-D numpy columns) and its metadata; ``same_cells`` tells which
-adjacent values of a generated axis print the same cell.
+dict of 1-D numpy columns) and its metadata, every column one way: its
+distinct bit patterns, each formatted once, and each row's index into
+them.  ``same_cells`` tells which adjacent values of a generated axis
+print the same cell.
 """
 
 from __future__ import annotations
@@ -173,48 +175,29 @@ def row_count(table: dict) -> int:
 _BOOL_CELLS = byte_rows(["false", "true"])
 
 
-def _distinct(col: np.ndarray):
-    """The column's distinct values and each row's index into them, or
-    ``(col, None)`` when no value repeats.
-
-    Keyed on bit patterns, so -0.0 stays apart from 0.0 and NaNs of
-    different payloads apart from each other.  A strictly monotone column,
-    such as every linspace axis, has no repeats and skips the sort; a
-    monotone one, such as a repeated axis, holds each value in one run and
-    is split where its bits change (a run of zeros that mixes -0.0 and
-    0.0 gives a key per change).  NaN, which is unordered, takes the sort.
-    """
-    rises, falls = col[1:] > col[:-1], col[1:] < col[:-1]
-    if rises.all() or falls.all():
-        return col, None
-    bits = col.view(f"u{col.itemsize}")
-    if not (rises.any() and falls.any()) and (rises | falls | (col[1:] == col[:-1])).all():
-        change = bits[1:] != bits[:-1]
-        keys, index = col[np.r_[True, change]], np.cumsum(np.r_[0, change])
-    else:
-        keys, index = np.unique(bits, return_inverse=True)
-        keys = keys.view(col.dtype)
-    return (col, None) if keys.size == col.size else (keys, index)
-
-
 def _column_cells(table: dict, json_floats: bool) -> list:
-    """Per column, its cell rows and each table row's index into them
-    (``None``: one cell row per table row).
+    """Per column, the cell rows of its distinct values and each table row's
+    index into them.
 
+    ``np.unique`` of the column's bit patterns gives both, so -0.0 stays
+    apart from 0.0 and NaNs of different payloads apart from each other.
     Each distinct value is formatted once, and all floats of the table in
-    one pass of the kernel, ``CHUNK`` values at a time.  Byte columns that are NUL in every cell are dropped.
+    one pass of the kernel, ``CHUNK`` values at a time.  Byte columns that
+    are NUL in every cell are dropped.
     """
     columns, floats = [], []
     for col in table.values():
-        if col.dtype.kind == "b":
-            columns.append([_BOOL_CELLS, col.view(np.uint8)])
-        elif col.dtype.kind in "iu":
-            keys, index = _distinct(col)
-            columns.append([byte_rows(list(map(str, keys.tolist()))), index])
-        else:
+        if col.dtype.kind == "f":
             # Python formats a long double as the double nearest it, inf beyond their range
             with np.errstate(over="ignore"):
-                columns.append(list(_distinct(col.astype(np.float64, copy=False))))
+                col = col.astype(np.float64, copy=False)
+        keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        if col.dtype.kind == "b":
+            columns.append([_BOOL_CELLS[keys], index])
+        elif col.dtype.kind in "iu":
+            columns.append([byte_rows(list(map(str, keys.view(col.dtype).tolist()))), index])
+        else:
+            columns.append([keys.view(np.float64), index])
             floats.append(columns[-1])
     if floats:
         values = np.concatenate([c[0] for c in floats])
@@ -247,7 +230,7 @@ def _row_blocks(table: dict, sep: str, end: str, json_floats: bool):
         n = min(_BLOCK_ROWS, rows - s)
         parts = []
         for (cells, index), sep_bytes in zip(columns, seps):
-            parts.append(cells[s:s + n] if index is None else cells.take(index[s:s + n], axis=0))
+            parts.append(cells.take(index[s:s + n], axis=0))
             parts.append(np.broadcast_to(sep_bytes, (n, sep_bytes.size)))
         yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
 

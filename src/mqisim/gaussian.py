@@ -273,7 +273,8 @@ def wigner_grid(
 
     The two quadratures named by ``plane`` are varied over ``x_range``
     and ``y_range`` (inclusive endpoints, ``samples`` points per axis;
-    an axis may descend but not have zero width);
+    an axis may descend but not have zero width or a width beyond the
+    largest double);
     the two remaining quadratures are held at ``fixed_values``.  The
     slice convention is explicit because a 2-D rendering of the 4-D
     Wigner function is not unique.
@@ -285,9 +286,12 @@ def wigner_grid(
     x_range = _pair("x_range", x_range)
     y_range = _pair("y_range", y_range)
     fixed_values = _pair("fixed_values", fixed_values)
-    if not all(map(math.isfinite, (*x_range, *y_range, *fixed_values))):
-        raise InvalidArgumentError("ranges and fixed values must be finite")
-    if x_range[0] == x_range[1] or y_range[0] == y_range[1]:
+    # a width beyond the largest double would reach np.linspace as inf
+    widths = [stop - start for start, stop in (x_range, y_range)]
+    if not all(map(math.isfinite, (*widths, *fixed_values))):
+        raise InvalidArgumentError("ranges and fixed values must be finite, and so must the "
+                                   f"width of each range, got {x_range}, {y_range}, {fixed_values}")
+    if 0.0 in widths:
         raise InvalidArgumentError(f"axis ranges need distinct ends, got {x_range}, {y_range}")
     report = uncertainty_check(state)
     if not report.passed:

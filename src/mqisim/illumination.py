@@ -123,7 +123,11 @@ def pulse_count(t_int, bandwidth):
     w = _floats(bandwidth, "bandwidth")
     _require(np.isfinite(t) & np.isfinite(w) & (t >= 0.0) & (w >= 0.0),
              "t_int and bandwidth must be finite and >= 0, got {}, {}", t, w)
-    return t * w
+    with np.errstate(over="ignore"):
+        m = t * w
+    _require(np.isfinite(m), "pulse count t_int * bandwidth overflows at {} * {}", t, w,
+             error=OverflowError)
+    return m
 
 
 def error_probability(rate, pulses):
@@ -136,14 +140,16 @@ def error_probability(rate, pulses):
     m = _floats(pulses, "pulses")
     _require(np.isfinite(r) & np.isfinite(m) & (r > 0.0) & (m > 0.0),
              "rate and pulses must be finite and > 0, got {}, {}", r, m)
-    mr = m * r
-    _require(mr > 0.0, "pulses * rate underflows to 0 at {} * {}", m, r)
-    return _scalar(np.exp(-mr) / (2.0 * np.sqrt(math.pi * mr)))
+    with np.errstate(over="ignore"):   # an M R that overflows is envelope 0
+        mr = m * r
+        _require(mr > 0.0, "pulses * rate underflows to 0 at {} * {}", m, r)
+        return _scalar(np.exp(-mr) / (2.0 * np.sqrt(math.pi * mr)))
 
 
 def is_asymptotic(rate, pulses):
     """Whether the envelope formula is inside its asymptotic validity window."""
-    return _scalar((np.multiply(pulses, rate) >= 1.0) & np.greater_equal(pulses, 100.0))
+    with np.errstate(over="ignore"):   # M R = inf is >= 1
+        return _scalar((np.multiply(pulses, rate) >= 1.0) & np.greater_equal(pulses, 100.0))
 
 
 class PulseRequirement(NamedTuple):

@@ -165,6 +165,8 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     n_sig, n_idl, n_noise = channel.signal_cutoff, channel.idler_cutoff, channel.noise_cutoff
 
     nbar_noise = n_b / (1.0 - eta) if eta < 1.0 else 0.0
+    if math.isinf(nbar_noise):
+        raise OverflowError(f"noise occupancy n_b / (1 - eta) overflows at {n_b} / {1.0 - eta}")
     p_noise, noise_discarded = thermal_probabilities(nbar_noise, n_noise)
     p_ret0, ret_discarded = thermal_probabilities(n_b, n_sig)
     p_idl0, idl_discarded = thermal_probabilities(n_s, n_idl)

@@ -98,22 +98,32 @@ def kappa_profile(nu_s, profile: SpectrumProfile):
     All shapes are 0 outside the band and kappa_max at its center.
     """
     nu = np.asarray(nu_s, dtype=float)
-    u = (nu - profile.band_center) / (profile.band_width / 2.0)
-    if profile.shape == "parabolic":
-        val = profile.kappa_max * (1.0 - u**2)
-    elif profile.shape == "raised_cosine":
-        val = profile.kappa_max * 0.5 * (1.0 + np.cos(np.pi * u))
-    else:  # rectangular
-        val = profile.kappa_max
+    # far outside a narrow band u and the shape may overflow; those rows read 0.
+    # u is formed as 2 (nu - center) / width, as width / 2 is 0 at width 5e-324
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = 2.0 * (nu - profile.band_center) / profile.band_width
+        if profile.shape == "parabolic":
+            val = profile.kappa_max * (1.0 - u**2)
+        elif profile.shape == "raised_cosine":
+            val = profile.kappa_max * 0.5 * (1.0 + np.cos(np.pi * u))
+        else:  # rectangular
+            val = profile.kappa_max
     val = np.where(np.abs(u) <= 1.0, val, 0.0)
     return float(val) if np.isscalar(nu_s) else val
 
 
-def _check_kappa(kappa):
+def _kappa_db(kappa):
+    """kappa >= 0 as an array, and (20 log10 e) kappa, the anti-squeezing in dB;
+    OverflowError names a kappa where the dB value overflows."""
     k = np.asarray(kappa, dtype=float)
     if not np.all(k >= 0.0):   # NaN fails too
         raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
-    return k
+    with np.errstate(over="ignore"):
+        db = _DB_PER_KAPPA * k
+    bad = np.flatnonzero(np.isinf(db))
+    if bad.size:
+        raise OverflowError(f"squeezing in dB overflows at kappa = {float(k.flat[bad[0]])!r}")
+    return k, db
 
 
 def squeezing_magnitude_db(kappa):
@@ -128,7 +138,7 @@ def antisqueezing_magnitude_db(kappa):
     10 log10(e^{2 kappa}) = (20 log10 e) kappa in closed form.  Vectorized
     over kappa; a scalar kappa gives a float.
     """
-    val = _DB_PER_KAPPA * _check_kappa(kappa)
+    val = _kappa_db(kappa)[1]
     return float(val) if np.isscalar(kappa) else val
 
 
@@ -142,11 +152,11 @@ def gain_db(kappa):
     double precision, so the gain is (20 log10 e) kappa - 20 log10 2 there;
     sinh, which overflows near kappa = 710, is evaluated only below 20.
     """
-    k = _check_kappa(kappa)
+    k, db = _kappa_db(kappa)
     val = np.where(
         k < _GAIN_CLOSED_FORM_KAPPA,
         _DB_PER_KAPPA * np.log1p(2.0 * np.sinh(np.minimum(k, _GAIN_CLOSED_FORM_KAPPA) / 2.0) ** 2),
-        _DB_PER_KAPPA * k - 20.0 * math.log10(2.0),
+        db - 20.0 * math.log10(2.0),
     )
     return float(val) if np.isscalar(kappa) else val
 

@@ -34,11 +34,12 @@ _C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--
 
 # sha256 of the --help text of the parser ("") and of each subcommand at 80
 # columns, as argparse of Python 3.11 lays it out; spectrum re-recorded when
-# --band-center left (the band is centred on the degenerate frequency)
+# --band-center left (the band is centred on the degenerate frequency), wigner
+# when its per-axis --x-range, --y-range, --x-samples and --y-samples left
 HELP_SHA256 = {
     "": "8fd420855a0d0bf290e78b9325f0c3a24b722f602bebfc042422088a656e2f6a",
     "state": "03194eacd1a6b295813ba8c17b105186fd733c6f6a3e6902544dba8a4f239170",
-    "wigner": "6b3a071647504f1e27a79b007c13d162e2c09f0ca14ddb79734f514c9439a699",
+    "wigner": "9363e248ca71e73c4980e39650d4780d71317660918f98ac0177549c20d299f8",
     "spectrum": "fe1511e5f4765ac5103d3069b9f667f8bc81b7ce3836d7ff10bed0d5e8818211",
     "detect": "aa10853d927eda13d3d79d8f8fba0d75a08013d47d3cddef247f88549b14ed95",
     "qcb": "4c08f46cbb6c2cfa2b349396ad3130d7ebe425f4c67474cc6f86593b6de5ec1f",
@@ -690,10 +691,12 @@ class TestInputChecks:
           "--nu-stop", "4e9"), None, "invalid sweep range"),
         (("spectrum", "--config", "{tmp}/run.cfg"), "kappa-max = 0.5\nband-center = 4e9\n",
          "unknown config keys: band_center"),
+        (("wigner", "--config", "{tmp}/run.cfg"), "kappa = 0.5\nx-range = -1,1\n",
+         "unknown config keys: x_range"),
     ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
             "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
             "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan", "qcb_kappa_sweep_n_s",
-            "phase_nan", "spectrum_descending", "config_band_center"])
+            "phase_nan", "spectrum_descending", "config_band_center", "config_x_range"])
     def test_rejected(self, argv, config, message, tmp_path, capsys):
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)

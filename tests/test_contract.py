@@ -2,15 +2,16 @@
 
 Every subcommand is run in-process through ``main(argv)`` on values drawn
 from the edges of the float domain (signed zeros, subnormals, values whose
-squares or products overflow, infinities, NaN, negatives) and small
-cutoffs.  Whatever the input, the run exits 0, 2 or 3; a failure prints a
-message and no table; a table holds finite cells except where a column
-documents otherwise; and the same argv gives the same bytes.
+squares, products or differences overflow, infinities, NaN, negatives) and
+small cutoffs.  Whatever the input, the run exits 0, 2 or 3; a failure
+prints a message and no table; a table holds finite cells except where a
+column documents otherwise; and the same argv gives the same bytes.
 """
 
 import io
 import json
 import math
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 from mqisim.cli import main
 from mqisim.illumination import DetectionScenario, classical_error_rate
 
+# the largest double
+MAX = sys.float_info.max
 VALUES = st.sampled_from([
-    0.0, -0.0, 1e-300, 1e-320, 0.1, 0.5, 1.0, 2.5, 400.0, 1e6, 8e9, 12e9, 1e154, 1e300,
-    math.inf, -math.inf, math.nan, -0.5, -1.0, -1e300,
+    0.0, -0.0, 1e-300, 1e-320, 0.1, 0.5, 1.0, 2.5, 400.0, 1e6, 8e9, 12e9, 1e154, 1e300, MAX,
+    math.inf, -math.inf, math.nan, -0.5, -1.0, -1e300, -MAX,
 ])
 SMALL_INTS = st.sampled_from([-1, 0, 1, 2, 3, 5])
 CUTOFFS = st.sampled_from([-1, 0, 2, 6, 12])
@@ -62,12 +65,9 @@ def invocations(draw) -> list[str]:
                                                 "qs,xx"]))}
         if draw(maybe):
             flags["phase"] = draw(VALUES)
-        for name in ("fixed", "range", "x-range", "y-range"):
+        for name in ("fixed", "range"):
             if draw(maybe):
                 flags[name] = _pair(draw)
-        for name in ("x-samples", "y-samples"):
-            if draw(maybe):
-                flags[name] = draw(SMALL_INTS)
     elif command == "spectrum":
         flags = {"kappa-max": draw(VALUES), "steps": draw(SMALL_INTS),
                  "mixing": draw(st.sampled_from(["3wm", "4wm"])),
@@ -221,8 +221,51 @@ def test_infinite_sweep_bound_rejected():
     assert caught == []
 
 
-@pytest.mark.parametrize("ranges", [["--range=1,1"], ["--x-range=0,-0"], ["--y-range=2,2"]],
-                         ids=["both", "x_signed_zero", "y"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, expected", [
+    # np.linspace overflowed on MAX - (-MAX) and printed axis cells nan, inf, 1.79769313e+308
+    (["wigner", "--kappa", "0.5", f"--range={-MAX!r},{MAX!r}", "--samples", "3"], 2,
+     f"width of each range, got ({-MAX!r}, {MAX!r})"),
+    # the same overflow warned twice and reported n_b=nan
+    (["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10", "--sweep-var",
+      "n_b", f"--sweep-from={-MAX!r}", f"--sweep-to={MAX!r}", "--sweep-steps", "3"], 2,
+     f"got {-MAX!r}, {MAX!r}"),
+    # (20 log10 e) kappa overflowed, and the centre row printed -inf and inf dB
+    (["spectrum", "--kappa-max", repr(MAX), "--steps", "3"], 3,
+     f"squeezing in dB overflows at kappa = {MAX!r}"),
+    # far outside the band, kappa_max (1 - u^2) overflowed with a RuntimeWarning
+    (["spectrum", "--kappa-max", repr(MAX), "--steps", "2", "--nu-start=1e-300"], 0,
+     "1e-300,1.2e+10,0,0,0\n"),
+    # so did u = (nu - centre) / (width / 2) of a band 1e-300 Hz wide
+    (["spectrum", "--kappa-max", "1", "--band-width", "1e-300", "--nu-start", "1e9",
+      "--steps", "2"], 0, "1e+09,1.1e+10,0,0,0\n"),
+    # the least subnormal width halved to 0: u = 0 / 0 at the centre read kappa 0
+    (["spectrum", "--kappa-max", "1", "--band-width", "5e-324", "--nu-start", "1e9",
+      "--nu-stop", "11e9", "--steps", "3"], 0, "6e+09,6e+09,1,-8.68588964,3.76777242\n"),
+    # M R overflowed with a RuntimeWarning; an infinite M R is a zero envelope
+    (["detect", "--eta", "1", "--n-s", repr(MAX), "--n-b", "1", "--pulses", "10"], 0,
+     "1,1.79769313e+308,1,1.79769313e+308,10,4.49423284e+307,1.79769313e+308,0,0,6.02059991,"
+     "false,false\n"),
+    # so did pi M R, of a finite M R
+    (["detect", "--eta", "1e-300", "--n-s", "0.5", "--n-b", "1e-300", "--pulses", repr(MAX),
+      "--sweep-var", "n_s", "--sweep-values", "0.5,1"], 0,
+     "1e-300,0.5,1e-300,5e+299,1.79769313e+308,0.125,0.5,0,0,6.02059991,true,true\n"),
+    # t_int * bandwidth overflowed with a RuntimeWarning and was rejected as pulses = inf
+    (["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--t-int", "0",
+      "--bandwidth", "1e300", "--sweep-var", "t_int", "--sweep-values", "8e9"], 3,
+     "pulse count t_int * bandwidth overflows at 8000000000.0 * 1e+300"),
+    # n_b / (1 - eta) overflowed and was rejected as nbar = inf, a value never passed
+    (["qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--n-b", repr(MAX)], 3,
+     "noise occupancy n_b / (1 - eta) overflows"),
+], ids=["wigner_range", "detect_sweep", "spectrum_db", "spectrum_far_row", "spectrum_narrow_band",
+        "spectrum_subnormal_band", "detect_envelope", "detect_pi_envelope", "detect_pulses", "qcb_noise"])
+def test_top_of_the_double_range_keeps_the_contract(argv, code, expected):
+    got, out, err = _run(argv)
+    assert got == code and expected in (err if code else out), (out, err)
+
+
+@pytest.mark.parametrize("ranges", [["--range=1,1"], ["--range=0,-0"]],
+                         ids=["both", "x_signed_zero"])
 def test_zero_width_wigner_axis_rejected(ranges):
     # a zero-width axis printed every grid row at one point and exited 0
     code, out, err = _run(["wigner", "--kappa", "0.5", "--samples", "3", *ranges])
@@ -231,8 +274,6 @@ def test_zero_width_wigner_axis_rejected(ranges):
 
 @pytest.mark.parametrize("argv, axis", [
     (["wigner", "--kappa", "0.5", "--range=1,1.0000000001", "--samples", "3"], "qs axis"),
-    (["wigner", "--kappa", "0.5", "--y-range=-2e-9,-1.9999999999e-9", "--samples", "3"],
-     "ps axis"),
     (["spectrum", "--kappa-max", "3", "--steps", "5", "--nu-start", "5e9",
       "--nu-stop", "5.0000000001e9"], "nu_s sweep"),
     (["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10",
@@ -241,7 +282,7 @@ def test_zero_width_wigner_axis_rejected(ranges):
     (["qcb", "--transmitter", "classical", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1",
       "--cutoff", "4", "--sweep-var", "eta", "--sweep-from", "0.5", "--sweep-to", "0.5000000001",
       "--sweep-steps", "3"], "eta sweep"),
-], ids=["wigner", "wigner_y", "spectrum", "detect", "qcb"])
+], ids=["wigner", "spectrum", "detect", "qcb"])
 def test_unresolved_axis_rejected(argv, axis):
     # a step below the 9-digit resolution of the cells printed rows that could not be
     # told apart, and exited 0

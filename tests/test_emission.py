@@ -324,3 +324,53 @@ def test_chunks_of_the_kernel_join_in_order():
     x = np.arange(2 * digits.CHUNK + 5) * 0.1 + 1e-3
     x[digits.CHUNK - 1:digits.CHUNK + 1] = [5e-324, 100000000.5]   # Python cells at a chunk edge
     _assert_float_cells_match(x)
+
+
+# Values of the property test below: signed zeros, NaNs of other payloads and
+# signs, infinities, subnormals, JSON's integer cells from 1e9 to below 1e16
+# and a 9-digit tie that only Python's rounding decides.
+_POOL = np.concatenate([
+    [0.0, -0.0, 5e-324, -1.55772969e-318, 2.2250738585072014e-308, 1e9, 1.5e9,
+     -123456789012.0, 9.999999995e15, 1e16, 100000000.5, 0.1, -2.5, 1e-300],
+    np.array(_NAN_INF_BITS, dtype=np.uint64).view(np.float64),
+])
+_LENGTHS = [0, 1, 5, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+
+
+@st.composite
+def _tables(draw):
+    """A table whose columns lay a few distinct values out as a generated axis
+    does: repeated, tiled, one value broadcast, or drawn at random."""
+    rows = draw(st.sampled_from(_LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for name in "abcd"[:draw(st.integers(1, 4))]:
+        kind = draw(st.sampled_from(["float64", "float32", "int64", "bool"]))
+        k = draw(st.integers(1, 2 * _POOL.size))   # distinct values, or fewer
+        if kind == "bool":
+            values = rng.integers(0, 2, k).astype(bool)
+        elif kind == "int64":
+            values = rng.integers(-2**63, 2**31, k)
+        else:
+            with np.errstate(invalid="ignore"):   # a signalling NaN becomes a quiet float32 one
+                values = rng.choice(_POOL, k).astype(kind)
+        shape = draw(st.sampled_from(["draws", "repeat", "tile", "scalar"]))
+        if shape == "repeat":   # an axis: sorted, with any -0.0 and 0.0 side by side
+            col = np.repeat(np.sort(values), -(-rows // k))[:rows]
+        elif shape == "tile":
+            col = np.tile(np.sort(values), -(-rows // k))[:rows]
+        elif shape == "scalar":
+            col = np.broadcast_to(values[0], (rows,))
+        else:
+            col = values[rng.integers(0, k, rows)]
+        table[name] = col
+    return table
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(_tables())
+def test_tables_of_repeated_values_match_reference(table):
+    # compared line by line, so that a failure reports its first wrong line fast
+    meta = {"tool": "mqisim"}
+    assert emit_csv(table, meta).splitlines() == ref_emit_csv(table, meta).splitlines()
+    assert emit_json(table, meta).splitlines() == ref_emit_json(table, meta).splitlines()

@@ -7,6 +7,7 @@ process compiles and executes no module it does not use.
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 import mqisim
 import reference
+from mqisim.cli import _COMMANDS, load_config
 
 # the function, class and constant names that `from mqisim import *` gives
 EXPORTS = {
@@ -119,6 +121,21 @@ def test_every_public_name_has_a_caller():
     used = _src_references() | EXPORTS | _acceptance_calls()
     unused = {module: names - used for module, names in _public_definitions().items()}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_every_cli_flag_has_a_user():
+    # a flag that no document, preset, benchmark invocation or acceptance
+    # criterion passes is a knob that nobody turns
+    root = Path(__file__).parent.parent
+    texts = [(root / name).read_text() for name in
+             ("README.md", "perfbench/workloads.py", "tests/test_acceptance.py")]
+    config_keys = set().union(*(load_config(str(path)) for path in root.glob("configs/*.cfg")))
+    unused = {
+        f"{command} --{param.name}" for command, spec in _COMMANDS.items() for param in spec.params
+        if param.name.replace("-", "_") not in config_keys
+        and not any(re.search(rf"(?<![\w-])--{param.name}(?![\w-])", text) for text in texts)
+    }
+    assert unused == set()
 
 
 def test_submodules_are_attributes():
