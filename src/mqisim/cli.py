@@ -249,9 +249,9 @@ def _run_wigner(p: dict):
     }
     fixed_names = [QUADRATURE_NAMES[k] for k in range(4) if k not in plane]
     meta = {
-        "fixed_" + fixed_names[0]: grid.fixed_values[0],
-        "fixed_" + fixed_names[1]: grid.fixed_values[1],
-        "slice_mass_analytic": slice_mass(state, plane, grid.fixed_values),
+        "fixed_" + fixed_names[0]: p["fixed"][0],
+        "fixed_" + fixed_names[1]: p["fixed"][1],
+        "slice_mass_analytic": slice_mass(state, plane, p["fixed"]),
         "layout": "row-major over the first plane axis",
     }
     return table, meta

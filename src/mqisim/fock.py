@@ -96,19 +96,17 @@ class FockTMSV(NamedTuple):
     """Photon-pair expansion of a two-mode squeezed vacuum.
 
     ``coeffs[n]`` (complex, read-only) multiplies |n>_s |n>_i and equals
-    (e^{i phase} tanh kappa)^n / cosh kappa.  ``norm_deficit`` is the
-    probability mass lost to the cutoff, the closed-form tail
-    tanh^{2(N+1)} kappa of the thermal law |c_n|^2 (nbar = sinh^2 kappa).
+    (e^{i phase} tanh kappa)^n / cosh kappa, n = 0..N = coeffs.size - 1.
+    ``norm_deficit``, the mass lost to the cutoff N, is the closed-form
+    tail tanh^{2(N+1)} kappa of the thermal law |c_n|^2 (nbar = sinh^2 kappa).
     """
 
-    sp: SqueezeParam
-    cutoff: int
     coeffs: np.ndarray
     norm_deficit: float
 
 
 def tmsv_fock(sq: SqueezeParam, cutoff: int) -> FockTMSV:
-    """Photon-pair coefficients of the TMSV up to a cutoff.
+    """Photon-pair coefficients of the TMSV up to a cutoff, and the mass beyond it.
 
     Parameters
     ----------
@@ -123,7 +121,7 @@ def tmsv_fock(sq: SqueezeParam, cutoff: int) -> FockTMSV:
     coeffs = ratio**n / math.cosh(sq.kappa)
     coeffs.setflags(write=False)
     deficit = thermal_probabilities(sq.mean_photon, cutoff)[1]
-    return FockTMSV(sp=sq, cutoff=cutoff, coeffs=coeffs, norm_deficit=deficit)
+    return FockTMSV(coeffs=coeffs, norm_deficit=deficit)
 
 
 def thermal_probabilities(nbar: float, cutoff: int) -> tuple[np.ndarray, float]:
@@ -162,8 +160,12 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     alpha = complex(alpha)
     if not np.isfinite(alpha):
         raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
-    if abs(alpha) ** 2 > 0.25 * (cutoff + 1):
-        raise TruncationError(f"|alpha|^2 = {abs(alpha) ** 2:.3g} too large for cutoff {cutoff}")
+    try:
+        size2 = abs(alpha) ** 2
+    except OverflowError:   # float ** 2 raises where the square passes float max
+        size2 = math.inf
+    if size2 > 0.25 * (cutoff + 1):
+        raise TruncationError(f"|alpha|^2 = {size2:.3g} too large for cutoff {cutoff}")
     phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
     real = _tridiagonal_expm(np.sqrt(np.arange(1.0, cutoff + 1)), abs(alpha))
     return phase[:, None] * real * phase.conj()

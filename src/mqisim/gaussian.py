@@ -247,15 +247,12 @@ def _pair(name: str, value) -> tuple:
 class WignerGrid(NamedTuple):
     """Wigner density sampled on a 2-D slice of the 4-D phase space.
 
-    ``plane`` holds the indices of the two varied quadratures and
-    ``fixed_values`` the coordinates of the two remaining quadratures
-    (in ascending index order).  ``values[i, j]`` (read-only, as are the
-    axes) is the density at x_axis[i], y_axis[j]; files are emitted in
+    ``values[i, j]`` (read-only, as are the axes) is the density at
+    x_axis[i], y_axis[j] on the caller's ``plane``, the other two
+    quadratures held at its ``fixed_values``; files are emitted in
     row-major order (the first plane axis is the slower one).
     """
 
-    plane: tuple[int, int]
-    fixed_values: tuple[float, float]
     x_axis: np.ndarray
     y_axis: np.ndarray
     values: np.ndarray
@@ -275,9 +272,9 @@ def wigner_grid(
     and ``y_range`` (inclusive endpoints, ``samples`` points per axis;
     an axis may descend but not have zero width or a width beyond the
     largest double);
-    the two remaining quadratures are held at ``fixed_values``.  The
-    slice convention is explicit because a 2-D rendering of the 4-D
-    Wigner function is not unique.
+    the two remaining quadratures are held at ``fixed_values`` (in
+    ascending index order).  The slice convention is explicit because a
+    2-D rendering of the 4-D Wigner function is not unique.
     """
     i, j = _pair("plane", plane)
     if i == j or not all(0 <= k < 4 for k in (i, j)):
@@ -311,13 +308,7 @@ def wigner_grid(
     values = _normal_density(state.cov, pts.reshape(-1, 4) - state.mean).reshape(nx, ny)
     for arr in (x_axis, y_axis, values):
         arr.setflags(write=False)
-    return WignerGrid(
-        plane=(i, j),
-        fixed_values=(float(fixed_values[0]), float(fixed_values[1])),
-        x_axis=x_axis,
-        y_axis=y_axis,
-        values=values,
-    )
+    return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
 
 
 def slice_mass(

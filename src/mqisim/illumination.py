@@ -165,9 +165,9 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
 
     Solves exp(-x)/(2 sqrt(pi x)) = p = target_pe for x = M R with :func:`_s_root`
     (the envelope is strictly decreasing) on [1e-12, -ln p], a bracket: at
-    -ln p > ln 2 > 1/(4 pi) the envelope is below p.  Returns M = x / rate.
-    Solutions with x < 1 or M < 100 sit outside the asymptotic window and
-    are flagged rather than rejected.
+    -ln p > ln 2 > 1/(4 pi) the envelope is below p.  Returns M = x / rate,
+    or raises OverflowError where M overflows.  Solutions with x < 1 or
+    M < 100 sit outside the asymptotic window and are flagged, not rejected.
     """
     r = float(rate)
     p = float(target_pe)
@@ -181,10 +181,10 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
 
     hi = -math.log(p)
     x, _ = _s_root(log_ratio, 1e-12, hi, 1e-15 * hi)
-    resid = abs(error_probability(r, x / r) / p - 1.0)
+    pulses = _quotient(x, r, "pulse count M = x / rate")
+    resid = abs(error_probability(r, pulses) / p - 1.0)
     if resid > 1e-10:
         raise ConvergenceError(f"envelope inversion residual {resid:.3e} exceeds 1e-10")
-    pulses = x / r
     return PulseRequirement(pulses=pulses, exponent_arg=x, asymptotic_valid=is_asymptotic(r, pulses))
 
 

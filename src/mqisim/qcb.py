@@ -101,22 +101,19 @@ class QIChannel(NamedTuple):
 
     ``amp[s, i, m]`` is the real amplitude <s, i + m - s| U |i, m> of the
     beam splitter of transmissivity ``eta`` (signal mode first, noise mode
-    second) for signal input i <= ``idler_cutoff`` and noise input m; it is
-    0 where the noise output i + m - s lies outside 0..``noise_cutoff``.
-    Depends on ``eta`` and the cutoffs only, so one channel serves every
-    point of a sweep at fixed ``eta``.
+    second) for signal input i and noise input m, of shape (signal_cutoff + 1,
+    idler_cutoff + 1, noise_cutoff + 1); it is 0 where the noise output leaves
+    the noise mode.  Depends on ``eta`` and the cutoffs only, so one channel
+    serves every point of a sweep at fixed ``eta``.
     """
 
     eta: float
-    signal_cutoff: int
-    idler_cutoff: int
-    noise_cutoff: int
     amp: np.ndarray
 
 
 def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
                noise_cutoff: int) -> QIChannel:
-    """The :class:`QIChannel` of transmissivity ``eta`` on the given cutoffs.
+    """The :class:`QIChannel` of transmissivity ``eta`` on the cutoffs its ``amp`` shape holds.
 
     Only the signal inputs the TMSV populates (up to the idler cutoff) are formed.
     The signal cutoff bounds the return mode and must be at least the idler cutoff.
@@ -125,8 +122,7 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
                                 (signal_cutoff, idler_cutoff, noise_cutoff))
     if n_sig < n_idl:
         raise InvalidArgumentError(f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})")
-    amp = beam_splitter_amplitudes(n_sig + 1, n_noise + 1, eta, n_idl)
-    return QIChannel(eta, n_sig, n_idl, n_noise, amp)
+    return QIChannel(eta, beam_splitter_amplitudes(n_sig + 1, n_noise + 1, eta, n_idl))
 
 
 def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> HypothesisPair:
@@ -135,9 +131,10 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     H0 is thermal(n_b) on the return mode times the idler marginal,
     thermal(n_s).  H1 mixes the TMSV signal mode with a thermal noise
     mode of occupancy n_b / (1 - eta) on the beam splitter ``channel``
-    (see :func:`qi_channel`) and traces out the noise port, retaining the
-    return-idler correlations.  The noise is Fock-diagonal, so the mix is
-    applied exactly, one noise Fock component at a time.
+    (see :func:`qi_channel`), whose ``amp`` shape gives the cutoffs, and
+    traces out the noise port, retaining the return-idler correlations.
+    The noise is Fock-diagonal, so the mix is applied exactly, one noise
+    Fock component at a time.
 
     rho0 is the Fock-diagonal p_ret (x) p_idl.  rho1 is block-diagonal
     in d = s - i (return photons minus idler photons), d = -idler_cutoff
@@ -154,7 +151,8 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     The signal cutoff must accommodate the output occupancy eta n_s + n_b.
     A truncated law (noise, return, idler and so pair expansion) may
     discard at most 1e-3 of its mass, else :class:`TruncationError` is
-    raised.  Mode order of the result: (return, idler).
+    raised; ``params`` holds the masses, ``noise_discarded``,
+    ``return_discarded`` and ``idler_discarded``.  Modes: (return, idler).
     """
     eta = channel.eta
     DetectionScenario(eta, n_s, n_b)   # checks the three numbers
@@ -162,7 +160,7 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
         raise InvalidArgumentError(
             "eta = 1 with n_b > 0 is inconsistent with the noise-injection convention"
         )
-    n_sig, n_idl, n_noise = channel.signal_cutoff, channel.idler_cutoff, channel.noise_cutoff
+    n_sig, n_idl, n_noise = (n - 1 for n in channel.amp.shape)
 
     nbar_noise = n_b / (1.0 - eta) if eta < 1.0 else 0.0
     if math.isinf(nbar_noise):
@@ -192,17 +190,8 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
         mode_dims=(n_sig + 1, n_idl + 1),
         p0=np.kron(p_ret0, p_idl0),
         stacks=tuple(stacks),
-        params={
-            "n_s": n_s,
-            "eta": eta,
-            "n_b": n_b,
-            "signal_cutoff": n_sig,
-            "idler_cutoff": n_idl,
-            "noise_cutoff": n_noise,
-            "noise_discarded": noise_discarded,
-            "return_discarded": ret_discarded,
-            "idler_discarded": idl_discarded,
-        },
+        params={"noise_discarded": noise_discarded, "return_discarded": ret_discarded,
+                "idler_discarded": idl_discarded},
     )
 
 
@@ -214,20 +203,18 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     is the Fock-diagonal thermal law p0, and rho1 = D diag(p0) D', D the
     displacement operator, is a single block.  The truncated thermal law
     may discard at most 1e-3 of its mass, else :class:`TruncationError`
-    is raised.
+    is raised; ``params`` holds that mass as ``background_discarded``.
     """
     DetectionScenario(eta, n_s, n_b)   # checks the three numbers
     cutoff = check_count("cutoff", cutoff)
     p0, discarded = thermal_probabilities(n_b, cutoff)
     _check_discarded("thermal background", discarded, cutoff)
-    alpha = math.sqrt(eta * n_s)
-    disp = displacement(alpha, cutoff)
+    disp = displacement(math.sqrt(eta * n_s), cutoff)
     return HypothesisPair(
         mode_dims=(cutoff + 1,),
         p0=p0,
         stacks=((np.arange(cutoff + 1)[None], ((disp * p0) @ disp.conj().T)[None]),),
-        params={"n_s": n_s, "eta": eta, "n_b": n_b, "cutoff": cutoff, "alpha": alpha,
-                "background_discarded": discarded},
+        params={"background_discarded": discarded},
     )
 
 

@@ -162,9 +162,8 @@ def gain_db(kappa):
 
 
 class SpectrumTable(NamedTuple):
-    """Columns of a frequency sweep (read-only): nu_s, nu_i, kappa, S (dB), G (dB)."""
+    """The five columns of a frequency sweep (read-only): nu_s, nu_i, kappa, S (dB), G (dB)."""
 
-    profile: SpectrumProfile
     nu_s: np.ndarray
     nu_i: np.ndarray
     kappa: np.ndarray
@@ -183,7 +182,8 @@ def spectrum_sweep(
     band edge.  The range, like the band, must lie inside (0, nu_s + nu_i),
     where both frequencies are positive.  Rows outside the band carry
     kappa = 0 (hence 0 dB squeezing and gain) rather than raising; the
-    idler column follows the conservation formula everywhere.
+    idler column follows the conservation formula everywhere.  Only the
+    columns are returned: the caller holds ``profile``.
     """
     steps = check_count("steps", steps, 2)
     ends = (None, None) if nu_range is None else nu_range
@@ -196,4 +196,4 @@ def spectrum_sweep(
     columns = (nu_s, profile.frequency_sum - nu_s, kap, squeezing_magnitude_db(kap), gain_db(kap))
     for col in columns:
         col.setflags(write=False)
-    return SpectrumTable(profile, *columns)
+    return SpectrumTable(*columns)

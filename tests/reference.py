@@ -73,8 +73,8 @@ def amplitude_matrix(state) -> np.ndarray:
     """Renormalized two-mode amplitude tensor of a :class:`mqisim.fock.FockTMSV`
     (only |n, n> populated); raises :class:`TruncationError` if its
     ``norm_deficit`` is above 1e-3."""
-    _check_discarded("TMSV pair", state.norm_deficit, state.cutoff)
-    amp = np.zeros((state.cutoff + 1, state.cutoff + 1), dtype=complex)
+    _check_discarded("TMSV pair", state.norm_deficit, state.coeffs.size - 1)
+    amp = np.zeros((state.coeffs.size, state.coeffs.size), dtype=complex)
     np.fill_diagonal(amp, state.coeffs / np.linalg.norm(state.coeffs))
     return amp
 

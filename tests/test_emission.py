@@ -216,17 +216,24 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
+def _assert_same_text(got: str, want: str):
+    # compared as lists of lines with their ends kept, which are equal exactly when the
+    # strings are: a failure reports its first wrong line at once, where a diff of two
+    # whole strings of many lines can run for minutes
+    assert got.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_csv_matches_reference(name):
     table, meta = TABLES[name]
-    assert emit_csv(table, meta) == ref_emit_csv(table, meta)
+    _assert_same_text(emit_csv(table, meta), ref_emit_csv(table, meta))
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_json_matches_reference(name):
     table, meta = TABLES[name]
     text = emit_json(table, meta)
-    assert text == ref_emit_json(table, meta)
+    _assert_same_text(text, ref_emit_json(table, meta))
     doc = json.loads(text, parse_constant=_reject_constant)
     assert len(doc["rows"]) == len(_rows(table))
 
@@ -297,13 +304,13 @@ def test_each_distinct_value_is_formatted_once(monkeypatch, emit):
     assert kernel == [4]
     assert sorted(python) == [1, 3]
     reference = ref_emit_csv if emit is emit_csv else ref_emit_json
-    assert text == reference(table, {"tool": "mqisim"})
+    _assert_same_text(text, reference(table, {"tool": "mqisim"}))
 
 
 def _assert_float_cells_match(x):
     table = {"x": x}
-    assert emit_csv(table, {}) == ref_emit_csv(table, {})
-    assert emit_json(table, {}) == ref_emit_json(table, {})
+    _assert_same_text(emit_csv(table, {}), ref_emit_csv(table, {}))
+    _assert_same_text(emit_json(table, {}), ref_emit_json(table, {}))
 
 
 def test_every_binade_matches_python_format():
@@ -370,7 +377,6 @@ def _tables(draw):
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(_tables())
 def test_tables_of_repeated_values_match_reference(table):
-    # compared line by line, so that a failure reports its first wrong line fast
     meta = {"tool": "mqisim"}
-    assert emit_csv(table, meta).splitlines() == ref_emit_csv(table, meta).splitlines()
-    assert emit_json(table, meta).splitlines() == ref_emit_json(table, meta).splitlines()
+    _assert_same_text(emit_csv(table, meta), ref_emit_csv(table, meta))
+    _assert_same_text(emit_json(table, meta), ref_emit_json(table, meta))

@@ -212,6 +212,11 @@ class TestDisplacement:
         with pytest.raises(TruncationError):
             displacement(3.0, 8)
 
+    def test_alpha_whose_square_overflows_rejected(self):
+        # abs(alpha) ** 2 raised a bare OverflowError (34, 'Numerical result out of range')
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = inf too large for cutoff 5"):
+            displacement(1e155, 5)
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.1, math.nan)])
     def test_non_finite_alpha_rejected(self, alpha):
         # NaN once passed the |alpha|^2 test and failed inside eigh

@@ -181,6 +181,11 @@ class TestRequiredPulses:
         with pytest.raises(InvalidArgumentError):
             required_pulses(0.0, 1e-3)
 
+    def test_pulse_count_overflow_names_the_quotient(self):
+        # M = x / rate overflowed and was rejected as pulses = inf, a value never passed
+        with pytest.raises(OverflowError, match="pulse count M = x / rate overflows"):
+            required_pulses(1e-310, 0.1)
+
     def test_matches_brentq(self):
         from scipy.optimize import brentq
 

@@ -123,6 +123,28 @@ def test_every_public_name_has_a_caller():
     assert {module: names for module, names in unused.items() if names} == {}
 
 
+def _record_fields() -> set:
+    """``Class.field`` of each annotated field of a NamedTuple or dataclass in src/mqisim/."""
+    found = set()
+    for path in Path(mqisim.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and any(
+                    "NamedTuple" in ast.unparse(node) or "dataclass" in ast.unparse(node)
+                    for node in stmt.bases + stmt.decorator_list):
+                found.update(f"{stmt.name}.{node.target.id}" for node in stmt.body
+                             if isinstance(node, ast.AnnAssign))
+    return found
+
+
+def test_every_record_field_is_read():
+    # a field that no code reads restates what its caller already holds, and can
+    # drift out of step with it
+    paths = [*Path(mqisim.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    reads = {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert {field for field in _record_fields() if field.split(".")[1] not in reads} == set()
+
+
 def test_every_cli_flag_has_a_user():
     # a flag that no document, preset, benchmark invocation or acceptance
     # criterion passes is a knob that nobody turns
