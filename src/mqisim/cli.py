@@ -200,15 +200,9 @@ def _sweep_fields(p: dict, base: dict, what: str) -> dict:
     return {**base, p["sweep_var"]: values}
 
 
-def _sweep_table(columns: dict) -> dict:
-    """The columns as a table, scalars repeated: one row per sweep point, or one row."""
-    shape = np.broadcast_shapes((1,), *map(np.shape, columns.values()))
-    return {name: np.broadcast_to(value, shape) for name, value in columns.items()}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations: (table, extra metadata); a table maps each
-# column name to a 1-D numpy array
+# column name to a numpy array, and the columns broadcast together
 # ---------------------------------------------------------------------------
 
 
@@ -242,11 +236,7 @@ def _run_wigner(p: dict):
     grid = wigner_grid(state, plane=plane, x_range=p["range"], y_range=p["range"],
                        samples=(p["samples"], p["samples"]), fixed_values=p["fixed"])
     _require_resolved(f"{xname} axis", grid.x_axis)   # the y axis is the same
-    table = {
-        xname: np.repeat(grid.x_axis, len(grid.y_axis)),
-        yname: np.tile(grid.y_axis, len(grid.x_axis)),
-        "wigner": grid.values.ravel(),
-    }
+    table = {xname: grid.x_axis[:, None], yname: grid.y_axis[None, :], "wigner": grid.values}
     fixed_names = [QUADRATURE_NAMES[k] for k in range(4) if k not in plane]
     meta = {
         "fixed_" + fixed_names[0]: p["fixed"][0],
@@ -305,13 +295,13 @@ def _run_detect(p: dict):
     # guess: an envelope above 1/2 prints 1/2, and valid_* flags the row
     pe_cl = np.minimum(error_probability(r_cl, pulses), 0.5)
     pe_q = np.minimum(error_probability(r_q, pulses), 0.5)
-    table = _sweep_table({
+    columns = {
         "eta": scn.eta, "n_s": scn.n_s, "n_b": scn.n_b, "snr": scn.snr, "pulses": pulses,
         "r_cl": r_cl, "r_q": r_q, "pe_cl": pe_cl, "pe_q": pe_q,
         "advantage_db": advantage_db(),
         "valid_cl": is_asymptotic(r_cl, pulses), "valid_q": is_asymptotic(r_q, pulses),
-    })
-    return table, {}
+    }
+    return {name: np.asarray(value) for name, value in columns.items()}, {}
 
 
 def _safe_ratio(num, den):
@@ -365,8 +355,8 @@ def _run_qcb(p: dict):
     scn = DetectionScenario(**_sweep_fields(p, base, "qcb"))
     rate_q = quantum_error_rate(scn)
     rate_cl = classical_error_rate(scn)
-    sweep = _sweep_table({"eta": scn.eta, "n_s": scn.n_s, "n_b": scn.n_b})
-    points = list(zip(sweep["eta"].tolist(), sweep["n_s"].tolist(), sweep["n_b"].tolist()))
+    sweep = {"eta": scn.eta, "n_s": scn.n_s, "n_b": scn.n_b}
+    points = np.stack(np.broadcast_arrays(*sweep.values()), axis=-1).reshape(-1, 3).tolist()
     meta = {
         "cutoff_signal": p["cutoff_signal"],
         "cutoff_idler": p["cutoff_idler"],
@@ -380,22 +370,22 @@ def _run_qcb(p: dict):
             build_classical_hypotheses(n_s, eta, n_b, p["cutoff"]) for eta, n_s, n_b in points
         )
     if transmitter == "both":
-        table = _sweep_table({
+        columns = {
             **sweep,
             "s_star_qi": qi[0], "exponent_qi": qi[2], "rate_q": rate_q,
             "s_star_cl": cl[0], "exponent_cl": cl[2], "rate_cl": rate_cl,
             "exponent_ratio": _safe_ratio(qi[2], cl[2]),
             "rate_ratio": _safe_ratio(rate_q, rate_cl),
-        })
+        }
     else:
         res, rate = (qi, rate_q) if transmitter == "qi" else (cl, rate_cl)
-        table = _sweep_table({
+        columns = {
             **sweep,
             "s_star": res[0], "q_min": res[1], "exponent": res[2], "rate_ref": rate,
             "exponent_over_rate": _safe_ratio(res[2], rate),
             "clipped_rho0": res[3], "clipped_rho1": res[4],
-        })
-    return table, meta
+        }
+    return {name: np.asarray(value) for name, value in columns.items()}, meta
 
 
 class Command(NamedTuple):

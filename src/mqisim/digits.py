@@ -6,14 +6,18 @@ cells laid side by side with the NULs dropped.  ``format_floats`` writes
 Python's ``format(v, ".9g")`` (or its JSON token) of float64 values with a
 numpy kernel, byte for byte, and leaves to Python only the values the
 kernel cannot decide.  ``emit_csv`` and ``emit_json`` write a table (a
-dict of 1-D numpy columns) and its metadata, every column one way: its
-distinct bit patterns, each formatted once, and each row's index into
-them.  ``same_cells`` tells which adjacent values of a generated axis
-print the same cell.
+dict of numpy columns that broadcast together, one row per element of
+their broadcast shape in C order) and its metadata, every column one
+way: the distinct bit patterns of its stored values, each formatted
+once, and each row's index into them.  A Wigner slice is thus two axes
+of shape (nx, 1) and (1, ny) and the (nx, ny) density, and a scalar is a
+0-d column.  ``same_cells`` tells which adjacent values of a generated
+axis print the same cell.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 
 import numpy as np
@@ -160,16 +164,22 @@ def same_cells(values: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 4096
 
 
-def row_count(table: dict) -> int:
-    """Rows of a table of 1-D bool, integer or float numpy columns of one length."""
-    lengths = set()
+def _table_shape(table: dict) -> tuple:
+    """The shape that the columns of a table broadcast to: each a bool, integer
+    or float numpy array, of any number of dimensions."""
     for name, col in table.items():
-        if not isinstance(col, np.ndarray) or col.ndim != 1 or col.dtype.kind not in "biuf":
-            raise TypeError(f"column {name!r} is not a 1-D bool, integer or float array")
-        lengths.add(col.size)
-    if len(lengths) > 1:
-        raise TypeError(f"columns of unequal lengths {sorted(lengths)}")
-    return lengths.pop() if lengths else 0
+        if not isinstance(col, np.ndarray) or col.dtype.kind not in "biuf":
+            raise TypeError(f"column {name!r} is not a bool, integer or float numpy array")
+    try:
+        return np.broadcast_shapes(*(col.shape for col in table.values()))
+    except ValueError:
+        shapes = [col.shape for col in table.values()]
+        raise TypeError(f"columns of shapes {shapes} do not broadcast together") from None
+
+
+def row_count(table: dict) -> int:
+    """Rows of a table: the size of the shape its columns broadcast to (0 for no columns)."""
+    return math.prod(_table_shape(table)) if table else 0
 
 
 _BOOL_CELLS = byte_rows(["false", "true"])
@@ -179,12 +189,15 @@ def _column_cells(table: dict, json_floats: bool) -> list:
     """Per column, the cell rows of its distinct values and each table row's
     index into them.
 
-    ``np.unique`` of the column's bit patterns gives both, so -0.0 stays
-    apart from 0.0 and NaNs of different payloads apart from each other.
+    ``np.unique`` of the bit patterns of the column's stored values gives
+    both, so -0.0 stays apart from 0.0 and NaNs of different payloads apart
+    from each other; the index is then broadcast to the table's shape and
+    laid out in C order.
     Each distinct value is formatted once, and all floats of the table in
     one pass of the kernel, ``CHUNK`` values at a time.  Byte columns that
     are NUL in every cell are dropped.
     """
+    shape = _table_shape(table)
     columns, floats = [], []
     for col in table.values():
         if col.dtype.kind == "f":
@@ -192,6 +205,7 @@ def _column_cells(table: dict, json_floats: bool) -> list:
             with np.errstate(over="ignore"):
                 col = col.astype(np.float64, copy=False)
         keys, index = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        index = np.broadcast_to(index.reshape(col.shape), shape).ravel()
         if col.dtype.kind == "b":
             columns.append([_BOOL_CELLS[keys], index])
         elif col.dtype.kind in "iu":

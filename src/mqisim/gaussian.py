@@ -206,17 +206,25 @@ def _check_invertible(cov: np.ndarray) -> float:
     return det
 
 
-def _normal_density(cov: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Normal density exp(-d^T cov^-1 d / 2) / ((2 pi)^(k/2) sqrt(det cov))
-    of a k x k covariance at each row d of ``diff`` (offsets from the mean).
+def _density(quad: np.ndarray, det: float, k: int) -> np.ndarray:
+    """Normal density exp(-quad / 2) / ((2 pi)^(k/2) sqrt(det)) of a k-variate
+    quadratic form ``quad`` = d^T cov^-1 d.
 
-    A form that overflows (inf - inf is NaN) counts as +inf: with cov
-    within the condition gate it is then beyond 1e300, where the density
-    is exactly 0."""
-    det = _check_invertible(cov)
-    quad = np.einsum("ni,ni->n", diff, np.linalg.solve(cov, diff.T).T)
+    A form that overflowed (not finite: inf - inf is NaN) counts as +inf:
+    with cov within the condition gate it is then beyond 1e300, where the
+    density is exactly 0."""
     quad = np.where(np.isfinite(quad), quad, np.inf)
-    return np.exp(-0.5 * quad) / (TWO_PI ** (len(cov) / 2) * math.sqrt(det))
+    return np.exp(-0.5 * quad) / (TWO_PI ** (k / 2) * math.sqrt(det))
+
+
+def _normal_density(cov: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Normal density of a k x k covariance at each row d of ``diff``
+    (offsets from the mean), its form d^T cov^-1 d solved point by point.
+
+    It serves single points and marginals; a Wigner slice is evaluated as
+    its 2-D quadratic form instead (:func:`wigner_grid`)."""
+    det = _check_invertible(cov)
+    return _density(np.einsum("ni,ni->n", diff, np.linalg.solve(cov, diff.T).T), det, len(cov))
 
 
 def wigner_density(state: TwoModeGaussianState, point) -> float:
@@ -242,6 +250,20 @@ def _pair(name: str, value) -> tuple:
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"{name} must be a pair, got {value}") from None
     return first, second
+
+
+def _slice(plane, fixed_values) -> tuple[int, int, list[int], np.ndarray]:
+    """The varied quadratures ``i, j`` of a slice, its fixed ones in ascending
+    order and their values, or :class:`InvalidArgumentError` naming ``plane``
+    or ``fixed_values``."""
+    i, j = _pair("plane", plane)
+    if i == j or not (i in range(4) and j in range(4)):
+        raise InvalidArgumentError(f"plane must be two distinct indices in 0..3, got {plane}")
+    values = _pair("fixed_values", fixed_values)
+    if not all(map(math.isfinite, values)):
+        raise InvalidArgumentError(f"fixed_values must be finite, got {fixed_values}")
+    i, j = int(i), int(j)
+    return i, j, [k for k in range(4) if k not in (i, j)], np.array(values, dtype=float)
 
 
 class WignerGrid(NamedTuple):
@@ -275,19 +297,27 @@ def wigner_grid(
     the two remaining quadratures are held at ``fixed_values`` (in
     ascending index order).  The slice convention is explicit because a
     2-D rendering of the 4-D Wigner function is not unique.
+
+    A slice of a Gaussian is a Gaussian in its two varied quadratures, so
+    the form is evaluated on the axes, not point by point: with the
+    precision matrix P = cov^-1, u = x - mean_i, v = y - mean_j and
+    f = fixed - mean_F,
+
+        quad[a, b] = (P_ii u_a + 2 P_iF f) u_a + f P_FF f + 2 P_ij u_a v_b
+                     + (P_jj v_b + 2 P_jF f) v_b,
+
+    an outer sum of one term per axis and their product.  The condition
+    gate and the overflow rule are those of :func:`wigner_density`.
     """
-    i, j = _pair("plane", plane)
-    if i == j or not all(0 <= k < 4 for k in (i, j)):
-        raise InvalidArgumentError(f"plane must be two distinct indices in 0..3, got {plane}")
+    i, j, fixed, fixed_values = _slice(plane, fixed_values)
     nx, ny = (check_count("samples", n, 2) for n in _pair("samples", samples))
     x_range = _pair("x_range", x_range)
     y_range = _pair("y_range", y_range)
-    fixed_values = _pair("fixed_values", fixed_values)
     # a width beyond the largest double would reach np.linspace as inf
     widths = [stop - start for start, stop in (x_range, y_range)]
-    if not all(map(math.isfinite, (*widths, *fixed_values))):
-        raise InvalidArgumentError("ranges and fixed values must be finite, and so must the "
-                                   f"width of each range, got {x_range}, {y_range}, {fixed_values}")
+    if not all(map(math.isfinite, widths)):
+        raise InvalidArgumentError("ranges must be finite, and so must the width of each "
+                                   f"range, got {x_range}, {y_range}")
     if 0.0 in widths:
         raise InvalidArgumentError(f"axis ranges need distinct ends, got {x_range}, {y_range}")
     report = uncertainty_check(state)
@@ -297,15 +327,19 @@ def wigner_grid(
         )
     x_axis = np.linspace(x_range[0], x_range[1], nx)
     y_axis = np.linspace(y_range[0], y_range[1], ny)
-    fixed_idx = tuple(k for k in range(4) if k not in (i, j))
 
-    pts = np.empty((nx, ny, 4))
-    pts[..., i] = x_axis[:, None]
-    pts[..., j] = y_axis[None, :]
-    pts[..., fixed_idx[0]] = fixed_values[0]
-    pts[..., fixed_idx[1]] = fixed_values[1]
-
-    values = _normal_density(state.cov, pts.reshape(-1, 4) - state.mean).reshape(nx, ny)
+    det = _check_invertible(state.cov)
+    prec = np.linalg.inv(state.cov)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a NaN or inf form
+        u = x_axis - state.mean[i]
+        v = y_axis - state.mean[j]
+        f = fixed_values - state.mean[fixed]
+        row = (prec[i, i] * u + 2.0 * (prec[i, fixed] @ f)) * u + f @ prec[np.ix_(fixed, fixed)] @ f
+        column = (prec[j, j] * v + 2.0 * (prec[j, fixed] @ f)) * v
+        quad = np.multiply.outer(2.0 * prec[i, j] * u, v)
+        quad += row[:, None]
+        quad += column
+    values = _density(quad, det, 4)
     for arr in (x_axis, y_axis, values):
         arr.setflags(write=False)
     return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
@@ -322,7 +356,6 @@ def slice_mass(
     density of the two fixed quadratures evaluated at ``fixed_values``.
     Used as the reference for grid Riemann sums.
     """
-    i, j = _pair("plane", plane)
-    fixed_idx = [k for k in range(4) if k not in (i, j)]
-    d = np.asarray(_pair("fixed_values", fixed_values), dtype=float) - state.mean[fixed_idx]
-    return float(_normal_density(state.cov[np.ix_(fixed_idx, fixed_idx)], d[None])[0])
+    _, _, fixed, fixed_values = _slice(plane, fixed_values)
+    d = fixed_values - state.mean[fixed]
+    return float(_normal_density(state.cov[np.ix_(fixed, fixed)], d[None])[0])

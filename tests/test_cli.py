@@ -679,10 +679,8 @@ class TestInputChecks:
          "mixing must be one of ('3wm', '4wm'), got '5wm'"),
         (("spectrum", "--kappa-max", "1", "--shape", "Square"), None,
          "shape must be one of ('parabolic', 'raised_cosine', 'rectangular'), got 'square'"),
-        (("wigner", "--kappa", "0.5", "--range=inf,1"), None,
-         "ranges and fixed values must be finite"),
-        (("wigner", "--kappa", "0.5", "--fixed=nan,0"), None,
-         "ranges and fixed values must be finite"),
+        (("wigner", "--kappa", "0.5", "--range=inf,1"), None, "ranges must be finite"),
+        (("wigner", "--kappa", "0.5", "--fixed=nan,0"), None, "fixed_values must be finite"),
         (("qcb", "--transmitter", "qi", "--kappa", "0.3", "--eta", "0.1", "--n-b", "1",
           "--sweep-var", "n_s", "--sweep-values", "0.1,0.2"), None,
          "sweeping n_s conflicts with --kappa"),

@@ -109,6 +109,29 @@ def moderate_detect_invocations(draw) -> list[str]:
             *(f"--{k}={v}" for k, v in flags.items())]
 
 
+# the ends of the double range, and the subnormals below the normal one
+EXTREMES = st.sampled_from([MAX, -MAX, 1e300, -1e300, 5e-324, -5e-324, 1.5e-320, -1e-310,
+                            2.2250738585072014e-308, 0.0, -0.0, 1.0, -4.0])
+_PLANES = [f"{a},{b}" for a in ("qs", "ps", "qi", "pi") for b in ("qs", "ps", "qi", "pi") if a != b]
+
+
+@st.composite
+def wigner_invocations(draw) -> list[str]:
+    """argv of a ``wigner`` run whose range ends and fixed values sit at the ends of
+    the double range or among the subnormals, at a kappa near the condition gate
+    (about 4.4): each term of the slice's quadratic form may overflow or underflow."""
+    flags = {"kappa": draw(st.sampled_from([0.0, 0.5, 3.0, 4.39, 4.4, 4.41])),
+             "samples": draw(st.sampled_from([2, 3, 5])),
+             "plane": draw(st.sampled_from(_PLANES)),
+             "range": "{!r},{!r}".format(*draw(st.tuples(EXTREMES, EXTREMES)
+                                                .filter(lambda ends: ends[0] != ends[1]))),
+             "fixed": f"{draw(EXTREMES)!r},{draw(EXTREMES)!r}"}
+    if draw(st.booleans()):
+        flags["phase"] = draw(st.floats(0.0, 7.0))
+    return ["wigner", f"--format={draw(st.sampled_from(['csv', 'json']))}",
+            *(f"--{k}={v}" for k, v in flags.items())]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -171,6 +194,13 @@ def test_every_input_gets_an_exit_code_and_an_honest_table(argv):
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(moderate_detect_invocations())
 def test_moderate_detect_runs_keep_the_contract(argv):
+    _check_contract(argv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(wigner_invocations())
+def test_wigner_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
     _check_contract(argv)
 
 

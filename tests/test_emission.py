@@ -264,16 +264,27 @@ def test_column_of_mixed_kinds_raises(emit, cells):
         {"a": np.array(["1", "2"])},
         {"a": np.array(["2024-01-01"], dtype="datetime64[D]")},
         {"a": [1.0, 2.0]},
-        {"a": np.array(1.0)},
-        {"a": np.zeros((2, 1))},
         {"a": np.zeros(3), "b": np.zeros(2)},
         {"a": np.zeros(2 * _BLOCK_ROWS + 1, dtype=bool), "b": np.zeros(2 * _BLOCK_ROWS)},
+        {"a": np.zeros((2, 3)), "b": np.zeros((3, 2))},
     ],
-    ids=["complex", "str", "datetime", "list", "0d", "2d", "ragged", "ragged_last_block"],
+    ids=["complex", "str", "datetime", "list", "ragged", "ragged_last_block", "ragged_2d"],
 )
 def test_malformed_table_raises(emit, table):
     with pytest.raises(TypeError):
         emit(table, {})
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+@pytest.mark.parametrize(
+    "table, flat",
+    [({"a": np.array(1.0)}, {"a": np.array([1.0])}), ({"a": np.zeros((2, 1))}, {"a": np.zeros(2)})],
+    ids=["0d", "2d"],
+)
+def test_table_of_any_dimension_emits_its_rows(emit, table, flat):
+    # a column of any shape is a table: one row per element, in C order
+    reference = ref_emit_csv if emit is emit_csv else ref_emit_json
+    _assert_same_text(emit(table, {}), reference(flat, {}))
 
 
 @pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
@@ -380,3 +391,34 @@ def test_tables_of_repeated_values_match_reference(table):
     meta = {"tool": "mqisim"}
     _assert_same_text(emit_csv(table, meta), ref_emit_csv(table, meta))
     _assert_same_text(emit_json(table, meta), ref_emit_json(table, meta))
+
+
+@st.composite
+def _broadcast_tables(draw):
+    """Columns of shape (), (n, 1), (1, m) or (n, m) that broadcast to (n, m), each
+    float, int or bool, with values from the pool of formatting edges."""
+    n = draw(st.sampled_from([1, 2, 7, 65]))
+    m = draw(st.sampled_from([1, 3, 64, 70]))   # 65 x 70 rows cross a block boundary
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = {}
+    for name in "abcd"[:draw(st.integers(1, 4))]:
+        shape = draw(st.sampled_from([(), (n, 1), (1, m), (n, m)]))
+        kind = draw(st.sampled_from(["float64", "int64", "bool"]))
+        if kind == "bool":
+            table[name] = rng.integers(0, 2, shape).astype(bool)
+        elif kind == "int64":
+            table[name] = rng.integers(-2**63, 2**31, shape)
+        else:
+            table[name] = rng.choice(_POOL, shape)
+    return table
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_broadcast_tables())
+def test_broadcast_columns_match_materialized_columns(table):
+    shape = np.broadcast_shapes(*(col.shape for col in table.values()))
+    flat = {name: np.broadcast_to(col, shape).ravel() for name, col in table.items()}
+    meta = {"tool": "mqisim"}
+    _assert_same_text(emit_csv(table, meta), emit_csv(flat, meta))
+    _assert_same_text(emit_json(table, meta), emit_json(flat, meta))
+    assert digits.row_count(table) == digits.row_count(flat) == math.prod(shape)
