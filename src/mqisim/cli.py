@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .digits import emit_csv, emit_json, row_count, same_cells
-from .errors import InvalidArgumentError, MqisimError, check_count
+from .errors import InvalidArgumentError, MqisimError, check_count, require
 
 FORMATS = ("csv", "json")
 _GLOBAL_KEYS = {"output", "format", "quiet"}
@@ -62,23 +62,20 @@ def _parse_bool(raw: str) -> bool:
 
 def _parse_pair(raw: str) -> tuple[float, float]:
     parts = raw.split(",")
-    if len(parts) != 2:
-        raise InvalidArgumentError(f"expected 'a,b', got {raw!r}")
+    require(len(parts) == 2, f"expected 'a,b', got {raw!r}")
     return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     parts = [p for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise InvalidArgumentError(f"expected a comma-separated list, got {raw!r}")
+    require(len(parts) > 0, f"expected a comma-separated list, got {raw!r}")
     return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_choice(*choices: str) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         low = _parse_word(raw)
-        if low not in choices:
-            raise InvalidArgumentError(f"expected one of {choices}, got {raw!r}")
+        require(low in choices, f"expected one of {choices}, got {raw!r}")
         return low
 
     return parse
@@ -88,8 +85,8 @@ def _parse_plane(raw: str) -> tuple[str, str]:
     from .gaussian import quadrature_index
 
     parts = [p.strip().lower() for p in raw.split(",")]
-    if len(parts) != 2 or parts[0] == parts[1]:
-        raise InvalidArgumentError(f"plane must be two distinct quadratures, got {raw!r}")
+    require(len(parts) == 2 and parts[0] != parts[1],
+            f"plane must be two distinct quadratures, got {raw!r}")
     for p in parts:
         quadrature_index(p)   # raises on an unknown name
     return (parts[0], parts[1])
@@ -129,8 +126,7 @@ def load_config(path: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise InvalidArgumentError(f"{path}:{line_no}: expected 'key = value'")
+        require("=" in line, f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         out[key.strip().lower().replace("-", "_")] = value.strip()
     return out
@@ -146,8 +142,7 @@ def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str
         if raw is None:
             raw = config.get(attr)
         if raw is None:
-            if spec.required:
-                raise InvalidArgumentError(f"missing required parameter --{spec.name}")
+            require(not spec.required, f"missing required parameter --{spec.name}")
             values[attr] = spec.default
         else:
             try:
@@ -155,20 +150,14 @@ def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str
             except InvalidArgumentError as exc:
                 raise InvalidArgumentError(f"--{spec.name}: {exc}") from None
     unknown = set(config) - known - _GLOBAL_KEYS
-    if unknown:
-        raise InvalidArgumentError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    require(not unknown, f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
 
 
 def _require_resolved(name: str, values: np.ndarray) -> None:
     """Raise unless adjacent values of a generated axis print different cells."""
-    same = np.flatnonzero(same_cells(values))
-    if same.size:
-        a, b = values[same[0]:same[0] + 2].tolist()
-        raise InvalidArgumentError(
-            f"{name}: adjacent values {a!r} and {b!r} both print as {a:.9g}; "
-            "widen the range or take fewer points"
-        )
+    require(~same_cells(values), "{0}: adjacent values {1!r} and {2!r} both print as {1:.9g}; "
+            "widen the range or take fewer points", name, values[:-1], values[1:])
 
 
 def _sweep_fields(p: dict, base: dict, what: str) -> dict:
@@ -176,25 +165,19 @@ def _sweep_fields(p: dict, base: dict, what: str) -> dict:
     bounds = ("sweep_from", "sweep_to", "sweep_steps")
     if p["sweep_var"] is None:
         for key in ("sweep_values", *bounds):
-            if p[key] is not None:
-                raise InvalidArgumentError(f"--{key.replace('_', '-')} requires --sweep-var")
+            require(p[key] is None, f"--{key.replace('_', '-')} requires --sweep-var")
         return base
     if p["sweep_values"] is not None:
-        if any(p[key] is not None for key in bounds):
-            raise InvalidArgumentError(
-                "--sweep-values conflicts with --sweep-from/--sweep-to/--sweep-steps"
-            )
+        require(all(p[key] is None for key in bounds),
+                "--sweep-values conflicts with --sweep-from/--sweep-to/--sweep-steps")
         values = np.array(p["sweep_values"])
-    elif any(p[key] is None for key in bounds):
-        raise InvalidArgumentError(
-            f"{what} sweep needs --sweep-values or --sweep-from/--sweep-to/--sweep-steps"
-        )
     else:
+        require(all(p[key] is not None for key in bounds),
+                f"{what} sweep needs --sweep-values or --sweep-from/--sweep-to/--sweep-steps")
         steps = check_count("--sweep-steps", p["sweep_steps"], 2)
         # a width beyond the largest double would reach np.linspace as inf
-        if not math.isfinite(p["sweep_to"] - p["sweep_from"]):
-            raise InvalidArgumentError("--sweep-from, --sweep-to and their difference must be "
-                                       f"finite, got {p['sweep_from']}, {p['sweep_to']}")
+        require(math.isfinite(p["sweep_to"] - p["sweep_from"]), "--sweep-from, --sweep-to and "
+                f"their difference must be finite, got {p['sweep_from']}, {p['sweep_to']}")
         values = np.linspace(p["sweep_from"], p["sweep_to"], steps)
         _require_resolved(f"{p['sweep_var']} sweep", values)
     return {**base, p["sweep_var"]: values}
@@ -283,10 +266,10 @@ def _run_detect(p: dict):
         "bandwidth": p["bandwidth"] if p["bandwidth"] is not None else 0.0,
     }
     fields = _sweep_fields(p, base, "detect")
-    if p["pulses"] is not None and p["sweep_var"] in ("t_int", "bandwidth"):
-        raise InvalidArgumentError("--pulses conflicts with sweeping t-int or bandwidth")
-    if p["pulses"] is None and (p["t_int"] is None or p["bandwidth"] is None):
-        raise InvalidArgumentError("provide --pulses or both --t-int and --bandwidth")
+    require(p["pulses"] is None or p["sweep_var"] not in ("t_int", "bandwidth"),
+            "--pulses conflicts with sweeping t-int or bandwidth")
+    require(p["pulses"] is not None or (p["t_int"] is not None and p["bandwidth"] is not None),
+            "provide --pulses or both --t-int and --bandwidth")
     scn = DetectionScenario(**fields)
     pulses = p["pulses"] if p["pulses"] is not None else scn.pulses
     r_cl = classical_error_rate(scn)
@@ -311,11 +294,9 @@ def _safe_ratio(num, den):
 
 
 def _qcb_signal(p: dict) -> float:
-    if (p["n_s"] is None) == (p["kappa"] is None):
-        raise InvalidArgumentError("provide exactly one of --n-s or --kappa")
+    require((p["n_s"] is None) != (p["kappa"] is None), "provide exactly one of --n-s or --kappa")
     if p["kappa"] is not None:
-        if p["sweep_var"] == "n_s":
-            raise InvalidArgumentError("sweeping n_s conflicts with --kappa")
+        require(p["sweep_var"] != "n_s", "sweeping n_s conflicts with --kappa")
         from .gaussian import SqueezeParam
 
         return SqueezeParam(p["kappa"]).mean_photon
@@ -475,8 +456,7 @@ def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[st
     """Resolve parameters, run the subcommand, return (content, summary)."""
     fmt = args.format if args.format is not None else config.get("format", "csv")
     fmt = _parse_word(fmt)
-    if fmt not in FORMATS:
-        raise InvalidArgumentError(f"format must be one of {FORMATS}, got {fmt!r}")
+    require(fmt in FORMATS, f"format must be one of {FORMATS}, got {fmt!r}")
     command = _COMMANDS[args.subcommand]
     params = _resolve(command.params, args, config)
     table, extra = command.run(params)

@@ -5,8 +5,11 @@ Multi-mode objects are stored with the first mode as the slowest index,
 matching ``numpy.kron`` order.  Truncation is measured as the closed-form
 tail of the thermal (and so TMSV) law, and :func:`_check_discarded` raises
 :class:`TruncationError` above 1e-3 (the QCB laws); :func:`displacement`
-requires |alpha|^2 <= (cutoff + 1) / 4.  Beam-splitter overflow is not yet
-measured.  The beam splitter's sector layout lives in
+requires |alpha|^2 <= (cutoff + 1) / 4, with |alpha|^2 formed as
+|alpha| * |alpha|, which is inf rather than an error where it passes the
+largest double.  Every check is an :func:`mqisim.errors.require`, so a NaN
+tail, trace or Hermiticity deviation fails it.  Beam-splitter overflow is
+not yet measured.  The beam splitter's sector layout lives in
 :func:`beam_splitter_amplitudes`.  Both unitaries are built by one real
 kernel, :func:`_tridiagonal_expm`: each generator is tridiagonal in a
 number basis up to a diagonal phase.
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, TruncationError, check_count
+from .errors import TruncationError, check_count, require
 
 if TYPE_CHECKING:
     from .gaussian import SqueezeParam
@@ -38,11 +41,9 @@ _DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may los
 
 
 def _check_discarded(name: str, discarded: float, cutoff: int):
-    if not discarded <= _DISCARD_TOL:   # NaN fails too
-        raise TruncationError(
+    require(discarded <= _DISCARD_TOL,
             f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
-            f"above the tolerance {_DISCARD_TOL}; raise the cutoff"
-        )
+            f"above the tolerance {_DISCARD_TOL}; raise the cutoff", error=TruncationError)
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -50,16 +51,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     checking that each is Hermitian within 1e-10."""
     adj = np.swapaxes(m, -1, -2).conj()
     herm = np.max(np.abs(m - adj))
-    if not herm <= _HERMITICITY_TOL:   # NaN fails too
-        raise InvalidArgumentError(
-            f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}"
-        )
+    require(herm <= _HERMITICITY_TOL,
+            f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}")
     return (m + adj) / 2.0
 
 
 def _check_unit_trace(tr: complex):
-    if not abs(tr - 1.0) <= _TRACE_TOL:   # NaN fails too
-        raise InvalidArgumentError(f"trace must be 1 within {_TRACE_TOL}, got {tr}")
+    require(abs(tr - 1.0) <= _TRACE_TOL, f"trace must be 1 within {_TRACE_TOL}, got {tr}")
 
 
 def _tridiagonal_expm(off: np.ndarray, theta: float, cols: int | None = None) -> np.ndarray:
@@ -133,8 +131,7 @@ def thermal_probabilities(nbar: float, cutoff: int) -> tuple[np.ndarray, float]:
     returned in closed form, so that a tiny tail keeps its precision.
     """
     cutoff = check_count("cutoff", cutoff)
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
+    require(math.isfinite(nbar) and nbar >= 0.0, f"nbar must be finite and >= 0, got {nbar}")
     if nbar == 0.0:
         return np.eye(1, cutoff + 1)[0], 0.0
     log_ratio = math.log(nbar / (1.0 + nbar))
@@ -158,14 +155,10 @@ def displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """
     cutoff = check_count("cutoff", cutoff)
     alpha = complex(alpha)
-    if not np.isfinite(alpha):
-        raise InvalidArgumentError(f"alpha must be finite, got {alpha}")
-    try:
-        size2 = abs(alpha) ** 2
-    except OverflowError:   # float ** 2 raises where the square passes float max
-        size2 = math.inf
-    if size2 > 0.25 * (cutoff + 1):
-        raise TruncationError(f"|alpha|^2 = {size2:.3g} too large for cutoff {cutoff}")
+    require(np.isfinite(alpha), f"alpha must be finite, got {alpha}")
+    size2 = abs(alpha) * abs(alpha)   # inf where ** 2 would raise
+    require(size2 <= 0.25 * (cutoff + 1), f"|alpha|^2 = {size2:.3g} too large for cutoff {cutoff}",
+            error=TruncationError)
     phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
     real = _tridiagonal_expm(np.sqrt(np.arange(1.0, cutoff + 1)), abs(alpha))
     return phase[:, None] * real * phase.conj()
@@ -181,8 +174,7 @@ def beam_splitter_amplitudes(dim_a: int, dim_b: int, eta: float, max_input: int)
     photon numbers ``s_vals``, it is exp(theta G) with G real antisymmetric
     tridiagonal, G[k+1, k] = sqrt((s_k + 1)(total - s_k)) (:func:`_tridiagonal_expm`).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError(f"transmissivity must be in [0, 1], got {eta}")
+    require(0.0 <= eta <= 1.0, f"transmissivity must be in [0, 1], got {eta}")
     theta = math.acos(math.sqrt(eta))
     n_in = min(max_input + 1, dim_a)
     amp = np.zeros((dim_a, n_in, dim_b))

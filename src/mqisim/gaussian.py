@@ -24,7 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStateError, InvalidArgumentError, InvalidStateError, check_count
+from .errors import (
+    DegenerateStateError, InvalidArgumentError, InvalidStateError, check_count, require,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,15 +81,11 @@ class SqueezeParam:
     def __post_init__(self):
         kappa = float(self.kappa)
         phase = float(self.phase)
-        if not math.isfinite(kappa) or kappa < 0.0:
-            raise InvalidArgumentError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if kappa > _KAPPA_MAX:
-            raise OverflowError(
-                f"kappa = {kappa} is above {_KAPPA_MAX:.2f} = acosh(float max) / 2, "
-                "where cosh(2 kappa) overflows"
-            )
-        if not math.isfinite(phase):
-            raise InvalidArgumentError(f"phase must be finite, got {self.phase}")
+        require(math.isfinite(kappa) and kappa >= 0.0,
+                f"kappa must be finite and >= 0, got {self.kappa}")
+        require(kappa <= _KAPPA_MAX, f"kappa = {kappa} is above {_KAPPA_MAX:.2f} = "
+                "acosh(float max) / 2, where cosh(2 kappa) overflows", error=OverflowError)
+        require(math.isfinite(phase), f"phase must be finite, got {self.phase}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "phase", phase % TWO_PI)
 
@@ -121,15 +119,13 @@ class TwoModeGaussianState:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (4,):
-            raise InvalidArgumentError(f"mean must have shape (4,), got {mean.shape}")
-        if cov.shape != (4, 4):
-            raise InvalidArgumentError(f"cov must have shape (4, 4), got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise InvalidArgumentError("mean and cov must be finite")
+        require(mean.shape == (4,), f"mean must have shape (4,), got {mean.shape}")
+        require(cov.shape == (4, 4), f"cov must have shape (4, 4), got {cov.shape}")
+        require(np.all(np.isfinite(mean)) and np.all(np.isfinite(cov)),
+                "mean and cov must be finite")
         asym = np.max(np.abs(cov - cov.T))
-        if asym > _SYMMETRY_TOL:
-            raise InvalidArgumentError(f"cov must be symmetric within {_SYMMETRY_TOL}, asymmetry {asym:.3e}")
+        require(asym <= _SYMMETRY_TOL,
+                f"cov must be symmetric within {_SYMMETRY_TOL}, asymmetry {asym:.3e}")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly((cov + cov.T) / 2.0))
 
@@ -169,10 +165,8 @@ def quadrature_variance(state: TwoModeGaussianState, coeffs) -> float:
     coeffs^T cov coeffs.  Raises for an all-zero coefficient vector.
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (4,):
-        raise InvalidArgumentError(f"coeffs must have shape (4,), got {c.shape}")
-    if not np.any(c):
-        raise InvalidArgumentError("coeffs must not all be zero")
+    require(c.shape == (4,), f"coeffs must have shape (4,), got {c.shape}")
+    require(np.any(c), "coeffs must not all be zero")
     return float(c @ state.cov @ c)
 
 
@@ -196,13 +190,11 @@ def uncertainty_check(state: TwoModeGaussianState) -> UncertaintyReport:
 
 def _check_invertible(cov: np.ndarray) -> float:
     det = float(np.linalg.det(cov))
-    if det <= _DEGENERATE_DET:
-        raise DegenerateStateError(f"covariance is numerically singular (det = {det:.3e})")
+    require(det > _DEGENERATE_DET, f"covariance is numerically singular (det = {det:.3e})",
+            error=DegenerateStateError)
     error = np.finfo(float).eps * float(np.linalg.cond(cov))
-    if error > _CONDITION_TOL:
-        raise DegenerateStateError(
-            f"covariance is too ill-conditioned: eps * cond = {error:.3e} exceeds {_CONDITION_TOL}"
-        )
+    require(error <= _CONDITION_TOL, "covariance is too ill-conditioned: "
+            f"eps * cond = {error:.3e} exceeds {_CONDITION_TOL}", error=DegenerateStateError)
     return det
 
 
@@ -238,8 +230,8 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
     det cov = 1 and therefore peak value 1/(4 pi^2) at its mean.
     """
     r = np.asarray(point, dtype=float)
-    if r.shape != (4,) or not np.all(np.isfinite(r)):
-        raise InvalidArgumentError(f"point must be 4 finite numbers, got {point}")
+    require(r.shape == (4,) and np.all(np.isfinite(r)),
+            f"point must be 4 finite numbers, got {point}")
     return float(_normal_density(state.cov, (r - state.mean)[None])[0])
 
 
@@ -257,11 +249,10 @@ def _slice(plane, fixed_values) -> tuple[int, int, list[int], np.ndarray]:
     order and their values, or :class:`InvalidArgumentError` naming ``plane``
     or ``fixed_values``."""
     i, j = _pair("plane", plane)
-    if i == j or not (i in range(4) and j in range(4)):
-        raise InvalidArgumentError(f"plane must be two distinct indices in 0..3, got {plane}")
+    require(i != j and i in range(4) and j in range(4),
+            f"plane must be two distinct indices in 0..3, got {plane}")
     values = _pair("fixed_values", fixed_values)
-    if not all(map(math.isfinite, values)):
-        raise InvalidArgumentError(f"fixed_values must be finite, got {fixed_values}")
+    require(all(map(math.isfinite, values)), f"fixed_values must be finite, got {fixed_values}")
     i, j = int(i), int(j)
     return i, j, [k for k in range(4) if k not in (i, j)], np.array(values, dtype=float)
 
@@ -315,16 +306,12 @@ def wigner_grid(
     y_range = _pair("y_range", y_range)
     # a width beyond the largest double would reach np.linspace as inf
     widths = [stop - start for start, stop in (x_range, y_range)]
-    if not all(map(math.isfinite, widths)):
-        raise InvalidArgumentError("ranges must be finite, and so must the width of each "
-                                   f"range, got {x_range}, {y_range}")
-    if 0.0 in widths:
-        raise InvalidArgumentError(f"axis ranges need distinct ends, got {x_range}, {y_range}")
+    require(all(map(math.isfinite, widths)), "ranges must be finite, and so must the width "
+            f"of each range, got {x_range}, {y_range}")
+    require(0.0 not in widths, f"axis ranges need distinct ends, got {x_range}, {y_range}")
     report = uncertainty_check(state)
-    if not report.passed:
-        raise InvalidStateError(
-            f"state fails the uncertainty check (worst eigenvalue {report.min_eigenvalue:.3e})"
-        )
+    require(report.passed, "state fails the uncertainty check "
+            f"(worst eigenvalue {report.min_eigenvalue:.3e})", error=InvalidStateError)
     x_axis = np.linspace(x_range[0], x_range[1], nx)
     y_axis = np.linspace(y_range[0], y_range[1], ny)
 

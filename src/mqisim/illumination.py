@@ -16,37 +16,20 @@ approaches its envelope rate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError, finite, require
 
 
 def _floats(value, name: str):
     """A scalar argument as a float, a 1-D one as a float array (a copy)."""
     v = np.array(value, dtype=float)
-    if v.ndim > 1:
-        raise InvalidArgumentError(f"{name} must be a scalar or 1-D, got shape {v.shape}")
+    require(v.ndim <= 1, f"{name} must be a scalar or 1-D, got shape {v.shape}")
     return float(v) if v.ndim == 0 else v
-
-
-def _require(ok, message: str, *values, error=InvalidArgumentError):
-    """Raise ``error`` unless ``ok`` holds at every point, formatting ``message``
-    with the ``values`` at the first point where it does not."""
-    bad = np.flatnonzero(np.logical_not(ok))
-    if bad.size:
-        point = (np.broadcast_to(v, np.shape(ok)).flat[bad[0]].item() for v in values)
-        raise error(message.format(*point))
-
-
-def _quotient(num, den, name: str):
-    """num / den (den > 0), raising OverflowError where it overflows."""
-    with np.errstate(over="ignore"):
-        out = num / den
-    _require(np.isfinite(out), name + " overflows at {} / {}", num, den, error=OverflowError)
-    return out
 
 
 def _scalar(value):
@@ -76,7 +59,7 @@ class DetectionScenario:
         for name in names:
             v = _floats(getattr(self, name), name)
             hi = 1.0 if name == "eta" else math.inf
-            _require(np.isfinite(v) & (v >= 0.0) & (v <= hi), f"{name}={{}} outside [0.0, {hi}]", v)
+            require(np.isfinite(v) & (v >= 0.0) & (v <= hi), f"{name}={{}} outside [0.0, {hi}]", v)
             if isinstance(v, np.ndarray):
                 v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -88,8 +71,8 @@ class DetectionScenario:
     @property
     def snr(self) -> float | np.ndarray:
         """Signal-to-noise ratio interpreted as N_S / N_B (reporting only)."""
-        _require(self.n_b != 0.0, "snr undefined for n_b = 0")
-        return _quotient(self.n_s, self.n_b, "snr n_s / n_b")
+        require(self.n_b != 0.0, "snr undefined for n_b = 0")
+        return finite("snr n_s / n_b overflows at {} / {}", operator.truediv, self.n_s, self.n_b)
 
     @property
     def pulses(self) -> float | np.ndarray:
@@ -98,15 +81,17 @@ class DetectionScenario:
 
 def classical_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the coherent-state transmitter."""
-    _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
+    require(scn.n_b != 0.0, "rate formulas require n_b > 0")
     # 0.25 eta n_s / n_b: 4 n_b may overflow, and scaling by 0.25 is exact (normal range)
-    return _quotient(0.25 * scn.eta * scn.n_s, scn.n_b, "rate eta n_s / (4 n_b)")
+    return finite("rate eta n_s / (4 n_b) overflows at {} / {}", operator.truediv,
+                  0.25 * scn.eta * scn.n_s, scn.n_b)
 
 
 def quantum_error_rate(scn: DetectionScenario) -> float | np.ndarray:
     """Error-probability exponent rate of the entangled transmitter."""
-    _require(scn.n_b != 0.0, "rate formulas require n_b > 0")
-    return _quotient(scn.eta * scn.n_s, scn.n_b, "rate eta n_s / n_b")
+    require(scn.n_b != 0.0, "rate formulas require n_b > 0")
+    return finite("rate eta n_s / n_b overflows at {} / {}", operator.truediv,
+                  scn.eta * scn.n_s, scn.n_b)
 
 
 def advantage_db() -> float:
@@ -121,13 +106,9 @@ def pulse_count(t_int, bandwidth):
     """Number of independent pulses M = T W (kept real, not floored)."""
     t = _floats(t_int, "t_int")
     w = _floats(bandwidth, "bandwidth")
-    _require(np.isfinite(t) & np.isfinite(w) & (t >= 0.0) & (w >= 0.0),
+    require(np.isfinite(t) & np.isfinite(w) & (t >= 0.0) & (w >= 0.0),
              "t_int and bandwidth must be finite and >= 0, got {}, {}", t, w)
-    with np.errstate(over="ignore"):
-        m = t * w
-    _require(np.isfinite(m), "pulse count t_int * bandwidth overflows at {} * {}", t, w,
-             error=OverflowError)
-    return m
+    return finite("pulse count t_int * bandwidth overflows at {} * {}", operator.mul, t, w)
 
 
 def error_probability(rate, pulses):
@@ -138,11 +119,11 @@ def error_probability(rate, pulses):
     """
     r = _floats(rate, "rate")
     m = _floats(pulses, "pulses")
-    _require(np.isfinite(r) & np.isfinite(m) & (r > 0.0) & (m > 0.0),
+    require(np.isfinite(r) & np.isfinite(m) & (r > 0.0) & (m > 0.0),
              "rate and pulses must be finite and > 0, got {}, {}", r, m)
     with np.errstate(over="ignore"):   # an M R that overflows is envelope 0
         mr = m * r
-        _require(mr > 0.0, "pulses * rate underflows to 0 at {} * {}", m, r)
+        require(mr > 0.0, "pulses * rate underflows to 0 at {} * {}", m, r)
         return _scalar(np.exp(-mr) / (2.0 * np.sqrt(math.pi * mr)))
 
 
@@ -171,20 +152,18 @@ def required_pulses(rate: float, target_pe: float) -> PulseRequirement:
     """
     r = float(rate)
     p = float(target_pe)
-    if not math.isfinite(r) or r <= 0.0:
-        raise InvalidArgumentError(f"rate must be finite and > 0, got {rate}")
-    if not 0.0 < p < 0.5:
-        raise InvalidArgumentError(f"target_pe must be in (0, 0.5), got {target_pe}")
+    require(math.isfinite(r) and r > 0.0, f"rate must be finite and > 0, got {rate}")
+    require(0.0 < p < 0.5, f"target_pe must be in (0, 0.5), got {target_pe}")
 
     def log_ratio(x: float) -> tuple[float, float]:   # ln(p / envelope), increasing, and d/dx
         return x + math.log(2.0 * math.sqrt(math.pi * x)) + math.log(p), 1.0 + 0.5 / x
 
     hi = -math.log(p)
     x, _ = _s_root(log_ratio, 1e-12, hi, 1e-15 * hi)
-    pulses = _quotient(x, r, "pulse count M = x / rate")
+    pulses = finite("pulse count M = x / rate overflows at {} / {}", operator.truediv, x, r)
     resid = abs(error_probability(r, pulses) / p - 1.0)
-    if resid > 1e-10:
-        raise ConvergenceError(f"envelope inversion residual {resid:.3e} exceeds 1e-10")
+    require(resid <= 1e-10, f"envelope inversion residual {resid:.3e} exceeds 1e-10",
+            error=ConvergenceError)
     return PulseRequirement(pulses=pulses, exponent_arg=x, asymptotic_valid=is_asymptotic(r, pulses))
 
 

@@ -19,12 +19,13 @@ Hypothesis conventions (target absent = H0, present = H1):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidArgumentError, InvalidStateError, check_count
+from .errors import ConvergenceError, InvalidStateError, check_count, finite, require
 from .fock import (
     _check_discarded,
     _check_unit_trace,
@@ -67,24 +68,22 @@ class HypothesisPair:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.mode_dims)
         p0 = np.array(self.p0, dtype=float)
-        if p0.shape != (int(np.prod(dims)),):
-            raise InvalidArgumentError(f"p0 of shape {p0.shape} does not match mode_dims {dims}")
+        require(p0.shape == (int(np.prod(dims)),),
+                f"p0 of shape {p0.shape} does not match mode_dims {dims}")
         _check_unit_trace(p0.sum())
         p0.setflags(write=False)
         stacks = []
         for index, stack in self.stacks:
             index, stack = np.array(index, dtype=int), np.asarray(stack)
-            if index.ndim != 2 or stack.shape != index.shape + index.shape[1:]:
-                raise InvalidArgumentError(
-                    f"stack of shape {stack.shape} does not match its index of shape {index.shape}"
-                )
+            require(index.ndim == 2 and stack.shape == index.shape + index.shape[1:],
+                    f"stack of shape {stack.shape} does not match its index of shape {index.shape}")
             stack = _hermitian_part(stack.astype(np.promote_types(stack.dtype, float)))
             index.setflags(write=False)
             stack.setflags(write=False)
             stacks.append((index, stack))
         covered = np.sort(np.concatenate([index.ravel() for index, _ in stacks]))
-        if not np.array_equal(covered, np.arange(p0.size)):
-            raise InvalidArgumentError(f"block indices must partition the space of mode_dims {dims}")
+        require(np.array_equal(covered, np.arange(p0.size)),
+                f"block indices must partition the space of mode_dims {dims}")
         _check_unit_trace(sum(complex(np.trace(stack, axis1=1, axis2=2).sum())
                               for _, stack in stacks))
         object.__setattr__(self, "mode_dims", dims)
@@ -120,8 +119,7 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
     """
     n_sig, n_idl, n_noise = map(check_count, ("signal_cutoff", "idler_cutoff", "noise_cutoff"),
                                 (signal_cutoff, idler_cutoff, noise_cutoff))
-    if n_sig < n_idl:
-        raise InvalidArgumentError(f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})")
+    require(n_sig >= n_idl, f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})")
     return QIChannel(eta, beam_splitter_amplitudes(n_sig + 1, n_noise + 1, eta, n_idl))
 
 
@@ -156,15 +154,12 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     """
     eta = channel.eta
     DetectionScenario(eta, n_s, n_b)   # checks the three numbers
-    if eta == 1.0 and n_b > 0.0:
-        raise InvalidArgumentError(
-            "eta = 1 with n_b > 0 is inconsistent with the noise-injection convention"
-        )
+    require(eta < 1.0 or n_b == 0.0,
+            "eta = 1 with n_b > 0 is inconsistent with the noise-injection convention")
     n_sig, n_idl, n_noise = (n - 1 for n in channel.amp.shape)
 
-    nbar_noise = n_b / (1.0 - eta) if eta < 1.0 else 0.0
-    if math.isinf(nbar_noise):
-        raise OverflowError(f"noise occupancy n_b / (1 - eta) overflows at {n_b} / {1.0 - eta}")
+    nbar_noise = 0.0 if eta == 1.0 else finite(
+        "noise occupancy n_b / (1 - eta) overflows at {} / {}", operator.truediv, n_b, 1.0 - eta)
     p_noise, noise_discarded = thermal_probabilities(nbar_noise, n_noise)
     p_ret0, ret_discarded = thermal_probabilities(n_b, n_sig)
     p_idl0, idl_discarded = thermal_probabilities(n_s, n_idl)
@@ -232,14 +227,14 @@ class ChernoffResult(NamedTuple):
     diagnostics: dict
 
 
-def _clipped_spectrum(spectra: list, name: str) -> tuple[float, float]:
-    """Mass of the negative eigenvalues, which count as 0, and the smallest eigenvalue."""
+def _clipped_spectrum(spectra: list, name: str) -> float:
+    """Mass of the negative eigenvalues, which count as 0, after checking the smallest."""
     eigvals = np.concatenate([lam.ravel() for lam in spectra])
     worst = float(np.min(eigvals))
-    if worst < _PSD_TOL:
-        raise InvalidStateError(f"{name} has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}")
+    require(worst >= _PSD_TOL, f"{name} has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}",
+            error=InvalidStateError)
     # 0.0 - x rather than -x: nothing clipped is +0.0, not -0.0
-    return 0.0 - float(np.sum(np.minimum(eigvals, 0.0))), worst
+    return 0.0 - float(np.sum(np.minimum(eigvals, 0.0)))
 
 
 
@@ -253,9 +248,9 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     state j and eigenvector k, with lam0 = p0[index[j]] and w =
     |U1[j, k]|^2; terms with an eigenvalue <= 0 or weight 0 add nothing
     for s in (0, 1) and are left out.  Tiny negative eigenvalues from
-    truncation count as zero; each state's clipped mass (0 if within
-    rounding, dim * eps) and smallest eigenvalue, checked for positivity,
-    are recorded.  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
+    truncation count as zero: each state's smallest eigenvalue is checked
+    against -1e-9, and its clipped mass (0 if within rounding, dim * eps)
+    is recorded.  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
     ln(lam0 / lam1) is increasing and Q is minimized on [0, 1] at its
     root (or the end of [0, 1] it moves towards), found by safeguarded
     Newton steps (:func:`_s_root`) to |delta s| <= 1e-12.  An 11-point
@@ -276,8 +271,8 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
         weight.append(overlap[keep])
         log0.append(np.log(lam0[keep]))
         log1.append(np.log(lam1[keep]))
-    clip0, worst0 = _clipped_spectrum([pair.p0], "rho0")
-    clip1, worst1 = _clipped_spectrum(spectra1, "rho1")
+    clip0 = _clipped_spectrum([pair.p0], "rho0")
+    clip1 = _clipped_spectrum(spectra1, "rho1")
     weight, log1 = np.concatenate(weight), np.concatenate(log1)
     dlog = np.concatenate(log0) - log1
 
@@ -286,8 +281,7 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
 
     def q_of(s: float) -> float:
         val = float(np.sum(terms(s)))
-        if not math.isfinite(val):
-            raise ConvergenceError(f"Q({s}) is not finite")
+        require(math.isfinite(val), f"Q({s}) is not finite", error=ConvergenceError)
         return val
 
     def slope(s: float) -> tuple[float, float]:
@@ -304,7 +298,6 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     if q_grid[k] < q_min:
         s_star, q_min = float(s_grid[k]), float(q_grid[k])
 
-    raw_q = q_min
     rounding = pair.dim * np.finfo(float).eps
     if np.ptp(q_grid) <= rounding * q_grid.max():
         s_star = math.nan
@@ -316,11 +309,8 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
         q_min=float(q_min),
         exponent=float(exponent),
         diagnostics={
-            "raw_q_min": raw_q,
             "clipped_mass_rho0": clip0,
             "clipped_mass_rho1": clip1,
-            "min_eigenvalue_rho0": worst0,
-            "min_eigenvalue_rho1": worst1,
             "dim": pair.dim,
             "s_grid": s_grid,
             "q_grid": q_grid,

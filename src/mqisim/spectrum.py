@@ -17,12 +17,13 @@ phase-preserving amplifier gain cosh^2(kappa) gives
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_count
+from .errors import check_count, finite, require
 
 MIXING_TYPES = ("3wm", "4wm")
 PROFILE_SHAPES = ("parabolic", "raised_cosine", "rectangular")
@@ -50,16 +51,18 @@ class SpectrumProfile:
     shape: str = "parabolic"
 
     def __post_init__(self):
-        if self.kappa_max < 0.0 or not math.isfinite(self.kappa_max):
-            raise InvalidArgumentError(f"kappa_max must be finite and >= 0, got {self.kappa_max}")
-        if self.pump_freq <= 0.0 or not math.isfinite(self.pump_freq):
-            raise InvalidArgumentError(f"pump_freq must be finite and > 0, got {self.pump_freq}")
-        if self.band_width <= 0.0 or not math.isfinite(self.band_width):
-            raise InvalidArgumentError(f"band_width must be finite and > 0, got {self.band_width}")
-        if self.mixing not in MIXING_TYPES:
-            raise InvalidArgumentError(f"mixing must be one of {MIXING_TYPES}, got {self.mixing!r}")
-        if self.shape not in PROFILE_SHAPES:
-            raise InvalidArgumentError(f"shape must be one of {PROFILE_SHAPES}, got {self.shape!r}")
+        require(self.kappa_max >= 0.0 and math.isfinite(self.kappa_max),
+                f"kappa_max must be finite and >= 0, got {self.kappa_max}")
+        require(self.pump_freq > 0.0 and math.isfinite(self.pump_freq),
+                f"pump_freq must be finite and > 0, got {self.pump_freq}")
+        require(self.band_width > 0.0 and math.isfinite(self.band_width),
+                f"band_width must be finite and > 0, got {self.band_width}")
+        require(self.mixing in MIXING_TYPES,
+                f"mixing must be one of {MIXING_TYPES}, got {self.mixing!r}")
+        require(self.shape in PROFILE_SHAPES,
+                f"shape must be one of {PROFILE_SHAPES}, got {self.shape!r}")
+        if self.mixing == "4wm":
+            finite("nu_s + nu_i = 2 nu_p overflows at {} * {}", operator.mul, 2.0, self.pump_freq)
         self._require_inside("band", *self.band_edges)
 
     @property
@@ -76,11 +79,9 @@ class SpectrumProfile:
         """Raise unless [lo, hi] lies inside (0, nu_s + nu_i), where signal and idler
         frequencies are both positive."""
         top = self.frequency_sum
-        if not 0.0 < lo or not hi < top:
-            raise InvalidArgumentError(
+        require(0.0 < lo and hi < top,
                 f"{what} [{lo:.9g}, {hi:.9g}] Hz must lie inside (0, {top:.9g}) Hz, where signal "
-                f"and idler frequencies of {self.mixing} mixing are both positive"
-            )
+                f"and idler frequencies of {self.mixing} mixing are both positive")
 
     @property
     def band_edges(self) -> tuple[float, float]:
@@ -116,14 +117,8 @@ def _kappa_db(kappa):
     """kappa >= 0 as an array, and (20 log10 e) kappa, the anti-squeezing in dB;
     OverflowError names a kappa where the dB value overflows."""
     k = np.asarray(kappa, dtype=float)
-    if not np.all(k >= 0.0):   # NaN fails too
-        raise InvalidArgumentError(f"kappa must be >= 0, got {kappa}")
-    with np.errstate(over="ignore"):
-        db = _DB_PER_KAPPA * k
-    bad = np.flatnonzero(np.isinf(db))
-    if bad.size:
-        raise OverflowError(f"squeezing in dB overflows at kappa = {float(k.flat[bad[0]])!r}")
-    return k, db
+    require(k >= 0.0, "kappa must be >= 0, got {}", k)
+    return k, finite("squeezing in dB overflows at kappa = {!r}", operator.mul, k, _DB_PER_KAPPA)
 
 
 def squeezing_magnitude_db(kappa):
@@ -188,8 +183,8 @@ def spectrum_sweep(
     steps = check_count("steps", steps, 2)
     ends = (None, None) if nu_range is None else nu_range
     lo, hi = (float(edge if end is None else end) for end, edge in zip(ends, profile.band_edges))
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise InvalidArgumentError(f"invalid sweep range ({lo}, {hi})")
+    require(math.isfinite(lo) and math.isfinite(hi) and lo < hi,
+            f"invalid sweep range ({lo}, {hi})")
     profile._require_inside("sweep range", lo, hi)
     nu_s = np.linspace(lo, hi, steps)
     kap = kappa_profile(nu_s, profile)

@@ -132,6 +132,25 @@ def wigner_invocations(draw) -> list[str]:
             *(f"--{k}={v}" for k, v in flags.items())]
 
 
+@st.composite
+def spectrum_invocations(draw) -> list[str]:
+    """argv of a ``spectrum`` run whose kappa_max, pump frequency and band width sit at
+    the ends of the double range or among the subnormals, for both mixings and every
+    shape: the frequency sum 2 nu_p, the band edges, u and the dB values may each
+    overflow or underflow."""
+    def edge():
+        value = draw(st.sampled_from([MAX, 1e300, 1.0, 2.2250738585072014e-308, 1.5e-320,
+                                      5e-324]))
+        return -value if draw(st.integers(0, 3)) == 0 else value   # one in four negative
+
+    flags = {"kappa-max": edge(), "pump-freq": edge(), "band-width": edge(),
+             "mixing": draw(st.sampled_from(["3wm", "4wm"])),
+             "shape": draw(st.sampled_from(["parabolic", "raised_cosine", "rectangular"])),
+             "steps": draw(st.sampled_from([2, 3, 5]))}
+    return ["spectrum", f"--format={draw(st.sampled_from(['csv', 'json']))}",
+            *(f"--{k}={_text(v)}" for k, v in flags.items())]
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -204,6 +223,13 @@ def test_wigner_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
     _check_contract(argv)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(spectrum_invocations())
+def test_spectrum_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
+    _check_contract(argv)
+
+
 def test_wigner_form_overflow_reads_zero_density():
     # at qi = 1e300 the quadratic form overflowed into inf - inf and printed nan
     code, out, _ = _run(["wigner", "--kappa", "0.5", "--samples", "5", "--range=0,1e300",
@@ -263,6 +289,10 @@ def test_infinite_sweep_bound_rejected():
     # (20 log10 e) kappa overflowed, and the centre row printed -inf and inf dB
     (["spectrum", "--kappa-max", repr(MAX), "--steps", "3"], 3,
      f"squeezing in dB overflows at kappa = {MAX!r}"),
+    # 2 nu_p overflowed, and the run exited 2 naming a band [inf, inf] never given
+    (["spectrum", "--kappa-max", "1", "--mixing", "4wm", "--pump-freq", "1e308",
+      "--band-width", "1e300", "--steps", "3"], 3,
+     "numerical failure: nu_s + nu_i = 2 nu_p overflows at 2.0 * 1e+308\n"),
     # far outside the band, kappa_max (1 - u^2) overflowed with a RuntimeWarning
     (["spectrum", "--kappa-max", repr(MAX), "--steps", "2", "--nu-start=1e-300"], 0,
      "1e-300,1.2e+10,0,0,0\n"),
@@ -287,7 +317,8 @@ def test_infinite_sweep_bound_rejected():
     # n_b / (1 - eta) overflowed and was rejected as nbar = inf, a value never passed
     (["qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--n-b", repr(MAX)], 3,
      "noise occupancy n_b / (1 - eta) overflows"),
-], ids=["wigner_range", "detect_sweep", "spectrum_db", "spectrum_far_row", "spectrum_narrow_band",
+], ids=["wigner_range", "detect_sweep", "spectrum_db", "spectrum_4wm_sum", "spectrum_far_row",
+        "spectrum_narrow_band",
         "spectrum_subnormal_band", "detect_envelope", "detect_pi_envelope", "detect_pulses", "qcb_noise"])
 def test_top_of_the_double_range_keeps_the_contract(argv, code, expected):
     got, out, err = _run(argv)

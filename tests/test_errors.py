@@ -1,15 +1,19 @@
-"""The one integer-count rule, ``errors.check_count``, and the layers that use it."""
+"""The rules of ``mqisim.errors``: ``check_count`` for a count and the layers that
+use it, ``require`` for a domain check and ``finite`` for an overflow."""
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mqisim import (
+    ConvergenceError,
     InvalidArgumentError,
     SpectrumProfile,
     SqueezeParam,
+    TruncationError,
     build_classical_hypotheses,
     displacement,
     qi_channel,
@@ -19,7 +23,7 @@ from mqisim import (
     tmsv_fock,
     wigner_grid,
 )
-from mqisim.errors import check_count
+from mqisim.errors import check_count, finite, require
 
 
 @pytest.mark.parametrize("value, want", [
@@ -60,3 +64,61 @@ def test_minimum():
 def test_each_layer_names_the_count(call, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer >= "):
         call()
+
+
+# --- the domain rule, errors.require, and the overflow rule, errors.finite ---
+
+
+@pytest.mark.parametrize("ok", [True, np.True_, np.array(True), np.ones(3, bool)],
+                         ids=["python", "numpy_scalar", "0d", "array"])
+def test_require_passes_when_every_point_holds(ok):
+    assert require(ok, "unused {}", 1.0) is None
+
+
+def test_require_fails_on_nan():
+    with pytest.raises(InvalidArgumentError, match=r"^x must be >= 0, got nan$"):
+        require(math.nan >= 0.0, "x must be >= 0, got {}", math.nan)
+    x = np.array([1.0, math.nan])
+    with pytest.raises(InvalidArgumentError, match=r"got nan at 1$"):
+        require(x >= 0.0, "got {} at {}", x, np.arange(2))
+
+
+def test_require_names_the_first_failing_point():
+    x = np.array([0.5, -1.0, 2.0, -3.0])
+    with pytest.raises(InvalidArgumentError, match=r"^x=-1.0 of 4 must be >= 0$"):
+        require(x >= 0.0, "x={} of {} must be >= 0", x, 4)
+
+
+@pytest.mark.parametrize("ok", [False, np.False_, np.array(False)],
+                         ids=["python", "numpy_scalar", "0d"])
+def test_require_takes_a_scalar_condition(ok):
+    with pytest.raises(InvalidArgumentError, match=r"^x=2.5$"):
+        require(ok, "x={}", 2.5)
+
+
+def test_require_without_values_keeps_the_message():
+    # a pre-formatted message may hold braces, from a set or a dict
+    with pytest.raises(InvalidArgumentError) as info:
+        require(False, "unknown config keys {'a'}, {}")
+    assert str(info.value) == "unknown config keys {'a'}, {}"
+
+
+@pytest.mark.parametrize("error", [OverflowError, TruncationError, ConvergenceError])
+def test_require_raises_the_given_error(error):
+    with pytest.raises(error, match="^gate$") as info:
+        require(False, "gate", error=error)
+    assert type(info.value) is error
+
+
+def test_finite_keeps_python_floats_and_arrays():
+    got = finite("{} / {}", operator.truediv, 1.0, 4.0)
+    assert got == 0.25 and type(got) is float
+    got = finite("{} * {}", operator.mul, np.array([1.0, 2.0]), 3.0)
+    assert isinstance(got, np.ndarray) and got.tolist() == [3.0, 6.0]
+
+
+def test_finite_names_both_operands_where_it_overflows():
+    with pytest.raises(OverflowError, match=r"^m overflows at 1e\+300 \* 10000000000.0$"):
+        finite("m overflows at {} * {}", operator.mul, np.array([1.0, 1e300]), 1e10)
+    with pytest.raises(OverflowError, match=r"^q overflows at 1e\+308 / 1e-10$"):
+        finite("q overflows at {} / {}", operator.truediv, 1e308, 1e-10)

@@ -145,6 +145,47 @@ def test_every_record_field_is_read():
     assert {field for field in _record_fields() if field.split(".")[1] not in reads} == set()
 
 
+def _string_subscripts(paths) -> set:
+    """The string constants that code in ``paths`` subscripts with, as in ``d["key"]``."""
+    return {node.slice.value for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def test_every_diagnostics_key_is_read():
+    # a key that no code reads is a number computed for nobody
+    tree = ast.parse(Path(mqisim.qcb.__file__).read_text())
+    keys = {key.value for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "diagnostics"
+            for key in node.value.keys}
+    paths = [*Path(mqisim.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    assert keys
+    assert keys - _string_subscripts(paths) == set()
+
+
+def _raise_calls(stmts) -> list:
+    """``X`` of each statement ``raise X(...)`` in ``stmts``."""
+    return [stmt.exc.func.id for stmt in stmts if isinstance(stmt, ast.Raise)
+            and isinstance(stmt.exc, ast.Call) and isinstance(stmt.exc.func, ast.Name)]
+
+
+def test_every_check_goes_through_the_errors_rules():
+    # a domain check or an overflow check is errors.require or errors.finite, so the
+    # NaN rule and the message of the first failing point live in one place
+    checked = {name for name, value in vars(mqisim.errors).items()
+               if isinstance(value, type) and issubclass(value, mqisim.errors.MqisimError)}
+    checked.add("OverflowError")
+    found = []
+    for path in Path(mqisim.__file__).parent.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.If):
+                found += [f"{path.name}:{node.lineno} {name}"
+                          for name in _raise_calls(node.body + node.orelse) if name in checked]
+    assert found == []
+
+
 def test_every_cli_flag_has_a_user():
     # a flag that no document, preset, benchmark invocation or acceptance
     # criterion passes is a knob that nobody turns

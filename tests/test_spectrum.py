@@ -47,6 +47,15 @@ class TestSpectrumProfile:
         with pytest.raises(InvalidArgumentError, match="band"):
             profile(band_width=30e9, mixing="4wm")   # edges -3e9 Hz and 27e9 Hz > 2 nu_p
 
+    def test_four_wave_frequency_sum_overflow_is_named(self):
+        # 2 nu_p overflowed to inf, and the band check then rejected a band [inf, inf]
+        # that was never given
+        with pytest.raises(OverflowError,
+                           match=r"^nu_s \+ nu_i = 2 nu_p overflows at 2.0 \* 1e\+308$"):
+            profile(kappa_max=1.0, pump_freq=1e308, band_width=1e300, mixing="4wm")
+        # three-wave mixing sums to nu_p itself, which is finite
+        assert profile(kappa_max=1.0, pump_freq=1e308, band_width=1e300).frequency_sum == 1e308
+
 
 class TestPairRule:
     """A signal at nu and its idler at nu_sum - nu are one pair of the TMSV, so
