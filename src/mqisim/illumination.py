@@ -107,7 +107,7 @@ def pulse_count(t_int, bandwidth):
     t = _floats(t_int, "t_int")
     w = _floats(bandwidth, "bandwidth")
     require(np.isfinite(t) & np.isfinite(w) & (t >= 0.0) & (w >= 0.0),
-             "t_int and bandwidth must be finite and >= 0, got {}, {}", t, w)
+            "t_int and bandwidth must be finite and >= 0, got {}, {}", t, w)
     return finite("pulse count t_int * bandwidth overflows at {} * {}", operator.mul, t, w)
 
 
@@ -120,7 +120,7 @@ def error_probability(rate, pulses):
     r = _floats(rate, "rate")
     m = _floats(pulses, "pulses")
     require(np.isfinite(r) & np.isfinite(m) & (r > 0.0) & (m > 0.0),
-             "rate and pulses must be finite and > 0, got {}, {}", r, m)
+            "rate and pulses must be finite and > 0, got {}, {}", r, m)
     with np.errstate(over="ignore"):   # an M R that overflows is envelope 0
         mr = m * r
         require(mr > 0.0, "pulses * rate underflows to 0 at {} * {}", m, r)

@@ -281,7 +281,7 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
 
     def q_of(s: float) -> float:
         val = float(np.sum(terms(s)))
-        require(math.isfinite(val), f"Q({s}) is not finite", error=ConvergenceError)
+        require(math.isfinite(val), "Q({}) is not finite", s, error=ConvergenceError)
         return val
 
     def slope(s: float) -> tuple[float, float]:

@@ -61,14 +61,14 @@ class SpectrumProfile:
                 f"mixing must be one of {MIXING_TYPES}, got {self.mixing!r}")
         require(self.shape in PROFILE_SHAPES,
                 f"shape must be one of {PROFILE_SHAPES}, got {self.shape!r}")
-        if self.mixing == "4wm":
-            finite("nu_s + nu_i = 2 nu_p overflows at {} * {}", operator.mul, 2.0, self.pump_freq)
         self._require_inside("band", *self.band_edges)
 
     @property
     def frequency_sum(self) -> float:
         """nu_s + nu_i fixed by the mixing process: nu_p (3wm) or 2 nu_p (4wm)."""
-        return self.pump_freq if self.mixing == "3wm" else 2.0 * self.pump_freq
+        if self.mixing == "3wm":
+            return self.pump_freq
+        return finite("nu_s + nu_i = 2 nu_p overflows at {} * {}", operator.mul, 2.0, self.pump_freq)
 
     @property
     def band_center(self) -> float:
@@ -117,7 +117,7 @@ def _kappa_db(kappa):
     """kappa >= 0 as an array, and (20 log10 e) kappa, the anti-squeezing in dB;
     OverflowError names a kappa where the dB value overflows."""
     k = np.asarray(kappa, dtype=float)
-    require(k >= 0.0, "kappa must be >= 0, got {}", k)
+    require(np.all(k >= 0.0), f"kappa must be >= 0, got {kappa}")
     return k, finite("squeezing in dB overflows at kappa = {!r}", operator.mul, k, _DB_PER_KAPPA)
 
 
