@@ -44,6 +44,8 @@ def require(ok, message: str, *values, error=InvalidArgumentError):
     first point where ``ok`` fails, each broadcast to the shape of ``ok``;
     without, it is ``message`` as given.
     """
+    if ok is True or ok is np.True_:   # a passing scalar skips numpy's per-call cost
+        return
     bad = np.flatnonzero(np.logical_not(ok))
     if bad.size:
         point = (np.broadcast_to(v, np.shape(ok)).flat[bad[0]].item() for v in values)

@@ -203,6 +203,13 @@ class TestDecibelMaps:
         with pytest.raises(InvalidArgumentError):
             fn(kappa)
 
+    @pytest.mark.parametrize("fn", [squeezing_magnitude_db, gain_db])
+    def test_rejected_kappa_message_shows_the_whole_input(self, fn):
+        with pytest.raises(InvalidArgumentError, match=r"^kappa must be >= 0, got \[0\.5, nan\]$"):
+            fn([0.5, math.nan])
+        with pytest.raises(InvalidArgumentError, match=r"^kappa must be >= 0, got \[ 1\. -2\.\]$"):
+            fn(np.array([1.0, -2.0]))
+
 
 class TestSpectrumSweep:
     def test_zero_kappa_gives_flat_table(self):
