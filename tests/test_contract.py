@@ -15,11 +15,13 @@ import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqisim.cli import main
+from mqisim.gaussian import SqueezeParam, tmsv_covariance
 from mqisim.illumination import DetectionScenario, classical_error_rate
 
 # the largest double
@@ -119,8 +121,11 @@ _PLANES = [f"{a},{b}" for a in ("qs", "ps", "qi", "pi") for b in ("qs", "ps", "q
 def wigner_invocations(draw) -> list[str]:
     """argv of a ``wigner`` run whose range ends and fixed values sit at the ends of
     the double range or among the subnormals, at a kappa near the condition gate
-    (about 4.4): each term of the slice's quadratic form may overflow or underflow."""
-    flags = {"kappa": draw(st.sampled_from([0.0, 0.5, 3.0, 4.39, 4.4, 4.41])),
+    (about 4.4) or far above it, up to the top of the double range at 355.24: each
+    term of the slice's quadratic form may overflow or underflow, and so may each
+    covariance entry near e^{2 kappa}."""
+    flags = {"kappa": draw(st.sampled_from([0.0, 0.5, 3.0, 4.39, 4.4, 4.41, 8.0, 176.0, 300.0,
+                                            354.95, 355.2])),
              "samples": draw(st.sampled_from([2, 3, 5])),
              "plane": draw(st.sampled_from(_PLANES)),
              "range": "{!r},{!r}".format(*draw(st.tuples(EXTREMES, EXTREMES)
@@ -132,22 +137,73 @@ def wigner_invocations(draw) -> list[str]:
             *(f"--{k}={v}" for k, v in flags.items())]
 
 
+def _signed(*values):
+    """One of ``values``, negated one time in four."""
+    return st.tuples(st.sampled_from(values), st.integers(0, 3)).map(
+        lambda drawn: -drawn[0] if drawn[1] == 0 else drawn[0])
+
+
+# the magnitudes of detect and qcb: the top of the double range, the subnormals, 0 (so
+# a signed zero) and 1; and eta at the ends of [0, 1] and next to them
+SIZES = _signed(MAX, 1e300, 1.0, 1.5e-320, 5e-324, 0.0)
+ETAS = st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 1.0 - 2.0**-53, 1.0])
+
+
 @st.composite
 def spectrum_invocations(draw) -> list[str]:
     """argv of a ``spectrum`` run whose kappa_max, pump frequency and band width sit at
     the ends of the double range or among the subnormals, for both mixings and every
     shape: the frequency sum 2 nu_p, the band edges, u and the dB values may each
     overflow or underflow."""
-    def edge():
-        value = draw(st.sampled_from([MAX, 1e300, 1.0, 2.2250738585072014e-308, 1.5e-320,
-                                      5e-324]))
-        return -value if draw(st.integers(0, 3)) == 0 else value   # one in four negative
-
-    flags = {"kappa-max": edge(), "pump-freq": edge(), "band-width": edge(),
+    edge = _signed(MAX, 1e300, 1.0, 2.2250738585072014e-308, 1.5e-320, 5e-324)
+    flags = {"kappa-max": draw(edge), "pump-freq": draw(edge), "band-width": draw(edge),
              "mixing": draw(st.sampled_from(["3wm", "4wm"])),
              "shape": draw(st.sampled_from(["parabolic", "raised_cosine", "rectangular"])),
              "steps": draw(st.sampled_from([2, 3, 5]))}
     return ["spectrum", f"--format={draw(st.sampled_from(['csv', 'json']))}",
+            *(f"--{k}={_text(v)}" for k, v in flags.items())]
+
+
+def _edge_sweep(draw, variables) -> dict:
+    """A sweep of one of ``variables`` over one to three edge values, or none."""
+    if not draw(st.booleans()):
+        return {}
+    values = draw(st.lists(SIZES, min_size=1, max_size=3))
+    return {"sweep-var": draw(st.sampled_from(variables)),
+            "sweep-values": ",".join(map(repr, values))}
+
+
+@st.composite
+def detect_invocations(draw) -> list[str]:
+    """argv of a ``detect`` run whose n_s, n_b and pulse count, or integration time and
+    bandwidth, sit at the ends of the double range, among the subnormals or at a signed
+    zero, and whose eta sits at the ends of [0, 1]: the rates eta n_s / n_b, the SNR,
+    M R and t_int * bandwidth may each overflow or underflow."""
+    flags = {"eta": draw(ETAS), "n-s": draw(SIZES), "n-b": draw(SIZES)}
+    if draw(st.booleans()):
+        flags["pulses"] = draw(SIZES)
+        flags.update(_edge_sweep(draw, ["eta", "n_s", "n_b"]))
+    else:
+        flags.update({"t-int": draw(SIZES), "bandwidth": draw(SIZES)})
+        flags.update(_edge_sweep(draw, ["eta", "n_s", "n_b", "t_int", "bandwidth"]))
+    return ["detect", f"--format={draw(st.sampled_from(['csv', 'json']))}",
+            *(f"--{k}={_text(v)}" for k, v in flags.items())]
+
+
+@st.composite
+def qcb_invocations(draw) -> list[str]:
+    """argv of a ``qcb`` run whose n_s (or kappa) and n_b sit at the ends of the double
+    range, among the subnormals or at a signed zero, whose eta sits at the ends of
+    [0, 1], at cutoffs of at most 12: n_b / (1 - eta), the rates and the thermal and
+    beam-splitter amplitudes may each overflow or underflow."""
+    cutoffs = st.sampled_from([0, 1, 2, 6, 12])
+    flags = {"transmitter": draw(st.sampled_from(["qi", "classical", "both"])),
+             "eta": draw(ETAS), "n-b": draw(SIZES),
+             draw(st.sampled_from(["n-s", "kappa"])): draw(SIZES),
+             "cutoff-signal": draw(cutoffs), "cutoff-idler": draw(cutoffs),
+             "cutoff-noise": draw(cutoffs), "cutoff": draw(cutoffs)}
+    flags.update(_edge_sweep(draw, ["eta", "n_s", "n_b"]))
+    return ["qcb", f"--format={draw(st.sampled_from(['csv', 'json']))}",
             *(f"--{k}={_text(v)}" for k, v in flags.items())]
 
 
@@ -227,6 +283,20 @@ def test_wigner_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(spectrum_invocations())
 def test_spectrum_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
+    _check_contract(argv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(detect_invocations())
+def test_detect_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
+    _check_contract(argv)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(qcb_invocations())
+def test_qcb_runs_at_the_ends_of_the_double_range_keep_the_contract(argv):
     _check_contract(argv)
 
 
@@ -323,6 +393,22 @@ def test_infinite_sweep_bound_rejected():
 def test_top_of_the_double_range_keeps_the_contract(argv, code, expected):
     got, out, err = _run(argv)
     assert got == code and expected in (err if code else out), (out, err)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [8.0, 10.0, 100.0, 176.0, 178.0, 300.0, 354.95, 355.2])
+def test_every_kappa_above_the_condition_gate_fails_one_way(kappa):
+    # the uncertainty check ran before the condition gate and blamed the state (8, 178),
+    # det was tested before cond and read 0 for a determinant of 1 (10, 100), det
+    # overflowed with a RuntimeWarning (176, 300), and (cov + cov.T) / 2 overflowed into
+    # a LinAlgError traceback and exit 1 (354.95, 355.2)
+    code, out, err = _run(["wigner", "--kappa", repr(kappa), "--samples", "3"])
+    assert code == 3 and out == "" and "ill-conditioned" in err and "Traceback" not in err, err
+    # symmetrizing keeps the entries of the symmetric covariance bit for bit
+    c2, s2 = math.cosh(2.0 * kappa), math.sinh(2.0 * kappa)
+    a, b = s2 * math.cos(math.pi / 2), s2 * math.sin(math.pi / 2)
+    want = [[c2, 0.0, a, b], [0.0, c2, b, -a], [a, b, c2, 0.0], [b, -a, 0.0, c2]]
+    assert np.array_equal(tmsv_covariance(SqueezeParam(kappa)).cov, want)
 
 
 @pytest.mark.parametrize("ranges", [["--range=1,1"], ["--range=0,-0"]],
