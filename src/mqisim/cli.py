@@ -235,7 +235,7 @@ def _run_spectrum(p: dict):
 
     profile = SpectrumProfile(kappa_max=p["kappa_max"], pump_freq=p["pump_freq"],
                               band_width=p["band_width"], mixing=p["mixing"], shape=p["shape"])
-    sweep = spectrum_sweep(profile, (p["nu_start"], p["nu_stop"]), p["steps"])
+    sweep = spectrum_sweep(profile, p["steps"])
     _require_resolved("nu_s sweep", sweep.nu_s)
     table = {
         "nu_s_hz": sweep.nu_s,
@@ -397,9 +397,7 @@ _COMMANDS: dict[str, Command] = {
         # SpectrumProfile checks the mixing and the shape
         Param("mixing", _parse_word, default="3wm", help="3wm or 4wm"),
         Param("shape", _parse_word, default="parabolic", help="profile shape"),
-        Param("nu-start", _parse_float, help="sweep start (Hz); default band edge"),
-        Param("nu-stop", _parse_float, help="sweep stop (Hz); default band edge"),
-        Param("steps", _parse_int, default=161, help="sweep points"),
+        Param("steps", _parse_int, default=161, help="sweep points, band edge to band edge"),
     ]),
     "detect": Command(_run_detect, "error-rate envelopes for one or more scenarios", [
         Param("eta", _parse_float, required=True, help="target reflectance"),

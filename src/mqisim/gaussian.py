@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DegenerateStateError, InvalidArgumentError, InvalidStateError, check_count, require,
+    DegenerateStateError, InvalidArgumentError, InvalidStateError, check_count, finite, require,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -128,7 +128,8 @@ class TwoModeGaussianState:
         require(cov.shape == (4, 4), f"cov must have shape (4, 4), got {cov.shape}")
         require(np.all(np.isfinite(mean)) and np.all(np.isfinite(cov)),
                 "mean and cov must be finite")
-        asym = np.max(np.abs(cov - cov.T))
+        with np.errstate(over="ignore"):   # an asymmetry beyond the largest double is inf
+            asym = np.max(np.abs(cov - cov.T))
         require(asym <= _SYMMETRY_TOL,
                 f"cov must be symmetric within {_SYMMETRY_TOL}, asymmetry {asym:.3e}")
         object.__setattr__(self, "mean", _readonly(mean))
@@ -196,11 +197,12 @@ def uncertainty_check(state: TwoModeGaussianState) -> UncertaintyReport:
 
 def _precision(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """cov^-1 and det cov behind the one gate: eps * cond(cov) <= 1e-8, cond taken of cov
-    over its largest |entry| so none overflows (a non-finite cond fails), then det > 1e-300."""
+    over its largest |entry| so none overflows (a non-finite cond fails), then det > 1e-300;
+    a det that overflows raises OverflowError."""
     error = np.finfo(float).eps * float(np.linalg.cond(cov / (np.max(np.abs(cov)) or 1.0)))
     require(error <= _CONDITION_TOL, "covariance is too ill-conditioned: "
             f"eps * cond = {error:.3e} exceeds {_CONDITION_TOL}", error=DegenerateStateError)
-    det = float(np.linalg.det(cov))
+    det = float(finite("det cov overflows", lambda: np.linalg.det(cov)))
     require(det > _DEGENERATE_DET, f"covariance is numerically singular (det = {det:.3e})",
             error=DegenerateStateError)
     return np.linalg.inv(cov), det

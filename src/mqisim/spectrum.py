@@ -6,6 +6,8 @@ or rectangular as alternatives) stands in for it, parameterized by the
 apical value and the band width.  Frequency bookkeeping follows the
 mixing process: a three-wave mixer conserves nu_s + nu_i = nu_p, a
 four-wave mixer nu_s + nu_i = 2 nu_p, and the band is centred on (nu_s + nu_i) / 2.
+A sweep is the band in pair coordinates: each row is a signal and its idler at
+one detuning from the centre, so a row's mirror is its pair and shares its kappa.
 
 The dB conventions, with the unit-vacuum-variance quadratures used
 package-wide: squeezed joint-quadrature variance e^{-2 kappa} gives a
@@ -36,11 +38,11 @@ _GAIN_CLOSED_FORM_KAPPA = 20.0
 class SpectrumProfile:
     """Phenomenological squeezing-parameter profile over a frequency band.
 
-    kappa(nu) equals ``kappa_max`` at ``band_center``, the degenerate
+    kappa equals ``kappa_max`` at ``band_center``, the degenerate
     frequency nu_p / 2 (three-wave) or nu_p (four-wave), falls off with the
-    selected ``shape`` and is zero outside the band.  So kappa(nu) =
-    kappa(nu_s + nu_i - nu): a signal and its idler, one TMSV pair, share
-    one kappa.  The band, of width below nu_s + nu_i, lies above 0 Hz and
+    selected ``shape`` and is zero outside the band.  It is a function of
+    the detuning |nu - band_center|, which a signal and its idler, one TMSV
+    pair, share.  The band, of width below nu_s + nu_i, lies above 0 Hz and
     below nu_p (three-wave) or 2 nu_p (four-wave), where both are positive.
     """
 
@@ -61,7 +63,10 @@ class SpectrumProfile:
                 f"mixing must be one of {MIXING_TYPES}, got {self.mixing!r}")
         require(self.shape in PROFILE_SHAPES,
                 f"shape must be one of {PROFILE_SHAPES}, got {self.shape!r}")
-        self._require_inside("band", *self.band_edges)
+        (lo, hi), top = self.band_edges, self.frequency_sum
+        require(0.0 < lo and hi < top,
+                f"band [{lo:.9g}, {hi:.9g}] Hz must lie inside (0, {top:.9g}) Hz, where signal "
+                f"and idler frequencies of {self.mixing} mixing are both positive")
 
     @property
     def frequency_sum(self) -> float:
@@ -75,42 +80,41 @@ class SpectrumProfile:
         """The degenerate signal frequency (nu_s + nu_i) / 2, where the band is centred."""
         return self.frequency_sum / 2.0
 
-    def _require_inside(self, what: str, lo: float, hi: float):
-        """Raise unless [lo, hi] lies inside (0, nu_s + nu_i), where signal and idler
-        frequencies are both positive."""
-        top = self.frequency_sum
-        require(0.0 < lo and hi < top,
-                f"{what} [{lo:.9g}, {hi:.9g}] Hz must lie inside (0, {top:.9g}) Hz, where signal "
-                f"and idler frequencies of {self.mixing} mixing are both positive")
-
     @property
     def band_edges(self) -> tuple[float, float]:
         half = self.band_width / 2.0
         return (self.band_center - half, self.band_center + half)
 
 
-def kappa_profile(nu_s, profile: SpectrumProfile):
-    """Squeezing modulus at signal frequency nu_s (vectorized over nu_s).
+def kappa_profile(detuning, profile: SpectrumProfile):
+    """Squeezing modulus at a detuning nu - band_center (vectorized over it).
 
-    parabolic:     kappa_max (1 - u^2), u = (nu - center)/(width/2)
-    raised_cosine: kappa_max (1 + cos(pi u)) / 2 inside the band
-    rectangular:   kappa_max inside the band
+    With u = |detuning| / (width / 2) and e = 1 - u, the distance to the band edge:
 
-    All shapes are 0 outside the band and kappa_max at its center.
+    parabolic:     kappa_max (1 - u^2), or kappa_max e (2 - e) beyond u = 1/2
+    raised_cosine: kappa_max (1 + cos(pi u)) / 2, or kappa_max sin^2(pi e / 2) beyond u = 1/2
+    rectangular:   kappa_max
+
+    All shapes are 0 outside the band (e < 0) and kappa_max at its center.  e is formed as
+    (width - 2 |detuning|) / width, whose difference is exact for u >= 1/2, so a row near
+    the edge keeps its digits where 1 - u^2 and 1 + cos(pi u) would cancel.
     """
-    nu = np.asarray(nu_s, dtype=float)
+    d = np.abs(np.asarray(detuning, dtype=float))
+    w = profile.band_width
     # far outside a narrow band u and the shape may overflow; those rows read 0.
-    # u is formed as 2 (nu - center) / width, as width / 2 is 0 at width 5e-324
+    # u is formed as 2 |d| / width, as width / 2 is 0 at width 5e-324
     with np.errstate(over="ignore", invalid="ignore"):
-        u = 2.0 * (nu - profile.band_center) / profile.band_width
+        u = 2.0 * d / w
+        e = (w - 2.0 * d) / w
         if profile.shape == "parabolic":
-            val = profile.kappa_max * (1.0 - u**2)
+            shape = np.where(u <= 0.5, 1.0 - u**2, e * (2.0 - e))
         elif profile.shape == "raised_cosine":
-            val = profile.kappa_max * 0.5 * (1.0 + np.cos(np.pi * u))
+            shape = np.where(u <= 0.5, 0.5 * (1.0 + np.cos(np.pi * u)),
+                             np.sin(np.pi / 2.0 * e) ** 2)
         else:  # rectangular
-            val = profile.kappa_max
-    val = np.where(np.abs(u) <= 1.0, val, 0.0)
-    return float(val) if np.isscalar(nu_s) else val
+            shape = 1.0
+        val = np.where(e >= 0.0, profile.kappa_max * shape, 0.0)
+    return float(val) if np.isscalar(detuning) else val
 
 
 def _kappa_db(kappa):
@@ -166,29 +170,23 @@ class SpectrumTable(NamedTuple):
     gain_db: np.ndarray
 
 
-def spectrum_sweep(
-    profile: SpectrumProfile,
-    nu_range: tuple[float | None, float | None] | None = None,
-    steps: int = 161,
-) -> SpectrumTable:
-    """Sweep the signal frequency and tabulate kappa, squeezing and gain.
+def spectrum_sweep(profile: SpectrumProfile, steps: int = 161) -> SpectrumTable:
+    """Sweep the band in pair coordinates and tabulate kappa, squeezing and gain.
 
-    ``nu_range`` is (start, stop); a ``None`` end, or no range, is the
-    band edge.  The range, like the band, must lie inside (0, nu_s + nu_i),
-    where both frequencies are positive.  Rows outside the band carry
-    kappa = 0 (hence 0 dB squeezing and gain) rather than raising; the
-    idler column follows the conservation formula everywhere.  Only the
-    columns are returned: the caller holds ``profile``.
+    Row k is the pair (center + d_k, center - d_k): the detunings d_k run from
+    -width / 2 to width / 2 over ``steps`` points, made exactly antisymmetric as
+    (h - h[::-1]) / 2 of h = linspace(-width / 2, width / 2, steps).  So row k's
+    idler is row n - 1 - k's signal, bit for bit, the two share one kappa, and the
+    end rows are the band edges.  Only the columns are returned: the caller holds
+    ``profile``.
     """
     steps = check_count("steps", steps, 2)
-    ends = (None, None) if nu_range is None else nu_range
-    lo, hi = (float(edge if end is None else end) for end, edge in zip(ends, profile.band_edges))
-    require(math.isfinite(lo) and math.isfinite(hi) and lo < hi,
-            f"invalid sweep range ({lo}, {hi})")
-    profile._require_inside("sweep range", lo, hi)
-    nu_s = np.linspace(lo, hi, steps)
-    kap = kappa_profile(nu_s, profile)
-    columns = (nu_s, profile.frequency_sum - nu_s, kap, squeezing_magnitude_db(kap), gain_db(kap))
+    half = profile.band_width / 2.0
+    h = np.linspace(-half, half, steps)
+    detuning = (h - h[::-1]) / 2.0
+    center = profile.band_center
+    kap = kappa_profile(detuning, profile)
+    columns = (center + detuning, center - detuning, kap, squeezing_magnitude_db(kap), gain_db(kap))
     for col in columns:
         col.setflags(write=False)
     return SpectrumTable(*columns)

@@ -34,13 +34,14 @@ _C5_SWEEP = ("qcb", "--transmitter", "both", "--n-s", "0.1", "--eta", "0.1", "--
 
 # sha256 of the --help text of the parser ("") and of each subcommand at 80
 # columns, as argparse of Python 3.11 lays it out; spectrum re-recorded when
-# --band-center left (the band is centred on the degenerate frequency), wigner
-# when its per-axis --x-range, --y-range, --x-samples and --y-samples left
+# --band-center left (the band is centred on the degenerate frequency) and when
+# --nu-start and --nu-stop left (the sweep is the band), wigner when its
+# per-axis --x-range, --y-range, --x-samples and --y-samples left
 HELP_SHA256 = {
     "": "8fd420855a0d0bf290e78b9325f0c3a24b722f602bebfc042422088a656e2f6a",
     "state": "03194eacd1a6b295813ba8c17b105186fd733c6f6a3e6902544dba8a4f239170",
     "wigner": "9363e248ca71e73c4980e39650d4780d71317660918f98ac0177549c20d299f8",
-    "spectrum": "fe1511e5f4765ac5103d3069b9f667f8bc81b7ce3836d7ff10bed0d5e8818211",
+    "spectrum": "b583311bf37fa707525f782fe1ee44d9b193d0edd3328a9a032117666ec32a8b",
     "detect": "aa10853d927eda13d3d79d8f8fba0d75a08013d47d3cddef247f88549b14ed95",
     "qcb": "4c08f46cbb6c2cfa2b349396ad3130d7ebe425f4c67474cc6f86593b6de5ec1f",
 }
@@ -256,25 +257,42 @@ class TestSpectrumCommand:
         out, err = capsys.readouterr()
         assert out == "" and "band [" in err
 
-    # once printed rows at nu_s = -1 GHz (3wm) and nu_i = -6 GHz (4wm) with exit 0
-    @pytest.mark.parametrize("flags", [
-        ("--nu-start=-1e9", "--nu-stop", "13e9"),
-        ("--mixing", "4wm", "--nu-stop", "30e9"),
-    ], ids=["3wm", "4wm"])
-    def test_sweep_range_must_keep_frequencies_positive(self, flags, capsys):
-        assert main(["spectrum", "--kappa-max", "1", "--steps", "3", *flags]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "sweep range [" in err
-
     def test_band_center_is_not_an_option(self, capsys):
         # an off-centre band printed kappa 0.5 for the pair (4, 8) GHz and 0 for
         # (8, 4) GHz, and exited 0
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--kappa-max", "0.5", "--pump-freq", "12e9", "--band-width", "4e9",
-                  "--band-center", "4e9", "--nu-start", "2e9", "--nu-stop", "10e9", "--steps", "5"])
+                  "--band-center", "4e9", "--steps", "5"])
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert "unrecognized arguments: --band-center 4e9" in err
+
+    def test_sweep_range_is_not_an_option(self, capsys):
+        # the sweep is the band: a range of its own swept a second grid, whose rows
+        # outside the band printed kappa 0
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--kappa-max", "1", "--steps", "3", "--nu-start", "1e9",
+                  "--nu-stop", "11e9"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments: --nu-start 1e9 --nu-stop 11e9" in err
+
+    # kappa was rounded once per band edge and once per row: the rectangular edge rows
+    # printed 0 and 1, the parabolic ones 0 and 5.68434189e-16 (1 - u^2 cancelled at a
+    # rounded u), and 1 + cos(pi u) cancelled on the raised cosine's second row, which
+    # printed 2.96088137e-09 for a 40-digit value at its detuning of 2.96088132e-09
+    @pytest.mark.parametrize("flags, rows", [
+        (("--kappa-max", "1", "--shape", "rectangular", "--pump-freq", "14220824468.600426",
+          "--band-width", "3853899592.554933", "--steps", "5"), {0: "1", 4: "1"}),
+        (("--kappa-max", "1.28", "--pump-freq", "8560000000.000001", "--band-width",
+          "4750000000.0", "--steps", "5"), {0: "0", 4: "0"}),
+        (("--kappa-max", "3", "--shape", "raised_cosine", "--steps", "100001"),
+         {1: "2.96088132e-09", 99999: "2.96088132e-09"}),
+    ], ids=["rectangular", "parabolic", "raised_cosine"])
+    def test_band_edge_rows_print_their_exact_kappa(self, flags, rows, capsys):
+        assert main(["spectrum", *flags]) == 0
+        _, table = csv_rows(capsys.readouterr().out)
+        assert {k: table[k][2] for k in rows} == rows
 
     def test_four_wave_band_may_exceed_the_pump(self, capsys):
         argv = ["spectrum", "--kappa-max", "1", "--steps", "3", "--mixing", "4wm",
@@ -685,8 +703,6 @@ class TestInputChecks:
           "--sweep-var", "n_s", "--sweep-values", "0.1,0.2"), None,
          "sweeping n_s conflicts with --kappa"),
         (("state", "--kappa", "1", "--phase", "nan"), None, "phase must be finite"),
-        (("spectrum", "--kappa-max", "1", "--steps", "3", "--nu-start", "5e9",
-          "--nu-stop", "4e9"), None, "invalid sweep range"),
         (("spectrum", "--config", "{tmp}/run.cfg"), "kappa-max = 0.5\nband-center = 4e9\n",
          "unknown config keys: band_center"),
         (("wigner", "--config", "{tmp}/run.cfg"), "kappa = 0.5\nx-range = -1,1\n",
@@ -694,7 +710,7 @@ class TestInputChecks:
     ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
             "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
             "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan", "qcb_kappa_sweep_n_s",
-            "phase_nan", "spectrum_descending", "config_band_center", "config_x_range"])
+            "phase_nan", "config_band_center", "config_x_range"])
     def test_rejected(self, argv, config, message, tmp_path, capsys):
         if config is not None:
             (tmp_path / "run.cfg").write_text(config)

@@ -74,7 +74,7 @@ def invocations(draw) -> list[str]:
         flags = {"kappa-max": draw(VALUES), "steps": draw(SMALL_INTS),
                  "mixing": draw(st.sampled_from(["3wm", "4wm"])),
                  "shape": draw(st.sampled_from(["parabolic", "raised_cosine", "rectangular"]))}
-        for name in ("pump-freq", "band-width", "nu-start", "nu-stop"):
+        for name in ("pump-freq", "band-width"):
             if draw(maybe):
                 flags[name] = draw(VALUES)
     elif command == "detect":
@@ -363,15 +363,16 @@ def test_infinite_sweep_bound_rejected():
     (["spectrum", "--kappa-max", "1", "--mixing", "4wm", "--pump-freq", "1e308",
       "--band-width", "1e300", "--steps", "3"], 3,
      "numerical failure: nu_s + nu_i = 2 nu_p overflows at 2.0 * 1e+308\n"),
-    # far outside the band, kappa_max (1 - u^2) overflowed with a RuntimeWarning
-    (["spectrum", "--kappa-max", repr(MAX), "--steps", "2", "--nu-start=1e-300"], 0,
-     "1e-300,1.2e+10,0,0,0\n"),
-    # so did u = (nu - centre) / (width / 2) of a band 1e-300 Hz wide
-    (["spectrum", "--kappa-max", "1", "--band-width", "1e-300", "--nu-start", "1e9",
-      "--steps", "2"], 0, "1e+09,1.1e+10,0,0,0\n"),
-    # the least subnormal width halved to 0: u = 0 / 0 at the centre read kappa 0
-    (["spectrum", "--kappa-max", "1", "--band-width", "5e-324", "--nu-start", "1e9",
-      "--nu-stop", "11e9", "--steps", "3"], 0, "6e+09,6e+09,1,-8.68588964,3.76777242\n"),
+    # the edge rows, the farthest a sweep reaches, are kappa_max times an exact 0; far
+    # outside the band (TestKappaProfile) kappa_max (1 - u^2) once overflowed
+    (["spectrum", "--kappa-max", repr(MAX), "--steps", "2"], 0, "2e+09,1e+10,0,0,0\n"),
+    # u = 2 |detuning| / width and the edge distance of a band 1e-300 Hz wide
+    (["spectrum", "--kappa-max", "1", "--pump-freq", "2e-300", "--band-width", "1e-300",
+      "--steps", "3"], 0, "5e-301,1.5e-300,0,0,0\n1e-300,1e-300,1,-8.68588964,3.76777242\n"),
+    # the least subnormal width halves to 0, so every row is the centre and no two print
+    # apart; its kappa there is kappa_max (TestKappaProfile), once 0 / 0
+    (["spectrum", "--kappa-max", "1", "--band-width", "5e-324", "--steps", "3"], 2,
+     "nu_s sweep"),
     # M R overflowed with a RuntimeWarning; an infinite M R is a zero envelope
     (["detect", "--eta", "1", "--n-s", repr(MAX), "--n-b", "1", "--pulses", "10"], 0,
      "1,1.79769313e+308,1,1.79769313e+308,10,4.49423284e+307,1.79769313e+308,0,0,6.02059991,"
@@ -421,8 +422,8 @@ def test_zero_width_wigner_axis_rejected(ranges):
 
 @pytest.mark.parametrize("argv, axis", [
     (["wigner", "--kappa", "0.5", "--range=1,1.0000000001", "--samples", "3"], "qs axis"),
-    (["spectrum", "--kappa-max", "3", "--steps", "5", "--nu-start", "5e9",
-      "--nu-stop", "5.0000000001e9"], "nu_s sweep"),
+    (["spectrum", "--kappa-max", "3", "--pump-freq", "1e10", "--band-width", "0.1",
+      "--steps", "5"], "nu_s sweep"),
     (["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10",
       "--sweep-var", "n_b", "--sweep-from", "1", "--sweep-to", "1.0000000001",
       "--sweep-steps", "3"], "n_b sweep"),
@@ -439,7 +440,7 @@ def test_unresolved_axis_rejected(argv, axis):
 
 @pytest.mark.parametrize("argv", [
     ["wigner", "--kappa", "0.5", "--range=1,1.00000002", "--samples", "3"],
-    ["spectrum", "--kappa-max", "3", "--steps", "3", "--nu-start", "5e9", "--nu-stop", "5.00000002e9"],
+    ["spectrum", "--kappa-max", "3", "--band-width", "20", "--steps", "3"],
     ["detect", "--eta", "0.1", "--n-s", "0.1", "--n-b", "1", "--pulses", "10",
      "--sweep-var", "n_b", "--sweep-from", "1.00000002", "--sweep-to", "1", "--sweep-steps", "3"],
 ], ids=["wigner", "spectrum", "detect_descending"])

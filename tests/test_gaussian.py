@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mqisim import (
 from conftest import fock_second_moments, moment_cutoff, riemann_mass
 
 WIGNER_PEAK = 0.0253302959106  # 1 / (4 pi^2)
+MAX = sys.float_info.max
 
 
 class TestSqueezeParam:
@@ -116,6 +118,12 @@ class TestWignerDensity:
         with pytest.raises(DegenerateStateError):
             wigner_density(state, np.zeros(4))
 
+    def test_determinant_overflow_is_a_numerical_failure(self):
+        # the fixed marginal cosh(400) I passes the condition gate, but its det overflowed
+        # with a RuntimeWarning and the mass read 0.0 for 1 / (2 pi cosh 400) = 6.1e-175
+        with pytest.raises(OverflowError, match="^det cov overflows$"):
+            slice_mass(tmsv_covariance(SqueezeParam(200.0)), (0, 1))
+
 
 class TestUncertaintyCheck:
     def test_vacuum_saturates(self):
@@ -204,6 +212,10 @@ class TestWignerGrid:
      "must be finite"),
     (lambda: TwoModeGaussianState(np.zeros(4), np.eye(4) + np.eye(4, k=1)),
      "cov must be symmetric"),
+    # cov - cov.T overflowed with a RuntimeWarning before the inf asymmetry failed the check
+    (lambda: TwoModeGaussianState(np.zeros(4), [[1.0, MAX, 0.0, 0.0], [-MAX, 1.0, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+     "cov must be symmetric within 1e-12, asymmetry inf"),
     (lambda: quadrature_variance(vacuum_state(), [1.0, 0.0, 0.0]), "coeffs must have shape (4,)"),
     (lambda: wigner_density(vacuum_state(), [0.0, 0.0, 0.0]), "point must be 4 finite numbers"),
     (lambda: wigner_density(vacuum_state(), [0.0, math.nan, 0.0, 0.0]),
@@ -217,7 +229,8 @@ class TestWignerGrid:
     (lambda: slice_mass(vacuum_state(), (0, 7)), "plane must be two distinct indices"),
     # and returned 0.0 for a NaN fixed value
     (lambda: slice_mass(vacuum_state(), (0, 1), (math.nan, 0)), "fixed_values must be finite"),
-], ids=["mean_shape", "cov_shape", "mean_nan", "cov_inf", "cov_asymmetric", "coeffs_shape",
+], ids=["mean_shape", "cov_shape", "mean_nan", "cov_inf", "cov_asymmetric",
+        "cov_asymmetry_overflow", "coeffs_shape",
         "point_shape", "point_nan", "plane_repeated", "plane_out_of_range", "plane_fractional",
         "slice_plane_repeated", "slice_plane_out_of_range", "slice_fixed_nan"])
 def test_malformed_input_rejected(call, message):
