@@ -4,8 +4,8 @@ Subcommands: state | wigner | spectrum | detect | qcb.  Parameters come
 from flags or from a flat ``key = value`` config file (flags override
 the file; both go through the same parsers).  Output is CSV (header
 row, data rows, '#'-prefixed metadata footer) or JSON with the same
-schema, written by :mod:`mqisim.digits` to --output or stdout.  Runs are random-free: the same
-resolved parameters always produce byte-identical files.
+schema, written by :mod:`mqisim.digits` block by block to --output or stdout.  Runs are
+random-free: the same resolved parameters always produce byte-identical files.
 
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
 """
@@ -16,12 +16,12 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .digits import emit_csv, emit_json, row_count, same_cells
+from .digits import emit, row_count, same_cells
 from .errors import InvalidArgumentError, MqisimError, check_count, require
 
 FORMATS = ("csv", "json")
@@ -450,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[str, str]:
-    """Resolve parameters, run the subcommand, return (content, summary)."""
+def run_subcommand(args: argparse.Namespace, config: dict) -> tuple[Iterator[bytes], str]:
+    """Resolve parameters, run the subcommand, return (the document's blocks, summary)."""
     fmt = args.format if args.format is not None else config.get("format", "csv")
     fmt = _parse_word(fmt)
     require(fmt in FORMATS, f"format must be one of {FORMATS}, got {fmt!r}")
@@ -463,9 +463,7 @@ def run_subcommand(args: argparse.Namespace, config: dict[str, str]) -> tuple[st
         if value is not None:
             meta["param_" + key] = value
     meta.update(extra)
-    # called positionally: the traced benchmark worker reads the emitters' arguments by position
-    content = emit_csv(table, meta) if fmt == "csv" else emit_json(table, meta)
-    return content, f"{args.subcommand}: {row_count(table)} rows ({fmt})"
+    return emit(table, meta, fmt), f"{args.subcommand}: {row_count(table)} rows ({fmt})"
 
 
 def main(argv=None) -> int:
@@ -474,23 +472,22 @@ def main(argv=None) -> int:
         config = load_config(args.config) if args.config else {}
         output = args.output if args.output is not None else config.get("output")
         quiet = args.quiet if args.quiet is not None else _parse_bool(config.get("quiet", "false"))
-        content, summary = run_subcommand(args, config)
+        blocks, summary = run_subcommand(args, config)
+        if not output:
+            sys.stdout.writelines(block.decode("ascii") for block in blocks)
+        else:
+            try:
+                with open(output, "wb") as fh:
+                    fh.writelines(blocks)
+            except OSError as exc:
+                print(f"error: cannot write {output}: {exc}", file=sys.stderr)
+                return 2
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MqisimError, OverflowError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
-    if output:
-        try:
-            with open(output, "w", newline="\n") as fh:
-                fh.write(content)
-        except OSError as exc:
-            print(f"error: cannot write {output}: {exc}", file=sys.stderr)
-            return 2
-        if not quiet:
-            print(f"wrote {output}: {summary}", file=sys.stderr)
-    else:
-        sys.stdout.write(content)
+    if output and not quiet:
+        print(f"wrote {output}: {summary}", file=sys.stderr)
     return 0

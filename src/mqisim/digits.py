@@ -5,11 +5,11 @@ the cells of a column form one uint8 array and a row of the table is the
 cells laid side by side with the NULs dropped.  ``format_floats`` writes
 Python's ``format(v, ".9g")`` (or its JSON token) of float64 values with a
 numpy kernel, byte for byte, and leaves to Python only the values the
-kernel cannot decide.  ``emit_csv`` and ``emit_json`` write a table (a
-dict of numpy columns that broadcast together, one row per element of
-their broadcast shape in C order) and its metadata, every column one
-way: the distinct bit patterns of its stored values, each formatted
-once, and each row's index into them.  A Wigner slice is thus two axes
+kernel cannot decide.  ``emit`` lays out a table (a dict of numpy
+columns that broadcast together, one row per element of their broadcast
+shape in C order) and its metadata as CSV or JSON bytes, block by block,
+every column one way: the distinct bit patterns of its stored values, each
+formatted once, and each row's index into them.  A Wigner slice is thus two axes
 of shape (nx, 1) and (1, ny) and the (nx, ny) density, and a scalar is a
 0-d column.  ``same_cells`` tells which adjacent values of a generated
 axis print the same cell.
@@ -18,7 +18,7 @@ axis print the same cell.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -230,23 +230,18 @@ def _column_cells(table: dict, json_floats: bool) -> list:
     return columns
 
 
-def _row_blocks(table: dict, sep: str, end: str, json_floats: bool):
-    """The text of the rows, one block of rows at a time: cells joined by
-    ``sep``, every row (the last too) followed by ``end``.
-
-    A block's cell rows and separators are laid side by side as bytes, and
-    the NULs dropped.
-    """
-    rows = row_count(table)
-    columns = _column_cells(table, json_floats)
-    seps = [np.frombuffer(text.encode(), np.uint8) for text in [sep] * (len(columns) - 1) + [end]]
+def _row_blocks(columns: list, rows: int, sep: str, end: str, last_end: str):
+    """The rows of formatted columns as ASCII byte blocks of at most ``_BLOCK_ROWS`` rows:
+    cells joined by ``sep``, each row followed by ``end`` and the last by ``last_end`` (not
+    longer).  A block's cell rows and separators are laid side by side, the NULs dropped."""
+    sep_bytes = np.frombuffer(sep.encode(), np.uint8)
+    ends = np.array([end, last_end], "S").view(np.uint8).reshape(2, len(end))
     for s in range(0, rows, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, rows - s)
-        parts = []
-        for (cells, index), sep_bytes in zip(columns, seps):
-            parts.append(cells.take(index[s:s + n], axis=0))
-            parts.append(np.broadcast_to(sep_bytes, (n, sep_bytes.size)))
-        yield np.hstack(parts).tobytes().translate(None, b"\0").decode("ascii")
+        parts = [np.broadcast_to(sep_bytes, (n, sep_bytes.size))] * (2 * len(columns) - 1)
+        parts[::2] = [cells.take(index[s:s + n], axis=0) for cells, index in columns]
+        parts.append(ends.take(np.arange(s, s + n) == rows - 1, axis=0))
+        yield np.hstack(parts).tobytes().translate(None, b"\0")
 
 
 def _meta_value(v) -> str:
@@ -259,27 +254,28 @@ def _meta_value(v) -> str:
     return str(v)
 
 
-def emit_csv(table: dict, meta: dict) -> str:
-    footer = "".join(f"# {k} = {_meta_value(meta[k])}\n" for k in sorted(meta))
-    rows = _row_blocks(table, ",", "\n", json_floats=False)
-    return "".join([",".join(table), "\n", *rows, footer])
+def emit(table: dict, meta: dict, fmt: str):
+    """A table and its metadata as a ``fmt`` (csv or json) document in ASCII byte blocks.
 
-
-def emit_json(table: dict, meta: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` of the table, rows written directly.
-
-    Rows come last in key order, so the document is dumped without them and
-    the rows block is appended in the same layout.
+    Every cell is formatted, and the head and the tail laid out, before this returns;
+    the rows then come ``_BLOCK_ROWS`` to a block.  CSV is the header row, the rows and
+    '#'-prefixed ``key = value`` lines.  JSON is ``json.dumps(doc, indent=2,
+    sort_keys=True)``, dumped without the rows, which come last in key order and are
+    written in its layout.
     """
-    import json   # here, so that a CSV run does not pay for importing it
-
     rows = row_count(table)
-    # tuples dump as lists; numpy scalars, which json does not know, as their Python value
-    head = json.dumps({"metadata": meta, "columns": list(table)},
-                      indent=2, sort_keys=True, default=lambda v: v.item())
-    if not rows:
-        return head[:-2] + ',\n  "rows": []\n}\n'
-    row_end = "\n    ],\n    [\n      "
-    blocks = list(_row_blocks(table, ",\n      ", row_end, json_floats=True))
-    blocks[-1] = blocks[-1][:-len(row_end)]   # the last row closes the list instead
-    return "".join([head[:-2], ',\n  "rows": [\n    [\n      ', *blocks, "\n    ]\n  ]\n}\n"])
+    columns = _column_cells(table, json_floats=fmt == "json")
+    if fmt == "csv":
+        head = ",".join(table) + "\n"
+        tail = "".join(f"# {k} = {_meta_value(meta[k])}\n" for k in sorted(meta))
+        blocks = _row_blocks(columns, rows, ",", "\n", "\n")
+    else:
+        import json   # here, so that a CSV run does not pay for importing it
+
+        # tuples dump as lists; numpy scalars, which json does not know, as their Python value
+        head = json.dumps({"metadata": meta, "columns": list(table)},
+                          indent=2, sort_keys=True, default=lambda v: v.item())[:-2]
+        head += ',\n  "rows": [\n    [\n      ' if rows else ',\n  "rows": []'
+        tail = "\n}\n"
+        blocks = _row_blocks(columns, rows, ",\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]")
+    return chain([head.encode()], blocks, [tail.encode()])

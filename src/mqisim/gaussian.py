@@ -196,24 +196,31 @@ def uncertainty_check(state: TwoModeGaussianState) -> UncertaintyReport:
 
 
 def _precision(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """cov^-1 and det cov behind the one gate: eps * cond(cov) <= 1e-8, cond taken of cov
-    over its largest |entry| so none overflows (a non-finite cond fails), then det > 1e-300;
-    a det that overflows raises OverflowError."""
-    error = np.finfo(float).eps * float(np.linalg.cond(cov / (np.max(np.abs(cov)) or 1.0)))
+    """cov^-1 and sqrt(det cov) behind the one gate: eps * cond(cov) <= 1e-8, cond taken of cov
+    over its largest |entry| so none overflows (a non-finite cond fails), then det > 1e-300.
+    A det beyond the largest double is taken again of cov 2^-e, e the binary exponent of the
+    largest |entry| (past the gate it is then above 1e-32), and the root of the k x k cov is
+    sqrt(det(cov 2^-e)) 2^(k e / 2), or OverflowError if that overflows."""
+    largest = float(np.max(np.abs(cov)))
+    error = np.finfo(float).eps * float(np.linalg.cond(cov / (largest or 1.0)))
     require(error <= _CONDITION_TOL, "covariance is too ill-conditioned: "
             f"eps * cond = {error:.3e} exceeds {_CONDITION_TOL}", error=DegenerateStateError)
-    det = float(finite("det cov overflows", lambda: np.linalg.det(cov)))
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(cov))
     require(det > _DEGENERATE_DET, f"covariance is numerically singular (det = {det:.3e})",
             error=DegenerateStateError)
-    return np.linalg.inv(cov), det
+    e = 0 if det < math.inf else math.frexp(largest)[1]
+    det = det if e == 0 else float(np.linalg.det(np.ldexp(cov, -e)))
+    root = finite("sqrt det cov overflows", np.ldexp, math.sqrt(det), len(cov) * e // 2)
+    return np.linalg.inv(cov), float(root)
 
 
-def _density(quad: np.ndarray, det: float, k: int) -> np.ndarray:
-    """Normal density exp(-quad / 2) / ((2 pi)^(k/2) sqrt(det)) of a k-variate form
-    ``quad`` = d^T cov^-1 d.  A form that overflowed (inf - inf is NaN) counts as +inf:
-    within the condition gate it is then beyond 1e300, where the density is exactly 0."""
+def _density(quad: np.ndarray, root: float, k: int) -> np.ndarray:
+    """Normal density exp(-quad / 2) / ((2 pi)^(k/2) root) of a k-variate form ``quad`` =
+    d^T cov^-1 d, root = sqrt(det cov).  A form that overflowed (inf - inf is NaN) counts
+    as +inf: within the condition gate it is then beyond 1e300, where the density is 0."""
     quad = np.where(np.isfinite(quad), quad, np.inf)
-    return np.exp(-0.5 * quad) / (TWO_PI ** (k / 2) * math.sqrt(det))
+    return np.exp(-0.5 * quad) / (TWO_PI ** (k / 2) * root)
 
 
 def wigner_density(state: TwoModeGaussianState, point) -> float:
@@ -229,10 +236,10 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
     r = np.asarray(point, dtype=float)
     require(r.shape == (4,) and np.all(np.isfinite(r)),
             f"point must be 4 finite numbers, got {point}")
-    prec, det = _precision(state.cov)
+    prec, root = _precision(state.cov)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a NaN or inf form
         d = r - state.mean
-        return float(_density(d @ prec @ d, det, 4))
+        return float(_density(d @ prec @ d, root, 4))
 
 
 def _pair(name: str, value) -> tuple:
@@ -309,7 +316,7 @@ def wigner_grid(
     require(all(map(math.isfinite, widths)), "ranges must be finite, and so must the width "
             f"of each range, got {x_range}, {y_range}")
     require(0.0 not in widths, f"axis ranges need distinct ends, got {x_range}, {y_range}")
-    prec, det = _precision(state.cov)
+    prec, root = _precision(state.cov)
     report = uncertainty_check(state)
     require(report.passed, "state fails the uncertainty check "
             f"(worst eigenvalue {report.min_eigenvalue:.3e})", error=InvalidStateError)
@@ -325,7 +332,7 @@ def wigner_grid(
         quad = np.multiply.outer(2.0 * prec[i, j] * u, v)
         quad += row[:, None]
         quad += column
-    values = _density(quad, det, 4)
+    values = _density(quad, root, 4)
     for arr in (x_axis, y_axis, values):
         arr.setflags(write=False)
     return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
@@ -343,7 +350,7 @@ def slice_mass(
     Used as the reference for grid Riemann sums.
     """
     _, _, fixed, fixed_values = _slice(plane, fixed_values)
-    prec, det = _precision(state.cov[np.ix_(fixed, fixed)])
+    prec, root = _precision(state.cov[np.ix_(fixed, fixed)])
     with np.errstate(over="ignore", invalid="ignore"):
         d = fixed_values - state.mean[fixed]
-        return float(_density(d @ prec @ d, det, 2))
+        return float(_density(d @ prec @ d, root, 2))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mqisim import cli, digits
 from mqisim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -730,3 +731,48 @@ class TestInputChecks:
         path = tmp_path / "out.csv"
         assert main(["state", "--kappa", "0.5", "--cutoff", "12", "--output", str(path)]) == 0
         assert capsys.readouterr() == ("", f"wrote {path}: state: 13 rows (csv)\n")
+
+
+class TestOutput:
+    """A table goes to --output or stdout block by block, the same bytes either way."""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--kappa-max", "3", "--steps", "10001"),
+        ("wigner", "--kappa", "0.5", "--samples", "101", "--format", "json"),
+    ], ids=["spectrum_csv", "wigner_json"])
+    def test_output_file_matches_stdout(self, argv, tmp_path, capsys):
+        assert main(list(argv)) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        path = tmp_path / "out"
+        assert main([*argv, "--output", str(path), "--quiet"]) == 0
+        assert path.read_bytes() == out.encode("ascii")
+        rows = 10001 if argv[0] == "spectrum" else 101 * 101
+        assert rows >= 2 * digits._BLOCK_ROWS + 1   # the table spans at least three blocks
+
+    def test_failure_while_formatting_leaves_no_output(self, monkeypatch, tmp_path, capsys):
+        # cells are formatted before the output file is opened
+        def out_of_memory(*args):
+            raise MemoryError("cannot allocate the cells")
+
+        monkeypatch.setattr(digits, "format_floats", out_of_memory)
+        path = tmp_path / "out.csv"
+        assert main(["spectrum", "--kappa-max", "1", "--output", str(path)]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: cannot allocate the cells\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("error, code, message", [
+        (OSError("No space left on device"), 2, "error: cannot write "),
+        (MemoryError("cannot allocate a block"), 3, "numerical failure: "),
+    ], ids=["os_error", "memory_error"])
+    def test_failure_while_blocks_are_written_keeps_its_exit_code(
+            self, monkeypatch, tmp_path, capsys, error, code, message):
+        def failing_emit(*args):
+            yield b"n,re_c,im_c,prob\n"
+            raise error
+
+        monkeypatch.setattr(cli, "emit", failing_emit)
+        path = tmp_path / "out.csv"
+        assert main(["state", "--kappa", "0.5", "--output", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and str(error) in err

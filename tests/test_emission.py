@@ -2,8 +2,9 @@
 
 The reference below turns a table's numpy columns into rows, formats
 every cell on its own and lets the standard ``json`` encoder lay out the
-whole document; ``mqisim.digits`` formats tables one column at a time and
-writes the JSON rows block itself.  The two must agree byte for byte.
+whole document; ``mqisim.digits.emit`` formats tables one column at a time,
+writes the JSON rows itself and yields the document in blocks.  The blocks
+joined and the reference must agree byte for byte.
 """
 
 import json
@@ -15,7 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqisim import digits
-from mqisim.digits import _BLOCK_ROWS, emit_csv, emit_json
+from mqisim.digits import _BLOCK_ROWS
+
+
+def emit_text(table, meta, fmt: str) -> str:
+    """The ``fmt`` document of ``digits.emit``, its blocks joined."""
+    return b"".join(digits.emit(table, meta, fmt)).decode("ascii")
 
 
 def _ref_csv_cell(v) -> str:
@@ -78,6 +84,9 @@ def ref_emit_json(table, meta) -> str:
         "rows": [[_ref_json_cell(v) for v in row] for row in _rows(table)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+REFERENCE = {"csv": ref_emit_csv, "json": ref_emit_json}
 
 
 # Cells on every formatting boundary: signed zero, %g's switch to exponent
@@ -226,37 +235,38 @@ def _assert_same_text(got: str, want: str):
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_csv_matches_reference(name):
     table, meta = TABLES[name]
-    _assert_same_text(emit_csv(table, meta), ref_emit_csv(table, meta))
+    _assert_same_text(emit_text(table, meta, "csv"), ref_emit_csv(table, meta))
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_json_matches_reference(name):
     table, meta = TABLES[name]
-    text = emit_json(table, meta)
+    text = emit_text(table, meta, "json")
     _assert_same_text(text, ref_emit_json(table, meta))
     doc = json.loads(text, parse_constant=_reject_constant)
     assert len(doc["rows"]) == len(_rows(table))
 
 
 def test_non_finite_cells_are_strings():
-    doc = json.loads(emit_json({"x": np.array([math.inf, -math.inf, math.nan])}, {}),
+    doc = json.loads(emit_text({"x": np.array([math.inf, -math.inf, math.nan])}, {}, "json"),
                      parse_constant=_reject_constant)
     assert doc["rows"] == [["inf"], ["-inf"], ["nan"]]
 
 
-@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "cells",
     [[1, 2.0], [True, 1], [0.5, False], [1.0, "1"], [1] * (2 * _BLOCK_ROWS) + [2.0]],
     ids=["int_float", "bool_int", "float_bool", "float_str", "int_float_last_block"],
 )
-def test_column_of_mixed_kinds_raises(emit, cells):
-    # a numpy column of mixed kinds has the object dtype, which has no cell format
+def test_column_of_mixed_kinds_raises(fmt, cells):
+    # a numpy column of mixed kinds has the object dtype, which has no cell format;
+    # emit raises before it returns, so no block of a bad table is ever written
     with pytest.raises(TypeError):
-        emit({"a": np.zeros(len(cells)), "b": np.array(cells, dtype=object)}, {})
+        digits.emit({"a": np.zeros(len(cells)), "b": np.array(cells, dtype=object)}, {}, fmt)
 
 
-@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "table",
     [
@@ -270,25 +280,24 @@ def test_column_of_mixed_kinds_raises(emit, cells):
     ],
     ids=["complex", "str", "datetime", "list", "ragged", "ragged_last_block", "ragged_2d"],
 )
-def test_malformed_table_raises(emit, table):
+def test_malformed_table_raises(fmt, table):
     with pytest.raises(TypeError):
-        emit(table, {})
+        digits.emit(table, {}, fmt)
 
 
-@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "table, flat",
     [({"a": np.array(1.0)}, {"a": np.array([1.0])}), ({"a": np.zeros((2, 1))}, {"a": np.zeros(2)})],
     ids=["0d", "2d"],
 )
-def test_table_of_any_dimension_emits_its_rows(emit, table, flat):
+def test_table_of_any_dimension_emits_its_rows(fmt, table, flat):
     # a column of any shape is a table: one row per element, in C order
-    reference = ref_emit_csv if emit is emit_csv else ref_emit_json
-    _assert_same_text(emit(table, {}), reference(flat, {}))
+    _assert_same_text(emit_text(table, {}, fmt), REFERENCE[fmt](flat, {}))
 
 
-@pytest.mark.parametrize("emit", [emit_csv, emit_json], ids=["csv", "json"])
-def test_each_distinct_value_is_formatted_once(monkeypatch, emit):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_distinct_value_is_formatted_once(monkeypatch, fmt):
     rows = 10_000
     table = {
         "x": np.resize([2.5, -0.0, 0.0], rows),
@@ -309,19 +318,34 @@ def test_each_distinct_value_is_formatted_once(monkeypatch, emit):
 
     monkeypatch.setattr(digits, "format_floats", counting_kernel)
     monkeypatch.setattr(digits, "byte_rows", counting_python)
-    text = emit(table, {"tool": "mqisim"})
+    text = emit_text(table, {"tool": "mqisim"}, fmt)
     # the distinct floats of x and c in one kernel call; Python formats the
     # distinct ints of n and 1e-300, whose exponent is beyond the kernel's
     assert kernel == [4]
     assert sorted(python) == [1, 3]
-    reference = ref_emit_csv if emit is emit_csv else ref_emit_json
-    _assert_same_text(text, reference(table, {"tool": "mqisim"}))
+    _assert_same_text(text, REFERENCE[fmt](table, {"tool": "mqisim"}))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])
+def test_document_is_a_head_blocks_of_rows_and_a_tail(monkeypatch, fmt, rows):
+    # every cell is formatted before emit returns, and no block holds more than _BLOCK_ROWS rows
+    table = {"x": np.arange(rows) * 0.5, "ok": np.arange(rows) % 2 == 0}
+    meta = {"tool": "mqisim"}
+    blocks = digits.emit(table, meta, fmt)
+    monkeypatch.setattr(digits, "format_floats", None)   # drawing the blocks formats nothing
+    blocks = list(blocks)
+    assert len(blocks) == 2 + -(-rows // _BLOCK_ROWS)
+    row_end = b"\n    ]" if fmt == "json" else b"\n"
+    rows_per_block = [block.count(row_end) for block in blocks[1:-1]]
+    assert sum(rows_per_block) == rows and max(rows_per_block, default=0) <= _BLOCK_ROWS
+    _assert_same_text(b"".join(blocks).decode("ascii"), REFERENCE[fmt](table, meta))
 
 
 def _assert_float_cells_match(x):
     table = {"x": x}
-    _assert_same_text(emit_csv(table, {}), ref_emit_csv(table, {}))
-    _assert_same_text(emit_json(table, {}), ref_emit_json(table, {}))
+    _assert_same_text(emit_text(table, {}, "csv"), ref_emit_csv(table, {}))
+    _assert_same_text(emit_text(table, {}, "json"), ref_emit_json(table, {}))
 
 
 def test_every_binade_matches_python_format():
@@ -389,8 +413,8 @@ def _tables(draw):
 @given(_tables())
 def test_tables_of_repeated_values_match_reference(table):
     meta = {"tool": "mqisim"}
-    _assert_same_text(emit_csv(table, meta), ref_emit_csv(table, meta))
-    _assert_same_text(emit_json(table, meta), ref_emit_json(table, meta))
+    _assert_same_text(emit_text(table, meta, "csv"), ref_emit_csv(table, meta))
+    _assert_same_text(emit_text(table, meta, "json"), ref_emit_json(table, meta))
 
 
 @st.composite
@@ -419,6 +443,6 @@ def test_broadcast_columns_match_materialized_columns(table):
     shape = np.broadcast_shapes(*(col.shape for col in table.values()))
     flat = {name: np.broadcast_to(col, shape).ravel() for name, col in table.items()}
     meta = {"tool": "mqisim"}
-    _assert_same_text(emit_csv(table, meta), emit_csv(flat, meta))
-    _assert_same_text(emit_json(table, meta), emit_json(flat, meta))
+    _assert_same_text(emit_text(table, meta, "csv"), emit_text(flat, meta, "csv"))
+    _assert_same_text(emit_text(table, meta, "json"), emit_text(flat, meta, "json"))
     assert digits.row_count(table) == digits.row_count(flat) == math.prod(shape)

@@ -118,11 +118,12 @@ class TestWignerDensity:
         with pytest.raises(DegenerateStateError):
             wigner_density(state, np.zeros(4))
 
-    def test_determinant_overflow_is_a_numerical_failure(self):
-        # the fixed marginal cosh(400) I passes the condition gate, but its det overflowed
-        # with a RuntimeWarning and the mass read 0.0 for 1 / (2 pi cosh 400) = 6.1e-175
-        with pytest.raises(OverflowError, match="^det cov overflows$"):
-            slice_mass(tmsv_covariance(SqueezeParam(200.0)), (0, 1))
+    def test_determinant_beyond_the_double_range_gives_the_exact_mass(self):
+        # the fixed marginal cosh(2 kappa) I passes the condition gate, but its det is beyond
+        # the largest double: once an OverflowError, though 1 / (2 pi cosh 400) = 6.1e-175
+        for kappa in (200.0, 300.0):
+            mass = slice_mass(tmsv_covariance(SqueezeParam(kappa)), (0, 1))
+            assert mass == pytest.approx(1 / (2 * math.pi * math.cosh(2 * kappa)), rel=1e-13)
 
 
 class TestUncertaintyCheck:
