@@ -51,7 +51,6 @@ _EXPORTS = {
     ),
     "fock": (
         "FockTMSV",
-        "displacement",
         "thermal_probabilities",
         "tmsv_fock",
     ),

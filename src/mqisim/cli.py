@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -466,6 +467,16 @@ def run_subcommand(args: argparse.Namespace, config: dict) -> tuple[Iterator[byt
     return emit(table, meta, fmt), f"{args.subcommand}: {row_count(table)} rows ({fmt})"
 
 
+def _drop_stdout():
+    """Point stdout at os.devnull: the exit-time flush of a failed write then prints nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), fd)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -473,15 +484,20 @@ def main(argv=None) -> int:
         output = args.output if args.output is not None else config.get("output")
         quiet = args.quiet if args.quiet is not None else _parse_bool(config.get("quiet", "false"))
         blocks, summary = run_subcommand(args, config)
-        if not output:
-            sys.stdout.writelines(block.decode("ascii") for block in blocks)
-        else:
-            try:
+        try:
+            if output:
                 with open(output, "wb") as fh:
                     fh.writelines(blocks)
-            except OSError as exc:
-                print(f"error: cannot write {output}: {exc}", file=sys.stderr)
-                return 2
+            else:
+                sys.stdout.writelines(block.decode("ascii") for block in blocks)
+                sys.stdout.flush()   # else a short table fails only at exit
+        except OSError as exc:
+            if not output:
+                _drop_stdout()
+                if isinstance(exc, BrokenPipeError):
+                    return 0   # the reader has gone, as `| head` does
+            print(f"error: cannot write {output or 'stdout'}: {exc}", file=sys.stderr)
+            return 2
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,28 +1,23 @@
-"""Truncated Fock-space engine: the states and channels the subcommands run.
+"""Truncated Fock-space engine: the states and the kernel the channels use.
 
 A cutoff N means the mode keeps photon numbers 0..N (dimension N + 1).
 Multi-mode objects are stored with the first mode as the slowest index,
 matching ``numpy.kron`` order.  Truncation is measured as the closed-form
 tail of the thermal (and so TMSV) law, and :func:`_check_discarded` raises
-:class:`TruncationError` above 1e-3 (the QCB laws); :func:`displacement`
-requires |alpha|^2 <= (cutoff + 1) / 4, with |alpha|^2 formed as
-|alpha| * |alpha|, which is inf rather than an error where it passes the
-largest double.  Every check is an :func:`mqisim.errors.require`, so a NaN
-tail, trace or Hermiticity deviation fails it.  Beam-splitter overflow is
-not yet measured.  The beam splitter's sector layout lives in
-:func:`beam_splitter_amplitudes`.  Both unitaries are built by one real
-kernel, :func:`_tridiagonal_expm`: each generator is tridiagonal in a
-number basis up to a diagonal phase.
+:class:`TruncationError` above 1e-3 (the QCB laws).  Every check is an
+:func:`mqisim.errors.require`, so a NaN tail, trace or Hermiticity
+deviation fails it.  The QCB's beam splitter and displacement, and the
+tests' squeeze reference, are built by their callers from one real kernel,
+:func:`_tridiagonal_expm`: each generator is tridiagonal in a number basis
+up to a diagonal phase.
 
 The dense-state algebra that cross-checks these kernels (mode operators,
 density matrices, the dense beam splitter, partial traces and the
 squeeze-operator reference, which has its own 1e-6 truncation tolerance)
-is test code, in ``tests/reference.py``.
-
-Everything is a pure function over immutable values; independent
-cutoff-sweep evaluations can safely run concurrently.
+is test code, in ``tests/reference.py``.  Everything is a pure function
+over immutable values; independent cutoff-sweep evaluations can safely
+run concurrently.
 """
-
 from __future__ import annotations
 
 import math
@@ -137,51 +132,3 @@ def thermal_probabilities(nbar: float, cutoff: int) -> tuple[np.ndarray, float]:
     log_ratio = math.log(nbar / (1.0 + nbar))
     raw = np.exp(np.arange(cutoff + 1) * log_ratio - math.log1p(nbar))
     return raw / float(raw.sum()), math.exp((cutoff + 1) * log_ratio)
-
-
-# ---------------------------------------------------------------------------
-# Unitaries: displacement and beam splitter
-# ---------------------------------------------------------------------------
-
-
-def displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    """Truncated displacement unitary exp(alpha a' - alpha* a).
-
-    Requires |alpha|^2 well below the cutoff so the displaced vacuum
-    fits within the kept levels; column 0 then reproduces the
-    coherent-state coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!).
-    Built as R D(|alpha|) R' with R = diag(e^{i arg(alpha) n}) and the real
-    D(|alpha|) from :func:`_tridiagonal_expm`.
-    """
-    cutoff = check_count("cutoff", cutoff)
-    alpha = complex(alpha)
-    require(np.isfinite(alpha), f"alpha must be finite, got {alpha}")
-    size2 = abs(alpha) * abs(alpha)   # inf where ** 2 would raise
-    require(size2 <= 0.25 * (cutoff + 1), f"|alpha|^2 = {size2:.3g} too large for cutoff {cutoff}",
-            error=TruncationError)
-    phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
-    real = _tridiagonal_expm(np.sqrt(np.arange(1.0, cutoff + 1)), abs(alpha))
-    return phase[:, None] * real * phase.conj()
-
-
-def beam_splitter_amplitudes(dim_a: int, dim_b: int, eta: float, max_input: int) -> np.ndarray:
-    """Read-only amp[s, i, m] = <s, i + m - s| U |i, m> of the beam splitter
-    U = exp(theta (a'b - ab')), cos^2 theta = ``eta``, on modes of dimensions
-    dim_a and dim_b, for inputs i <= ``max_input``; 0 where
-    the output i + m - s leaves 0..dim_b - 1.  Shape (dim_a, inputs i, dim_b).
-
-    U conserves n_a + n_b = total: on each sector, indexed by the mode-a
-    photon numbers ``s_vals``, it is exp(theta G) with G real antisymmetric
-    tridiagonal, G[k+1, k] = sqrt((s_k + 1)(total - s_k)) (:func:`_tridiagonal_expm`).
-    """
-    require(0.0 <= eta <= 1.0, f"transmissivity must be in [0, 1], got {eta}")
-    theta = math.acos(math.sqrt(eta))
-    n_in = min(max_input + 1, dim_a)
-    amp = np.zeros((dim_a, n_in, dim_b))
-    for total in range(n_in + dim_b - 1):
-        s_vals = np.arange(max(0, total - (dim_b - 1)), min(total, dim_a - 1) + 1)
-        i = s_vals[s_vals < n_in]
-        off = np.sqrt((s_vals[:-1] + 1.0) * (total - s_vals[:-1]))
-        amp[s_vals[:, None], i, total - i] = _tridiagonal_expm(off, theta, i.size)
-    amp.setflags(write=False)
-    return amp

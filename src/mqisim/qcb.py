@@ -25,13 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidStateError, check_count, finite, require
+from .errors import (ConvergenceError, InvalidStateError, TruncationError, check_count,
+                     finite, require)
 from .fock import (
     _check_discarded,
     _check_unit_trace,
     _hermitian_part,
-    beam_splitter_amplitudes,
-    displacement,
+    _tridiagonal_expm,
     thermal_probabilities,
 )
 from .illumination import DetectionScenario, _s_root
@@ -114,13 +114,26 @@ def qi_channel(eta: float, signal_cutoff: int, idler_cutoff: int,
                noise_cutoff: int) -> QIChannel:
     """The :class:`QIChannel` of transmissivity ``eta`` on the cutoffs its ``amp`` shape holds.
 
-    Only the signal inputs the TMSV populates (up to the idler cutoff) are formed.
-    The signal cutoff bounds the return mode and must be at least the idler cutoff.
+    Only the signal inputs the TMSV populates (up to the idler cutoff) are formed; the
+    signal cutoff bounds the return mode and must be at least the idler cutoff.
+    U = exp(theta (a'b - ab')), cos^2 theta = eta, is exp(theta G) on each sector of fixed
+    signal + noise photons ``total``, G real antisymmetric tridiagonal in the signal photon
+    numbers s_k, G[k+1, k] = sqrt((s_k + 1)(total - s_k)) (:func:`_tridiagonal_expm`); what
+    it reflects back into the box at the top of the return mode is not measured.
     """
     n_sig, n_idl, n_noise = map(check_count, ("signal_cutoff", "idler_cutoff", "noise_cutoff"),
                                 (signal_cutoff, idler_cutoff, noise_cutoff))
     require(n_sig >= n_idl, f"signal_cutoff ({n_sig}) must be >= idler_cutoff ({n_idl})")
-    return QIChannel(eta, beam_splitter_amplitudes(n_sig + 1, n_noise + 1, eta, n_idl))
+    require(0.0 <= eta <= 1.0, f"transmissivity must be in [0, 1], got {eta}")
+    theta = math.acos(math.sqrt(eta))
+    amp = np.zeros((n_sig + 1, n_idl + 1, n_noise + 1))
+    for total in range(n_idl + n_noise + 1):
+        s_vals = np.arange(max(0, total - n_noise), min(total, n_sig) + 1)
+        i = s_vals[s_vals <= n_idl]
+        off = np.sqrt((s_vals[:-1] + 1.0) * (total - s_vals[:-1]))
+        amp[s_vals[:, None], i, total - i] = _tridiagonal_expm(off, theta, i.size)
+    amp.setflags(write=False)
+    return QIChannel(eta, amp)
 
 
 def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> HypothesisPair:
@@ -195,20 +208,26 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
 
     H0 is thermal(n_b); H1 is the same thermal state displaced by
     alpha = sqrt(eta n_s), giving mean photon number eta n_s + n_b.  rho0
-    is the Fock-diagonal thermal law p0, and rho1 = D diag(p0) D', D the
-    displacement operator, is a single block.  The truncated thermal law
-    may discard at most 1e-3 of its mass, else :class:`TruncationError`
-    is raised; ``params`` holds that mass as ``background_discarded``.
+    is the Fock-diagonal thermal law p0, and rho1 = D diag(p0) D' is a
+    single real block: D = exp(alpha (a' - a)) is a real rotation
+    (:func:`_tridiagonal_expm`), and a phase of alpha would only conjugate
+    rho1 by a diagonal unitary, which commutes with rho0 and leaves Q(s).
+    A cutoff below 4 |alpha|^2 - 1, or whose thermal law discards more
+    than 1e-3 of its mass, raises :class:`TruncationError`; ``params``
+    holds that mass as ``background_discarded``.
     """
     DetectionScenario(eta, n_s, n_b)   # checks the three numbers
     cutoff = check_count("cutoff", cutoff)
     p0, discarded = thermal_probabilities(n_b, cutoff)
     _check_discarded("thermal background", discarded, cutoff)
-    disp = displacement(math.sqrt(eta * n_s), cutoff)
+    alpha = math.sqrt(eta * n_s)
+    require(alpha * alpha <= 0.25 * (cutoff + 1),
+            f"|alpha|^2 = {alpha * alpha:.3g} too large for cutoff {cutoff}", error=TruncationError)
+    disp = _tridiagonal_expm(np.sqrt(np.arange(1.0, cutoff + 1)), alpha)
     return HypothesisPair(
         mode_dims=(cutoff + 1,),
         p0=p0,
-        stacks=((np.arange(cutoff + 1)[None], ((disp * p0) @ disp.conj().T)[None]),),
+        stacks=((np.arange(cutoff + 1)[None], ((disp * p0) @ disp.T)[None]),),
         params={"background_discarded": discarded},
     )
 
@@ -235,7 +254,6 @@ def _clipped_spectrum(spectra: list, name: str) -> float:
             error=InvalidStateError)
     # 0.0 - x rather than -x: nothing clipped is +0.0, not -0.0
     return 0.0 - float(np.sum(np.minimum(eigvals, 0.0)))
-
 
 
 def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:

@@ -7,8 +7,9 @@ density matrices, the dense beam-splitter unitary and its action on a
 state, partial traces, expectations, the squeeze-operator exponential and
 the dense views of a hypothesis pair) are the independent cross-checks
 the tests compare those kernels with.  They reuse the package's input
-checks and sector kernel, :func:`mqisim.fock.beam_splitter_amplitudes`,
-whose own dense check is the scipy exponential in ``conftest.py``.
+checks and the entangled transmitter's sector amplitudes,
+:func:`mqisim.qcb.qi_channel`, whose own dense check is the scipy
+exponential in ``conftest.py``.
 """
 
 from dataclasses import dataclass
@@ -21,10 +22,9 @@ from mqisim.fock import (
     _check_unit_trace,
     _hermitian_part,
     _tridiagonal_expm,
-    beam_splitter_amplitudes,
     thermal_probabilities,
 )
-from mqisim.qcb import HypothesisPair
+from mqisim.qcb import HypothesisPair, qi_channel
 
 SQUEEZE_DEFICIT_TOL = 1e-6
 
@@ -190,10 +190,11 @@ def beam_splitter_unitary(dim_a: int, dim_b: int, eta: float) -> np.ndarray:
 
     ``eta`` is the transmissivity of mode a (cos^2 theta = eta); the
     mode operators map to a -> cos(theta) a + sin(theta) b and
-    b -> cos(theta) b - sin(theta) a.  :func:`beam_splitter_amplitudes`
-    scattered with the flat index (n_a, n_b) -> n_a * dim_b + n_b.
+    b -> cos(theta) b - sin(theta) a.  The sector amplitudes of
+    :func:`qi_channel`, with every input of mode a formed, scattered with
+    the flat index (n_a, n_b) -> n_a * dim_b + n_b.
     """
-    amp = beam_splitter_amplitudes(dim_a, dim_b, eta, dim_a - 1)
+    amp = qi_channel(eta, dim_a - 1, dim_a - 1, dim_b - 1).amp
     s, i, m = np.indices(amp.shape)
     out_b = i + m - s
     inside = (0 <= out_b) & (out_b < dim_b)

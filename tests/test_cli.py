@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -660,7 +661,7 @@ class TestCliContract:
     def test_runs_without_scipy(self):
         # the Fock unitaries and the envelope inversion once imported scipy
         probe = ("import sys; sys.modules['scipy'] = None; import mqisim; "
-                 "mqisim.displacement(0.5, 30); "
+                 "mqisim.build_classical_hypotheses(0.1, 0.5, 1.0, 30); "
                  "mqisim.required_pulses(1e-6, 1e-3)")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -776,3 +777,26 @@ class TestOutput:
         assert main(["state", "--kappa", "0.5", "--output", str(path)]) == code
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message) and str(error) in err
+
+    # a table within one buffer fails at the flush, a longer one in the write
+    @pytest.mark.parametrize("steps", ["11", "2001"])
+    def test_closed_pipe_ends_quietly(self, steps):
+        # as `mqisim spectrum ... | head -1` leaves it once head has exited
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mqisim", "spectrum", "--kappa-max", "1",
+                                   "--steps", steps], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("steps", ["11", "2001"])
+    def test_full_device_is_a_failed_write(self, steps):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "mqisim", "spectrum", "--kappa-max", "1",
+                                   "--steps", steps], stdout=full, stderr=subprocess.PIPE,
+                                  text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"

@@ -15,7 +15,6 @@ from mqisim import (
     SqueezeParam,
     TruncationError,
     build_classical_hypotheses,
-    displacement,
     qi_channel,
     spectrum_sweep,
     thermal_probabilities,
@@ -53,13 +52,12 @@ def test_minimum():
 @pytest.mark.parametrize("call, name", [
     (lambda: thermal_probabilities(1.0, math.nan), "cutoff"),
     (lambda: tmsv_fock(SqueezeParam(0.5), math.inf), "cutoff"),
-    (lambda: displacement(0.1, math.nan), "cutoff"),
     (lambda: qi_channel(0.1, math.nan, 10, 48), "signal_cutoff"),
     (lambda: qi_channel(0.1, 48, 10, -1), "noise_cutoff"),
     (lambda: build_classical_hypotheses(0.1, 0.5, 1.0, math.inf), "cutoff"),
     (lambda: spectrum_sweep(SpectrumProfile(0.5, 12e9, 8e9), steps=math.inf), "steps"),
     (lambda: wigner_grid(tmsv_covariance(SqueezeParam(0.5)), samples=(math.nan, 3)), "samples"),
-], ids=["thermal", "tmsv", "displacement", "qi_signal", "qi_noise", "classical", "spectrum",
+], ids=["thermal", "tmsv", "qi_signal", "qi_noise", "classical", "spectrum",
         "wigner"])
 def test_each_layer_names_the_count(call, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer >= "):

@@ -9,11 +9,12 @@ from mqisim import (
     InvalidArgumentError,
     SqueezeParam,
     TruncationError,
-    displacement,
+    build_classical_hypotheses,
+    qi_channel,
     thermal_probabilities,
     tmsv_fock,
 )
-from mqisim.fock import _tridiagonal_expm, beam_splitter_amplitudes
+from mqisim.fock import _tridiagonal_expm
 from conftest import (
     displacement_expm,
     trace_distance,
@@ -186,6 +187,11 @@ class TestThermalDensity:
         assert number_expectation(rho, 0) == pytest.approx(1.5, abs=1e-9)
 
 
+def displacement(alpha: float, cutoff: int) -> np.ndarray:
+    """The real displacement exp(alpha (a' - a)) that build_classical_hypotheses forms."""
+    return _tridiagonal_expm(np.sqrt(np.arange(1.0, cutoff + 1)), alpha)
+
+
 class TestDisplacement:
     def test_identity_at_zero(self):
         np.testing.assert_allclose(displacement(0.0, 10), np.eye(11), atol=1e-15)
@@ -206,28 +212,26 @@ class TestDisplacement:
         assert np.max(np.abs(d[:, 0] - want)) < 1e-8
 
     def test_unitarity(self):
-        assert unitarity_defect(displacement(0.4 + 0.2j, 40)) < 1e-12
+        assert unitarity_defect(displacement(0.45, 40)) < 1e-12
 
     def test_alpha_too_large_rejected(self):
-        with pytest.raises(TruncationError):
-            displacement(3.0, 8)
+        # alpha^2 = eta n_s = 9 > (8 + 1) / 4
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 9 too large for cutoff 8"):
+            build_classical_hypotheses(9.0, 1.0, 0.1, 8)
 
-    def test_alpha_whose_square_overflows_rejected(self):
-        # abs(alpha) ** 2 raised a bare OverflowError (34, 'Numerical result out of range')
-        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = inf too large for cutoff 5"):
-            displacement(1e155, 5)
+    def test_largest_alpha_rejected(self):
+        # alpha = sqrt(eta n_s) at the largest double: its square stays finite
+        with pytest.raises(TruncationError, match=r"\|alpha\|\^2 = 1.8e\+308 too large for cutoff 5"):
+            build_classical_hypotheses(np.finfo(float).max, 1.0, 0.1, 5)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.1, math.nan)])
-    def test_non_finite_alpha_rejected(self, alpha):
-        # NaN once passed the |alpha|^2 test and failed inside eigh
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            displacement(alpha, 5)
-
+    # a complex alpha is the real displacement conjugated by R = diag(e^{i arg(alpha) n}),
+    # which commutes with the diagonal rho0: the coherent pair's Q(s) needs only |alpha|
     @pytest.mark.parametrize("alpha", [0.3, -0.7, 1.2 + 0.5j, -2j, 0.4 - 1.1j])
     @pytest.mark.parametrize("cutoff", [20, 60])
     def test_matches_dense_exponential(self, alpha, cutoff):
-        ref = displacement_expm(alpha, cutoff)
-        assert np.max(np.abs(displacement(alpha, cutoff) - ref)) <= 1e-12
+        phase = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
+        d = phase[:, None] * displacement(abs(alpha), cutoff) * phase.conj()
+        assert np.max(np.abs(d - displacement_expm(alpha, cutoff))) <= 1e-12
 
 
 class TestTridiagonalExpm:
@@ -306,7 +310,7 @@ class TestBeamSplitter:
     def test_sector_columns_match_dense_exponential(self, dims, eta):
         dim_a, dim_b = dims
         ref = truncated_beam_splitter_expm(dim_a, dim_b, eta).reshape(dim_a, dim_b, dim_a, dim_b)
-        amp = beam_splitter_amplitudes(dim_a, dim_b, eta, max_input=2)
+        amp = qi_channel(eta, dim_a - 1, 2, dim_b - 1).amp
         assert amp.shape == (dim_a, 3, dim_b)
         s, i, m = np.indices(amp.shape)
         out_b = i + m - s

@@ -478,11 +478,11 @@ class TestHypothesisBuilders:
             build_classical_hypotheses(0.1, 0.5, 1.0, 30.7)
 
     def test_blocks_keep_their_dtype(self):
-        # the entangled transmitter's blocks are real symmetric and stay real
+        # both transmitters' blocks are real symmetric and stay real
         qi = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 20, 6, 20))
         assert all(stack.dtype == np.float64 for _, stack in qi.stacks)
         cl = build_classical_hypotheses(0.1, 0.5, 1.0, 20)
-        assert cl.stacks[0][1].dtype == np.complex128
+        assert cl.stacks[0][1].dtype == np.float64
         ints = HypothesisPair((2,), np.array([1.0, 0.0]), (([np.arange(2)], [np.diag([0, 1])]),))
         assert ints.stacks[0][1].dtype == np.float64
 
@@ -592,6 +592,16 @@ class TestChernoffExponent:
         # the coherent pair's Q(s) is symmetric about s = 1/2
         result = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, n_b, 72))
         assert result.s_star == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("n_b", [1.0, 4.0])
+    @pytest.mark.parametrize("cutoff", [30, 72])
+    def test_classical_q_grid_is_symmetric(self, n_b, cutoff):
+        # Q(s) = sum_jk p_j^s D_jk^2 p_k^(1-s), and the real rotation D has
+        # D_jk^2 = D_kj^2 (D' = P D P, P = diag((-1)^k)): Q(s) = Q(1 - s) to rounding
+        result = chernoff_exponent(build_classical_hypotheses(0.1, 0.1, n_b, cutoff))
+        q_grid = result.diagnostics["q_grid"]
+        np.testing.assert_allclose(q_grid, q_grid[::-1], rtol=result.diagnostics["dim"] * EPS,
+                                   atol=0.0)
 
     def test_block_s_star_matches_dense_pair_at_72(self):
         pair = build_qi_hypotheses(0.1, 4.0, qi_channel(0.1, 72, 15, 72))

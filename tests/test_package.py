@@ -25,7 +25,7 @@ EXPORTS = {
     "PulseRequirement", "QIChannel", "QUADRATURE_NAMES", "SpectrumProfile", "SpectrumTable",
     "SqueezeParam", "TruncationError", "TwoModeGaussianState", "UncertaintyReport", "WignerGrid",
     "advantage_db", "antisqueezing_magnitude_db", "build_classical_hypotheses",
-    "build_qi_hypotheses", "chernoff_exponent", "classical_error_rate", "displacement",
+    "build_qi_hypotheses", "chernoff_exponent", "classical_error_rate",
     "error_probability", "gain_db", "is_asymptotic", "kappa_profile",
     "pulse_count", "qi_channel", "quadrature_index", "quadrature_variance", "quantum_error_rate",
     "required_pulses", "slice_mass", "spectrum_sweep", "squeezing_magnitude_db",
