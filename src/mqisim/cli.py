@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -119,8 +118,9 @@ def _sweep_params(*sweepable: str) -> list[Param]:
 def load_config(path: str) -> dict[str, str]:
     """Read a flat 'key = value' file; '#' starts a comment line."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):

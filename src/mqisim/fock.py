@@ -5,11 +5,10 @@ Multi-mode objects are stored with the first mode as the slowest index,
 matching ``numpy.kron`` order.  Truncation is measured as the closed-form
 tail of the thermal (and so TMSV) law, and :func:`_check_discarded` raises
 :class:`TruncationError` above 1e-3 (the QCB laws).  Every check is an
-:func:`mqisim.errors.require`, so a NaN tail, trace or Hermiticity
-deviation fails it.  The QCB's beam splitter and displacement, and the
-tests' squeeze reference, are built by their callers from one real kernel,
-:func:`_tridiagonal_expm`: each generator is tridiagonal in a number basis
-up to a diagonal phase.
+:func:`mqisim.errors.require`, so a NaN tail or trace fails it.  The
+QCB's beam splitter and displacement, and the tests' squeeze reference,
+are built by their callers from one real kernel, :func:`_tridiagonal_expm`:
+each generator is tridiagonal in a number basis up to a diagonal phase.
 
 The dense-state algebra that cross-checks these kernels (mode operators,
 density matrices, the dense beam splitter, partial traces and the
@@ -30,7 +29,6 @@ from .errors import TruncationError, check_count, require
 if TYPE_CHECKING:
     from .gaussian import SqueezeParam
 
-_HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-8
 _DISCARD_TOL = 1e-3  # largest probability mass a truncated distribution may lose
 
@@ -39,16 +37,6 @@ def _check_discarded(name: str, discarded: float, cutoff: int):
     require(discarded <= _DISCARD_TOL,
             f"cutoff {cutoff} discards {discarded:.3e} of the {name} distribution, "
             f"above the tolerance {_DISCARD_TOL}; raise the cutoff", error=TruncationError)
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m') / 2 of a matrix or a stack of matrices (last two axes), after
-    checking that each is Hermitian within 1e-10."""
-    adj = np.swapaxes(m, -1, -2).conj()
-    herm = np.max(np.abs(m - adj))
-    require(herm <= _HERMITICITY_TOL,
-            f"matrix not Hermitian within {_HERMITICITY_TOL}: deviation {herm:.3e}")
-    return (m + adj) / 2.0
 
 
 def _check_unit_trace(tr: complex):

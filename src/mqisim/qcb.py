@@ -30,7 +30,6 @@ from .errors import (ConvergenceError, InvalidStateError, TruncationError, check
 from .fock import (
     _check_discarded,
     _check_unit_trace,
-    _hermitian_part,
     _tridiagonal_expm,
     thermal_probabilities,
 )
@@ -51,13 +50,14 @@ class HypothesisPair:
     rho0 is diagonal in the basis the pair is held in and is stored as
     that diagonal, ``p0``, over the flat basis (``mode_dims`` order, first
     mode slowest).  rho1 is block-diagonal and is stored as ``stacks`` of
-    equal-size blocks: each entry is ``(index, rho1)`` of shapes (n, k)
-    and (n, k, k), ``index[j]`` listing the flat basis positions of the
-    rows and columns of block ``rho1[j]``.  Construction checks that the
-    blocks partition the basis, each is Hermitian within 1e-10 and both
-    traces are 1 within 1e-8; it symmetrizes the blocks, keeping their
-    dtype (real or complex; integers become float).  No dense matrix is
-    formed.
+    equal-size blocks, each block by a factor: each entry is ``(index,
+    factor)`` of shapes (n, k) and (n, k, m), block j of rho1 being
+    ``factor[j] @ factor[j]'`` on the flat basis positions ``index[j]``.
+    A factor can only express a Hermitian, positive rho1.  Construction
+    checks that the blocks partition the basis and that both traces
+    (rho1's is the sum of |factor|^2) are 1 within 1e-8, which a
+    non-finite entry fails; factors keep their dtype (real or complex;
+    integers become float).  No dense matrix is formed.
     """
 
     mode_dims: tuple[int, ...]
@@ -73,19 +73,19 @@ class HypothesisPair:
         _check_unit_trace(p0.sum())
         p0.setflags(write=False)
         stacks = []
-        for index, stack in self.stacks:
-            index, stack = np.array(index, dtype=int), np.asarray(stack)
-            require(index.ndim == 2 and stack.shape == index.shape + index.shape[1:],
-                    f"stack of shape {stack.shape} does not match its index of shape {index.shape}")
-            stack = _hermitian_part(stack.astype(np.promote_types(stack.dtype, float)))
+        for index, factor in self.stacks:
+            index, factor = np.array(index, dtype=int), np.asarray(factor)
+            require(index.ndim == 2 and factor.ndim == 3 and factor.shape[:2] == index.shape,
+                    f"factor of shape {factor.shape} does not match its index "
+                    f"of shape {index.shape}")
+            factor = factor.astype(np.promote_types(factor.dtype, float))
             index.setflags(write=False)
-            stack.setflags(write=False)
-            stacks.append((index, stack))
+            factor.setflags(write=False)
+            stacks.append((index, factor))
         covered = np.sort(np.concatenate([index.ravel() for index, _ in stacks]))
         require(np.array_equal(covered, np.arange(p0.size)),
                 f"block indices must partition the space of mode_dims {dims}")
-        _check_unit_trace(sum(complex(np.trace(stack, axis1=1, axis2=2).sum())
-                              for _, stack in stacks))
+        _check_unit_trace(sum(float(np.vdot(factor, factor).real) for _, factor in stacks))
         object.__setattr__(self, "mode_dims", dims)
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "stacks", tuple(stacks))
@@ -151,11 +151,11 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
     in d = s - i (return photons minus idler photons), d = -idler_cutoff
     .. signal_cutoff: the beam splitter conserves signal + noise photons,
     the TMSV pairs signal photon i with idler photon i, and the noise is
-    Fock-diagonal.  Block d is V V' with V[k, m] = sqrt(p_idl[i]
-    p_noise[m]) channel.amp[i + d, i, m] (k runs over the block's idler
-    numbers i, m over noise photon numbers): the pair amplitudes are the
-    square roots of the idler law.  No dense state is formed, and no
-    block is larger than idler_cutoff + 1.  The TMSV phase only
+    Fock-diagonal.  Block d is V V', held as its factor V[k, m] =
+    sqrt(p_idl[i] p_noise[m]) channel.amp[i + d, i, m] (k runs over the
+    block's idler numbers i, m over noise photon numbers): the pair
+    amplitudes are the square roots of the idler law.  No dense state is
+    formed, and no block is larger than idler_cutoff + 1.  The TMSV phase only
     conjugates each rho1 block by a diagonal unitary, which commutes with
     the diagonal rho0, so Q(s) does not depend on it and it is left out.
 
@@ -193,7 +193,7 @@ def build_qi_hypotheses(n_s: float, n_b: float, channel: QIChannel) -> Hypothesi
         i = lo[size == k, None] + np.arange(k)
         ret = i + d[size == k, None]
         v = channel.amp[ret, i, :] * weight[i]
-        stacks.append((ret * (n_idl + 1) + i, v @ np.swapaxes(v, 1, 2)))
+        stacks.append((ret * (n_idl + 1) + i, v))
     return HypothesisPair(
         mode_dims=(n_sig + 1, n_idl + 1),
         p0=np.kron(p_ret0, p_idl0),
@@ -209,9 +209,10 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     H0 is thermal(n_b); H1 is the same thermal state displaced by
     alpha = sqrt(eta n_s), giving mean photon number eta n_s + n_b.  rho0
     is the Fock-diagonal thermal law p0, and rho1 = D diag(p0) D' is a
-    single real block: D = exp(alpha (a' - a)) is a real rotation
-    (:func:`_tridiagonal_expm`), and a phase of alpha would only conjugate
-    rho1 by a diagonal unitary, which commutes with rho0 and leaves Q(s).
+    single real block, held as its factor D diag(sqrt(p0)):
+    D = exp(alpha (a' - a)) is a real rotation (:func:`_tridiagonal_expm`),
+    and a phase of alpha would only conjugate rho1 by a diagonal unitary,
+    which commutes with rho0 and leaves Q(s).
     A cutoff below 4 |alpha|^2 - 1, or whose thermal law discards more
     than 1e-3 of its mass, raises :class:`TruncationError`; ``params``
     holds that mass as ``background_discarded``.
@@ -227,7 +228,7 @@ def build_classical_hypotheses(n_s: float, eta: float, n_b: float, cutoff: int) 
     return HypothesisPair(
         mode_dims=(cutoff + 1,),
         p0=p0,
-        stacks=((np.arange(cutoff + 1)[None], ((disp * p0) @ disp.T)[None]),),
+        stacks=((np.arange(cutoff + 1)[None], (disp * np.sqrt(p0))[None]),),
         params={"background_discarded": discarded},
     )
 
@@ -246,29 +247,22 @@ class ChernoffResult(NamedTuple):
     diagnostics: dict
 
 
-def _clipped_spectrum(spectra: list, name: str) -> float:
-    """Mass of the negative eigenvalues, which count as 0, after checking the smallest."""
-    eigvals = np.concatenate([lam.ravel() for lam in spectra])
-    worst = float(np.min(eigvals))
-    require(worst >= _PSD_TOL, f"{name} has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}",
-            error=InvalidStateError)
-    # 0.0 - x rather than -x: nothing clipped is +0.0, not -0.0
-    return 0.0 - float(np.sum(np.minimum(eigvals, 0.0)))
-
-
 def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     """Brute-force quantum Chernoff bound for a hypothesis pair.
 
     rho0 is diagonal, so its spectrum is ``pair.p0`` and its eigenvectors
-    are the basis; only rho1 is eigendecomposed, one stack of equal-size
-    blocks per call.  Q(s) = tr(rho0^s rho1^{1-s}) is one sum over the
-    terms w lam0^s lam1^{1-s} of each block U1 diag(lam1) U1', basis
-    state j and eigenvector k, with lam0 = p0[index[j]] and w =
-    |U1[j, k]|^2; terms with an eigenvalue <= 0 or weight 0 add nothing
-    for s in (0, 1) and are left out.  Tiny negative eigenvalues from
-    truncation count as zero: each state's smallest eigenvalue is checked
-    against -1e-9, and its clipped mass (0 if within rounding, dim * eps)
-    is recorded.  Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
+    are the basis; rho1's come from one batched SVD of each stack's
+    factors F: with F = U diag(sigma) W', rho1's block F F' has the
+    eigenvalues lam1 = sigma^2 and the eigenvectors U, so no spectrum of
+    rho1 is negative and none is clipped (``clipped_mass_rho1`` is 0), and
+    near-zero eigenvalues keep the relative precision of sigma.  Q(s) =
+    tr(rho0^s rho1^{1-s}) is one sum over the terms w lam0^s lam1^{1-s}
+    of each block, basis state j and eigenvector k, with lam0 =
+    p0[index[j]] and w = |U[j, k]|^2; terms with an eigenvalue <= 0 or
+    weight 0 add nothing for s in (0, 1) and are left out.  Tiny negative
+    entries of p0 count as zero: the smallest is checked against -1e-9,
+    and their clipped mass (0 if within rounding, dim * eps) is recorded.
+    Q(s) is log-convex, so Q'(s) = sum w lam0^s lam1^{1-s}
     ln(lam0 / lam1) is increasing and Q is minimized on [0, 1] at its
     root (or the end of [0, 1] it moves towards), found by safeguarded
     Newton steps (:func:`_s_root`) to |delta s| <= 1e-12.  An 11-point
@@ -278,19 +272,22 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     q_min within rounding of 1 is 1, an exponent of 0.  Returns q_min = 0
     with an infinite exponent for (numerically) orthogonal states.
     """
-    spectra1, weight, log0, log1 = [], [], [], []
-    for index, stack in pair.stacks:
-        lam1, vec1 = np.linalg.eigh(stack)
-        spectra1.append(lam1)
-        overlap = np.abs(vec1)
+    worst = float(np.min(pair.p0))
+    require(worst >= _PSD_TOL, f"rho0 has eigenvalue {worst:.3e} below tolerance {_PSD_TOL}",
+            error=InvalidStateError)
+    # 0.0 - x rather than -x: nothing clipped is +0.0, not -0.0
+    clip0 = 0.0 - float(np.sum(np.minimum(pair.p0, 0.0)))
+    weight, log0, log1 = [], [], []
+    for index, factor in pair.stacks:
+        # the SVD of F^T (cheaper than of F): F^T = X diag(sigma) Y gives U = Y^T
+        _, sigma, y = np.linalg.svd(np.swapaxes(factor, 1, 2), full_matrices=False)
+        overlap = np.abs(np.swapaxes(y, 1, 2))
         overlap *= overlap
-        lam0, lam1 = np.broadcast_arrays(pair.p0[index][:, :, None], lam1[:, None, :])
+        lam0, lam1 = np.broadcast_arrays(pair.p0[index][:, :, None], (sigma * sigma)[:, None, :])
         keep = (overlap > 0.0) & (lam0 > 0.0) & (lam1 > 0.0)
         weight.append(overlap[keep])
         log0.append(np.log(lam0[keep]))
         log1.append(np.log(lam1[keep]))
-    clip0 = _clipped_spectrum([pair.p0], "rho0")
-    clip1 = _clipped_spectrum(spectra1, "rho1")
     weight, log1 = np.concatenate(weight), np.concatenate(log1)
     dlog = np.concatenate(log0) - log1
 
@@ -320,7 +317,7 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     if np.ptp(q_grid) <= rounding * q_grid.max():
         s_star = math.nan
     q_min = 1.0 if 1.0 - q_min <= rounding else max(q_min, 0.0)
-    clip0, clip1 = (0.0 if clip <= rounding else clip for clip in (clip0, clip1))
+    clip0 = 0.0 if clip0 <= rounding else clip0
     exponent = math.inf if q_min == 0.0 else max(0.0, -math.log(q_min))
     return ChernoffResult(
         s_star=float(s_star),
@@ -328,7 +325,7 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
         exponent=float(exponent),
         diagnostics={
             "clipped_mass_rho0": clip0,
-            "clipped_mass_rho1": clip1,
+            "clipped_mass_rho1": 0.0,
             "dim": pair.dim,
             "s_grid": s_grid,
             "q_grid": q_grid,

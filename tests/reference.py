@@ -16,17 +16,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mqisim.errors import InvalidArgumentError, TruncationError, check_count
+from mqisim.errors import InvalidArgumentError, InvalidStateError, TruncationError, check_count
 from mqisim.fock import (
     _check_discarded,
     _check_unit_trace,
-    _hermitian_part,
     _tridiagonal_expm,
     thermal_probabilities,
 )
 from mqisim.qcb import HypothesisPair, qi_channel
 
 SQUEEZE_DEFICIT_TOL = 1e-6
+HERMITICITY_TOL = 1e-10
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m') / 2 of a matrix, after checking that it is Hermitian within 1e-10."""
+    adj = m.conj().T
+    herm = np.max(np.abs(m - adj))
+    if not herm <= HERMITICITY_TOL:
+        raise InvalidArgumentError(
+            f"matrix not Hermitian within {HERMITICITY_TOL}: deviation {herm:.3e}")
+    return (m + adj) / 2.0
 
 
 @dataclass(frozen=True)
@@ -302,14 +312,20 @@ def number_expectation(state, mode: int, mode_dims=None) -> float:
 
 def pair_from_states(rho0: DensityMatrix, rho1: DensityMatrix) -> HypothesisPair:
     """Pair of two dense states on the same space, held in rho0's eigenbasis:
-    with rho0 = U diag(p0) U', ``p0`` and the single block U' rho1 U."""
+    with rho0 = U diag(p0) U', ``p0`` and the single block U' rho1 U, held as
+    its factor V diag(sqrt(lam)) from U' rho1 U = V diag(lam) V'.  A negative
+    eigenvalue within dim * eps of 0 is rounding and counts as 0; a rho1 with
+    one below that is not a state and raises :class:`InvalidStateError`."""
     if rho0.mode_dims != rho1.mode_dims:
         raise InvalidArgumentError(
             f"hypotheses must share a dimension, got {rho0.mode_dims} and {rho1.mode_dims}"
         )
     p0, u = np.linalg.eigh(rho0.matrix)
-    block = u.conj().T @ rho1.matrix @ u
-    return HypothesisPair(rho0.mode_dims, p0, ((np.arange(rho0.dim)[None], block[None]),))
+    lam, v = np.linalg.eigh(u.conj().T @ rho1.matrix @ u)
+    if lam[0] < -rho1.dim * np.finfo(float).eps:
+        raise InvalidStateError(f"rho1 has eigenvalue {lam[0]:.3e} below 0")
+    factor = v * np.sqrt(np.maximum(lam, 0.0))
+    return HypothesisPair(rho0.mode_dims, p0, ((np.arange(rho0.dim)[None], factor[None]),))
 
 
 def dense_rho0(pair: HypothesisPair) -> DensityMatrix:
@@ -318,8 +334,8 @@ def dense_rho0(pair: HypothesisPair) -> DensityMatrix:
 
 
 def dense_rho1(pair: HypothesisPair) -> DensityMatrix:
-    """rho1 of a pair as a dense state: its blocks scattered to their index."""
+    """rho1 of a pair as a dense state: each block F F' scattered to its index."""
     m = np.zeros((pair.dim, pair.dim), dtype=complex)
-    for index, stack in pair.stacks:
-        m[index[:, :, None], index[:, None, :]] = stack
+    for index, factor in pair.stacks:
+        m[index[:, :, None], index[:, None, :]] = factor @ np.swapaxes(factor, 1, 2).conj()
     return DensityMatrix(pair.mode_dims, m)

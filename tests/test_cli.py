@@ -13,6 +13,7 @@ from mqisim import cli, digits
 from mqisim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # sha256 of the CSV output of each preset in configs/; the spectrum presets
 # re-recorded when gain_db became a log1p, which moved their max_gain_db footer.
@@ -397,6 +398,15 @@ class TestQcbCommand:
         row = dict(zip(header, rows[0]))
         assert (row["clipped_rho0"], row["clipped_rho1"]) == ("0", "0")
 
+    @pytest.mark.parametrize("n_b", ["1e-9", "1e-12"])
+    def test_classical_s_star_near_pure_background(self, capsys, n_b):
+        # rho1's spectrum taken by eigh of D diag(p0) D' printed 0.500000007 and
+        # 0.500000009; from the factor D sqrt(p0) it is the exact 0.5
+        assert main(["qcb", "--transmitter", "classical", "--n-s", "0.1", "--eta", "0.5",
+                     "--n-b", n_b]) == 0
+        header, rows = csv_rows(capsys.readouterr().out)
+        assert dict(zip(header, rows[0]))["s_star"] == "0.5"
+
     @pytest.mark.parametrize("name", sorted(QCB_SWEEP_EXPONENTS))
     def test_sweep_exponents_pinned(self, tmp_path, name):
         argv, want_qi, want_cl = QCB_SWEEP_EXPONENTS[name]
@@ -658,6 +668,16 @@ class TestCliContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_loads_no_pathlib(self):
+        # without site (which may preload it), importing the CLI loads no pathlib
+        site_packages = os.path.dirname(os.path.dirname(np.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), site_packages])}
+        probe = "import sys, mqisim.cli; print('pathlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_runs_without_scipy(self):
         # the Fock unitaries and the envelope inversion once imported scipy
         probe = ("import sys; sys.modules['scipy'] = None; import mqisim; "
@@ -687,6 +707,7 @@ class TestInputChecks:
         (("qcb", "--transmitter", "quantum", "--n-s", "0.1", "--eta", "0.5", "--n-b", "1"),
          None, "expected one of ('qi', 'classical', 'both'), got 'quantum'"),
         (("state", "--config", "{tmp}/missing.cfg"), None, "cannot read config file"),
+        (("state", "--config", "{tmp}/run.cfg"), b"\xff\xfe", "cannot read config file"),
         (("state", "--config", "{tmp}/run.cfg"), "kappa 0.5\n", "expected 'key = value'"),
         (("state",), None, "missing required parameter --kappa"),
         ((*_DETECT, "--sweep-from", "1"), None, "--sweep-from requires --sweep-var"),
@@ -710,11 +731,13 @@ class TestInputChecks:
         (("wigner", "--config", "{tmp}/run.cfg"), "kappa = 0.5\nx-range = -1,1\n",
          "unknown config keys: x_range"),
     ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
-            "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
+            "config_not_utf8", "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
             "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan", "qcb_kappa_sweep_n_s",
             "phase_nan", "config_band_center", "config_x_range"])
     def test_rejected(self, argv, config, message, tmp_path, capsys):
-        if config is not None:
+        if isinstance(config, bytes):
+            (tmp_path / "run.cfg").write_bytes(config)
+        elif config is not None:
             (tmp_path / "run.cfg").write_text(config)
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
         out, err = capsys.readouterr()

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -451,26 +452,31 @@ class TestHypothesisBuilders:
     def test_blocks_must_partition_the_space(self):
         p0 = np.full(4, 0.25)
         with pytest.raises(InvalidArgumentError, match="partition"):
-            HypothesisPair((4,), p0, (([np.arange(2)], [np.eye(2) / 2]),))
+            HypothesisPair((4,), p0, (([np.arange(2)], [np.eye(2) / math.sqrt(2)]),))
         with pytest.raises(InvalidArgumentError, match="partition"):
-            HypothesisPair((4,), p0, (([np.arange(3)], [np.eye(3) / 4]),
-                                      ([np.arange(2, 4)], [np.eye(2) / 8])))
+            HypothesisPair((4,), p0, (([np.arange(3)], [np.eye(3) / 2]),
+                                      ([np.arange(2, 4)], [np.eye(2) / 2])))
 
-    def test_non_hermitian_block_rejected(self):
-        for block in ([[0.5, 0.1], [0.0, 0.5]], [[0.5, np.nan], [np.nan, 0.5]]):
-            with pytest.raises(InvalidArgumentError):
-                HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [block]),))
+    @pytest.mark.parametrize("factor", [[[0.5, np.nan], [0.5, 0.5]], [[0.5, np.inf], [0.5, 0.5]],
+                                        [[0.5, 0.5], [0.5, 0.6]], [[0.5, 0.5, 0.5, 0.5]]],
+                             ids=["nan", "inf", "trace", "shape"])
+    def test_bad_factor_rejected(self, factor):
+        # a factor F holds rho1 = F F', Hermitian and positive by construction;
+        # what is left to check is that F is finite, of trace sum |F|^2 = 1 and
+        # shaped like its index
+        with pytest.raises(InvalidArgumentError):
+            HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [factor]),))
 
     @pytest.mark.parametrize("p0", [np.full(3, 1 / 3), np.full(4, 1 / 3), np.ones((2, 2)) / 4,
                                     np.array([0.5, 0.5, np.nan, 0.0])],
                              ids=["short", "trace", "shape", "nan"])
     def test_p0_must_be_a_unit_trace_diagonal_of_the_space(self, p0):
         with pytest.raises(InvalidArgumentError):
-            HypothesisPair((4,), p0, (([np.arange(4)], [np.eye(4) / 4]),))
+            HypothesisPair((4,), p0, (([np.arange(4)], [np.eye(4) / 2]),))
 
     def test_stack_must_match_its_index(self):
         with pytest.raises(InvalidArgumentError, match="does not match its index"):
-            HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [np.eye(3) / 3]),))
+            HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [np.eye(3) / math.sqrt(3)]),))
 
     def test_fractional_classical_cutoff_rejected(self):
         # int(cutoff) truncated 30.7 to a 31-level pair
@@ -478,13 +484,15 @@ class TestHypothesisBuilders:
             build_classical_hypotheses(0.1, 0.5, 1.0, 30.7)
 
     def test_blocks_keep_their_dtype(self):
-        # both transmitters' blocks are real symmetric and stay real
+        # both transmitters' factors are real and stay real; complex stays complex
         qi = build_qi_hypotheses(0.1, 1.0, qi_channel(0.1, 20, 6, 20))
-        assert all(stack.dtype == np.float64 for _, stack in qi.stacks)
+        assert all(factor.dtype == np.float64 for _, factor in qi.stacks)
         cl = build_classical_hypotheses(0.1, 0.5, 1.0, 20)
         assert cl.stacks[0][1].dtype == np.float64
-        ints = HypothesisPair((2,), np.array([1.0, 0.0]), (([np.arange(2)], [np.diag([0, 1])]),))
+        ints = HypothesisPair((2,), np.array([1.0, 0.0]), (([np.arange(2)], [[[0], [1]]]),))
         assert ints.stacks[0][1].dtype == np.float64
+        phase = HypothesisPair((2,), np.array([1.0, 0.0]), (([np.arange(2)], [[[0], [1j]]]),))
+        assert phase.stacks[0][1].dtype == np.complex128
 
     def test_mismatched_dimensions_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -501,10 +509,13 @@ class TestChernoffExponent:
 
     def test_flat_q_leaves_s_star_undetermined(self):
         # Q(s) = |<0|+>|^2 = 1/2 for every s in (0, 1): the s-search once
-        # walked to s = 0.99999999999909 and printed it
-        zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
-        plus = DensityMatrix.from_pure(np.array([1.0, 1.0]), (2,))
-        result = chernoff_exponent(pair_from_states(zero, plus))
+        # walked to s = 0.99999999999909 and printed it.  rho1 = |+><+| is held
+        # as its factor |+>: from the dense |+><+| the eigenvector-times-sqrt
+        # factor loses 2 ulps of its trace, and Q then spreads by 4 ulps, just
+        # above this 2-level pair's flat threshold dim * eps
+        pair = HypothesisPair((2,), np.array([1.0, 0.0]),
+                              (([np.arange(2)], [np.full((2, 1), math.sqrt(0.5))]),))
+        result = chernoff_exponent(pair)
         assert math.isnan(result.s_star)
         assert result.exponent == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -562,10 +573,10 @@ class TestChernoffExponent:
         # reference: bisection on the sign of Q'(s), summed block by block
         pair = build_qi_hypotheses(0.1, n_b, qi_channel(0.1, 48, 12, 48))
         parts = []
-        for indices, stack in pair.stacks:
-            for index, block1 in zip(indices, stack):
+        for indices, factor in pair.stacks:
+            for index, f in zip(indices, factor):
                 lam0, vec0 = np.linalg.eigh(np.diag(pair.p0[index]))
-                lam1, vec1 = np.linalg.eigh(block1)
+                lam1, vec1 = np.linalg.eigh(f @ f.T)
                 parts.append((lam0, np.abs(vec0.conj().T @ vec1) ** 2, lam1))
 
         def slope(s):
@@ -586,6 +597,36 @@ class TestChernoffExponent:
         assert result.s_star == pytest.approx(lo, abs=1e-9)
         # Newton steps, not bisection, reach the root: a handful past the 11-point grid
         assert result.diagnostics["evaluations"] <= 11 + 8
+
+    def test_near_pure_background_matches_mpmath(self):
+        # at n_b = 1e-9 rho1 has eigenvalues near 1e-18, which eigh of V V' gave
+        # to about 1e-17 absolute: s_star 0.599952958 and exponent 0.0538686268
+        # printed.  The reference takes each block V V' of the pair's own
+        # factors at 50 digits.
+        pair = build_qi_hypotheses(0.1, 1e-9, qi_channel(0.5, 30, 10, 30))
+        terms = []
+        with mpmath.workdps(50):
+            for indices, factor in pair.stacks:
+                for index, v in zip(indices, factor):
+                    f = mpmath.matrix(v.tolist())
+                    lam1, vec1 = mpmath.eigsy(f * f.T)
+                    for j, p in enumerate(pair.p0[index]):
+                        for k in range(len(lam1)):
+                            if p > 0.0 and lam1[k] > 0:
+                                terms.append((vec1[j, k] ** 2, mpmath.mpf(p), lam1[k]))
+
+            def q_of(s):
+                return mpmath.fsum(w * p**s * lam ** (1 - s) for w, p, lam in terms)
+
+            def slope(s):
+                return mpmath.fsum(w * p**s * lam ** (1 - s) * mpmath.log(p / lam)
+                                   for w, p, lam in terms)
+
+            s_star = mpmath.findroot(slope, (0.5, 0.7), solver="anderson")
+            exponent = -mpmath.log(q_of(s_star))
+        result = chernoff_exponent(pair)
+        assert result.s_star == pytest.approx(float(s_star), rel=1e-9)
+        assert result.exponent == pytest.approx(float(exponent), rel=1e-9)
 
     @pytest.mark.parametrize("n_b", [1.0, 2.0, 4.0])
     def test_classical_s_star_is_one_half(self, n_b):
@@ -652,3 +693,6 @@ class TestChernoffExponent:
         good = thermal_density(0.5, 1)
         with pytest.raises(InvalidStateError):
             chernoff_exponent(pair_from_states(rho, good))
+        # a factor cannot hold a non-positive rho1: the dense reference refuses to factor it
+        with pytest.raises(InvalidStateError):
+            pair_from_states(good, rho)
