@@ -268,8 +268,9 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
     Newton steps (:func:`_s_root`) to |delta s| <= 1e-12.  An 11-point
     grid of Q values is kept in the diagnostics for a convexity audit.
 
-    Where that grid is flat to rounding (dim * eps) s_star is NaN, and a
-    q_min within rounding of 1 is 1, an exponent of 0.  Returns q_min = 0
+    Where that grid is flat to rounding (2 * dim * eps, as the terms square
+    sigma and U) s_star is NaN, and a q_min within dim * eps of 1 is 1, an
+    exponent of 0.  Returns q_min = 0
     with an infinite exponent for (numerically) orthogonal states.
     """
     worst = float(np.min(pair.p0))
@@ -314,7 +315,8 @@ def chernoff_exponent(pair: HypothesisPair) -> ChernoffResult:
         s_star, q_min = float(s_grid[k]), float(q_grid[k])
 
     rounding = pair.dim * np.finfo(float).eps
-    if np.ptp(q_grid) <= rounding * q_grid.max():
+    # each term squares sigma and U, so Q carries twice their relative rounding
+    if np.ptp(q_grid) <= 2.0 * rounding * q_grid.max():
         s_star = math.nan
     q_min = 1.0 if 1.0 - q_min <= rounding else max(q_min, 0.0)
     clip0 = 0.0 if clip0 <= rounding else clip0

@@ -509,15 +509,20 @@ class TestChernoffExponent:
 
     def test_flat_q_leaves_s_star_undetermined(self):
         # Q(s) = |<0|+>|^2 = 1/2 for every s in (0, 1): the s-search once
-        # walked to s = 0.99999999999909 and printed it.  rho1 = |+><+| is held
-        # as its factor |+>: from the dense |+><+| the eigenvector-times-sqrt
-        # factor loses 2 ulps of its trace, and Q then spreads by 4 ulps, just
-        # above this 2-level pair's flat threshold dim * eps
-        pair = HypothesisPair((2,), np.array([1.0, 0.0]),
-                              (([np.arange(2)], [np.full((2, 1), math.sqrt(0.5))]),))
-        result = chernoff_exponent(pair)
+        # walked to s = 0.99999999999909 and printed it.  The factor of the
+        # dense |+><+| is 2 ulps short of trace 1, so Q spreads by that much
+        zero = DensityMatrix.from_pure(np.array([1.0, 0.0]), (2,))
+        plus = DensityMatrix.from_pure(np.array([1.0, 1.0]), (2,))
+        result = chernoff_exponent(pair_from_states(zero, plus))
         assert math.isnan(result.s_star)
         assert result.exponent == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_identical_pure_hypotheses_leave_s_star_undetermined(self):
+        # n_b = 1e-300 and n_s = 1e-30: both hypotheses are |0><0| to
+        # rounding, and s_star once printed 0.99999999999909
+        result = chernoff_exponent(build_classical_hypotheses(1e-30, 0.5, 1e-300, 2))
+        assert math.isnan(result.s_star)
+        assert result.exponent == 0.0
 
     def test_overlap_within_rounding_of_one_is_no_exponent(self):
         # eta = 0: nothing returns, the hypotheses are identical, and Q
