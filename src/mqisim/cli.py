@@ -116,29 +116,34 @@ def _sweep_params(*sweepable: str) -> list[Param]:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Read a flat 'key = value' file; '#' starts a comment line."""
+    """Read a flat 'key = value' UTF-8 file (a byte-order mark is skipped); '#' starts a
+    comment line.  Keys fold case and '-' to '_', and a key set twice is an error."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         require("=" in line, f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        require(key not in out,
+                f"{path}:{line_no}: key {key} is already set on line {first_line.get(key)}")
+        out[key], first_line[key] = value.strip(), line_no
     return out
 
 
 def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str]) -> dict:
+    specs_by_attr = {spec.name.replace("-", "_"): spec for spec in specs}
+    unknown = set(config) - set(specs_by_attr) - _GLOBAL_KEYS
+    require(not unknown, f"unknown config keys: {', '.join(sorted(unknown))}")
     values: dict[str, object] = {}
-    known = set()
-    for spec in specs:
-        attr = spec.name.replace("-", "_")
-        known.add(attr)
+    for attr, spec in specs_by_attr.items():
         raw = getattr(args, attr)
         if raw is None:
             raw = config.get(attr)
@@ -150,8 +155,6 @@ def _resolve(specs: list[Param], args: argparse.Namespace, config: dict[str, str
                 values[attr] = spec.parse(raw)
             except InvalidArgumentError as exc:
                 raise InvalidArgumentError(f"--{spec.name}: {exc}") from None
-    unknown = set(config) - known - _GLOBAL_KEYS
-    require(not unknown, f"unknown config keys: {', '.join(sorted(unknown))}")
     return values
 
 
@@ -217,10 +220,10 @@ def _run_wigner(p: dict):
     state = tmsv_covariance(sq)
     xname, yname = p["plane"]
     plane = (quadrature_index(xname), quadrature_index(yname))
-    grid = wigner_grid(state, plane=plane, x_range=p["range"], y_range=p["range"],
-                       samples=(p["samples"], p["samples"]), fixed_values=p["fixed"])
-    _require_resolved(f"{xname} axis", grid.x_axis)   # the y axis is the same
-    table = {xname: grid.x_axis[:, None], yname: grid.y_axis[None, :], "wigner": grid.values}
+    grid = wigner_grid(state, plane=plane, axis_range=p["range"], samples=p["samples"],
+                       fixed_values=p["fixed"])
+    _require_resolved(f"{xname} axis", grid.axis)   # the y axis is the same
+    table = {xname: grid.axis[:, None], yname: grid.axis[None, :], "wigner": grid.values}
     fixed_names = [QUADRATURE_NAMES[k] for k in range(4) if k not in plane]
     meta = {
         "fixed_" + fixed_names[0]: p["fixed"][0],
@@ -305,15 +308,10 @@ def _qcb_signal(p: dict) -> float:
 
 
 def _chernoff_sweep(pairs) -> np.ndarray:
-    """Rows s_star, q_min, exponent, clipped rho0 and clipped rho1 mass, one column per pair."""
+    """Rows s_star, q_min and exponent, one column per pair."""
     from .qcb import chernoff_exponent
 
-    results = map(chernoff_exponent, pairs)
-    return np.array([
-        (r.s_star, r.q_min, r.exponent,
-         r.diagnostics["clipped_mass_rho0"], r.diagnostics["clipped_mass_rho1"])
-        for r in results
-    ]).T
+    return np.array([(r.s_star, r.q_min, r.exponent) for r in map(chernoff_exponent, pairs)]).T
 
 
 def _qi_pairs(points, p: dict):
@@ -365,7 +363,8 @@ def _run_qcb(p: dict):
             **sweep,
             "s_star": res[0], "q_min": res[1], "exponent": res[2], "rate_ref": rate,
             "exponent_over_rate": _safe_ratio(res[2], rate),
-            "clipped_rho0": res[3], "clipped_rho1": res[4],
+            # nothing is clipped; the zero columns stay while perfbench/refs.json requires them
+            "clipped_rho0": 0.0, "clipped_rho1": 0.0,
         }
     return {name: np.asarray(value) for name, value in columns.items()}, meta
 

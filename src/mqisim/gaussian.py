@@ -6,6 +6,7 @@ Conventions used throughout the package:
   in every quadrature and the vacuum covariance matrix is the identity;
 * two-mode quantities are ordered (q_s, p_s, q_i, p_i) with the signal
   mode first and the idler mode second;
+* every state is zero-mean, so a state is its covariance matrix alone;
 * a two-mode squeezed vacuum (TMSV) of modulus ``kappa`` and phase
   ``phase`` has diagonal covariance blocks cosh(2 kappa) I and a
   cross block of magnitude sinh(2 kappa) whose orientation is set by
@@ -100,46 +101,36 @@ class SqueezeParam:
         return math.sinh(self.kappa) ** 2
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class TwoModeGaussianState:
-    """First and second moments of a two-mode Gaussian state.
+    """Covariance matrix of a zero-mean two-mode Gaussian state.
 
-    ``mean`` is the length-4 vector of quadrature means and ``cov`` the
-    4x4 real covariance matrix, both in (q_s, p_s, q_i, p_i) order with
-    the vacuum normalized to unit variance.  Construction enforces shape
-    and symmetry; physicality is checked separately by
-    :func:`uncertainty_check` so that deliberately unphysical matrices
-    can still be examined.
+    ``cov`` is the 4x4 real covariance matrix in (q_s, p_s, q_i, p_i)
+    order with the vacuum normalized to unit variance.  Construction
+    enforces shape, finiteness and symmetry; physicality is checked
+    separately by :func:`uncertainty_check` so that deliberately
+    unphysical matrices can still be examined.
     """
 
-    mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        require(mean.shape == (4,), f"mean must have shape (4,), got {mean.shape}")
         require(cov.shape == (4, 4), f"cov must have shape (4, 4), got {cov.shape}")
-        require(np.all(np.isfinite(mean)) and np.all(np.isfinite(cov)),
-                "mean and cov must be finite")
+        require(np.all(np.isfinite(cov)), "cov must be finite")
         with np.errstate(over="ignore"):   # an asymmetry beyond the largest double is inf
             asym = np.max(np.abs(cov - cov.T))
         require(asym <= _SYMMETRY_TOL,
                 f"cov must be symmetric within {_SYMMETRY_TOL}, asymmetry {asym:.3e}")
-        object.__setattr__(self, "mean", _readonly(mean))
         # cov + cov.T would overflow at entries near the largest double
-        object.__setattr__(self, "cov", _readonly(cov + (cov.T - cov) / 2.0))
+        cov = cov + (cov.T - cov) / 2.0
+        cov.setflags(write=False)
+        object.__setattr__(self, "cov", cov)
 
 
 def vacuum_state() -> TwoModeGaussianState:
-    """Two-mode vacuum: zero mean, identity covariance."""
-    return TwoModeGaussianState(np.zeros(4), np.eye(4))
+    """Two-mode vacuum: identity covariance."""
+    return TwoModeGaussianState(np.eye(4))
 
 
 def tmsv_covariance(sp: SqueezeParam) -> TwoModeGaussianState:
@@ -153,7 +144,7 @@ def tmsv_covariance(sp: SqueezeParam) -> TwoModeGaussianState:
     Returns
     -------
     TwoModeGaussianState
-        Zero-mean state with diagonal blocks cosh(2 kappa) I2 and a
+        State with diagonal blocks cosh(2 kappa) I2 and a
         cross block sinh(2 kappa) [[cos phi, sin phi], [sin phi, -cos phi]].
     """
     c2 = math.cosh(2.0 * sp.kappa)
@@ -162,7 +153,7 @@ def tmsv_covariance(sp: SqueezeParam) -> TwoModeGaussianState:
     sn = math.sin(sp.phase)
     cross = s2 * np.array([[cp, sn], [sn, -cp]])
     cov = np.block([[c2 * np.eye(2), cross], [cross.T, c2 * np.eye(2)]])
-    return TwoModeGaussianState(np.zeros(4), cov)
+    return TwoModeGaussianState(cov)
 
 
 def quadrature_variance(state: TwoModeGaussianState, coeffs) -> float:
@@ -228,18 +219,17 @@ def wigner_density(state: TwoModeGaussianState, point) -> float:
 
     For a Gaussian state this is the multivariate normal density
 
-        exp(-(r - mean)^T cov^-1 (r - mean) / 2) / ((2 pi)^2 sqrt(det cov)),
+        exp(-r^T cov^-1 r / 2) / ((2 pi)^2 sqrt(det cov)),
 
     normalized so the full 4-D integral is 1.  A pure state has
-    det cov = 1 and therefore peak value 1/(4 pi^2) at its mean.
+    det cov = 1 and therefore peak value 1/(4 pi^2) at the origin.
     """
     r = np.asarray(point, dtype=float)
     require(r.shape == (4,) and np.all(np.isfinite(r)),
             f"point must be 4 finite numbers, got {point}")
     prec, root = _precision(state.cov)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a NaN or inf form
-        d = r - state.mean
-        return float(_density(d @ prec @ d, root, 4))
+        return float(_density(r @ prec @ r, root, 4))
 
 
 def _pair(name: str, value) -> tuple:
@@ -267,75 +257,67 @@ def _slice(plane, fixed_values) -> tuple[int, int, list[int], np.ndarray]:
 class WignerGrid(NamedTuple):
     """Wigner density sampled on a 2-D slice of the 4-D phase space.
 
-    ``values[i, j]`` (read-only, as are the axes) is the density at
-    x_axis[i], y_axis[j] on the caller's ``plane``, the other two
-    quadratures held at its ``fixed_values``; files are emitted in
+    Both quadratures of the caller's ``plane`` are sampled on the one
+    ``axis``; ``values[a, b]`` (read-only, as is the axis) is the density
+    at axis[a] on the first and axis[b] on the second, the other two
+    quadratures held at its ``fixed_values``.  Files are emitted in
     row-major order (the first plane axis is the slower one).
     """
 
-    x_axis: np.ndarray
-    y_axis: np.ndarray
+    axis: np.ndarray
     values: np.ndarray
 
 
 def wigner_grid(
     state: TwoModeGaussianState,
     plane: tuple[int, int] = (0, 1),
-    x_range: tuple[float, float] = (-4.0, 4.0),
-    y_range: tuple[float, float] = (-4.0, 4.0),
-    samples: tuple[int, int] = (81, 81),
+    axis_range: tuple[float, float] = (-4.0, 4.0),
+    samples: int = 81,
     fixed_values: tuple[float, float] = (0.0, 0.0),
 ) -> WignerGrid:
-    """Evaluate the Wigner density on a uniform grid over a 2-D slice.
+    """Evaluate the Wigner density on a uniform square grid over a 2-D slice.
 
-    The two quadratures named by ``plane`` are varied over ``x_range``
-    and ``y_range`` (inclusive endpoints, ``samples`` points per axis;
-    an axis may descend but not have zero width or a width beyond the
-    largest double);
+    The two quadratures named by ``plane`` are each varied over
+    ``axis_range`` (inclusive endpoints, ``samples`` points; the axis may
+    descend but not have zero width or a width beyond the largest double);
     the two remaining quadratures are held at ``fixed_values`` (in
     ascending index order).  The slice convention is explicit because a
     2-D rendering of the 4-D Wigner function is not unique.
 
     A slice of a Gaussian is a Gaussian in its two varied quadratures, so
-    the form is evaluated on the axes, not point by point: with the
-    precision matrix P = cov^-1, u = x - mean_i, v = y - mean_j and
-    f = fixed - mean_F,
+    the form is evaluated on the axis, not point by point: with the
+    precision matrix P = cov^-1 and the fixed values f,
 
-        quad[a, b] = (P_ii u_a + 2 P_iF f) u_a + f P_FF f + 2 P_ij u_a v_b
-                     + (P_jj v_b + 2 P_jF f) v_b,
+        quad[a, b] = (P_ii x_a + 2 P_iF f) x_a + f P_FF f + 2 P_ij x_a x_b
+                     + (P_jj x_b + 2 P_jF f) x_b,
 
     an outer sum of one term per axis and their product.  The condition
     gate and the overflow rule are those of :func:`wigner_density`.
     """
-    i, j, fixed, fixed_values = _slice(plane, fixed_values)
-    nx, ny = (check_count("samples", n, 2) for n in _pair("samples", samples))
-    x_range = _pair("x_range", x_range)
-    y_range = _pair("y_range", y_range)
+    i, j, fixed, f = _slice(plane, fixed_values)
+    n = check_count("samples", samples, 2)
+    start, stop = _pair("axis_range", axis_range)
     # a width beyond the largest double would reach np.linspace as inf
-    widths = [stop - start for start, stop in (x_range, y_range)]
-    require(all(map(math.isfinite, widths)), "ranges must be finite, and so must the width "
-            f"of each range, got {x_range}, {y_range}")
-    require(0.0 not in widths, f"axis ranges need distinct ends, got {x_range}, {y_range}")
+    require(math.isfinite(stop - start), "ranges must be finite, and so must the width "
+            f"of each range, got {axis_range}")
+    require(start != stop, f"axis ranges need distinct ends, got {axis_range}")
     prec, root = _precision(state.cov)
     report = uncertainty_check(state)
     require(report.passed, "state fails the uncertainty check "
             f"(worst eigenvalue {report.min_eigenvalue:.3e})", error=InvalidStateError)
-    x_axis = np.linspace(x_range[0], x_range[1], nx)
-    y_axis = np.linspace(y_range[0], y_range[1], ny)
+    axis = np.linspace(start, stop, n)
 
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is a NaN or inf form
-        u = x_axis - state.mean[i]
-        v = y_axis - state.mean[j]
-        f = fixed_values - state.mean[fixed]
-        row = (prec[i, i] * u + 2.0 * (prec[i, fixed] @ f)) * u + f @ prec[np.ix_(fixed, fixed)] @ f
-        column = (prec[j, j] * v + 2.0 * (prec[j, fixed] @ f)) * v
-        quad = np.multiply.outer(2.0 * prec[i, j] * u, v)
+        row = (prec[i, i] * axis + 2.0 * (prec[i, fixed] @ f)) * axis
+        row += f @ prec[np.ix_(fixed, fixed)] @ f
+        column = (prec[j, j] * axis + 2.0 * (prec[j, fixed] @ f)) * axis
+        quad = np.multiply.outer(2.0 * prec[i, j] * axis, axis)
         quad += row[:, None]
         quad += column
     values = _density(quad, root, 4)
-    for arr in (x_axis, y_axis, values):
-        arr.setflags(write=False)
-    return WignerGrid(x_axis=x_axis, y_axis=y_axis, values=values)
+    axis.setflags(write=False)
+    values.setflags(write=False)
+    return WignerGrid(axis=axis, values=values)
 
 
 def slice_mass(
@@ -349,8 +331,7 @@ def slice_mass(
     density of the two fixed quadratures evaluated at ``fixed_values``.
     Used as the reference for grid Riemann sums.
     """
-    _, _, fixed, fixed_values = _slice(plane, fixed_values)
+    _, _, fixed, f = _slice(plane, fixed_values)
     prec, root = _precision(state.cov[np.ix_(fixed, fixed)])
     with np.errstate(over="ignore", invalid="ignore"):
-        d = fixed_values - state.mean[fixed]
-        return float(_density(d @ prec @ d, root, 2))
+        return float(_density(f @ prec @ f, root, 2))

@@ -58,9 +58,8 @@ def moment_cutoff(kappa: float, tol: float = 1e-8) -> int:
 
 def riemann_mass(grid) -> float:
     """Plain cell-sum quadrature of a Wigner grid."""
-    dx = float(grid.x_axis[1] - grid.x_axis[0])
-    dy = float(grid.y_axis[1] - grid.y_axis[0])
-    return float(np.sum(grid.values)) * dx * dy
+    step = float(grid.axis[1] - grid.axis[0])
+    return float(np.sum(grid.values)) * step * step
 
 
 def truncated_beam_splitter_expm(dim_a: int, dim_b: int, eta: float) -> np.ndarray:

@@ -313,19 +313,22 @@ def number_expectation(state, mode: int, mode_dims=None) -> float:
 def pair_from_states(rho0: DensityMatrix, rho1: DensityMatrix) -> HypothesisPair:
     """Pair of two dense states on the same space, held in rho0's eigenbasis:
     with rho0 = U diag(p0) U', ``p0`` and the single block U' rho1 U, held as
-    its factor V diag(sqrt(lam)) from U' rho1 U = V diag(lam) V'.  A negative
-    eigenvalue within dim * eps of 0 is rounding and counts as 0; a rho1 with
-    one below that is not a state and raises :class:`InvalidStateError`."""
+    its factor V diag(sqrt(lam)) from U' rho1 U = V diag(lam) V'.  In either
+    spectrum a negative eigenvalue within dim * eps of 0 is rounding and
+    counts as 0, and one below that, which no state has, raises
+    :class:`InvalidStateError`."""
     if rho0.mode_dims != rho1.mode_dims:
         raise InvalidArgumentError(
             f"hypotheses must share a dimension, got {rho0.mode_dims} and {rho1.mode_dims}"
         )
     p0, u = np.linalg.eigh(rho0.matrix)
     lam, v = np.linalg.eigh(u.conj().T @ rho1.matrix @ u)
-    if lam[0] < -rho1.dim * np.finfo(float).eps:
-        raise InvalidStateError(f"rho1 has eigenvalue {lam[0]:.3e} below 0")
+    for name, spectrum in (("rho0", p0), ("rho1", lam)):
+        if spectrum[0] < -rho0.dim * np.finfo(float).eps:
+            raise InvalidStateError(f"{name} has eigenvalue {spectrum[0]:.3e} below 0")
     factor = v * np.sqrt(np.maximum(lam, 0.0))
-    return HypothesisPair(rho0.mode_dims, p0, ((np.arange(rho0.dim)[None], factor[None]),))
+    return HypothesisPair(rho0.mode_dims, np.maximum(p0, 0.0),
+                          ((np.arange(rho0.dim)[None], factor[None]),))
 
 
 def dense_rho0(pair: HypothesisPair) -> DensityMatrix:

@@ -162,8 +162,7 @@ def test_criterion_7_wigner_sanity():
         state = tmsv_covariance(SqueezeParam(kappa))
         sigma = math.sqrt(state.cov[0, 0])
         lim = 6.0 * sigma
-        grid = wigner_grid(state, plane=(0, 3), x_range=(-lim, lim), y_range=(-lim, lim),
-                           samples=(201, 201))
+        grid = wigner_grid(state, plane=(0, 3), axis_range=(-lim, lim), samples=201)
         mass_rel = abs(riemann_mass(grid) / slice_mass(state, (0, 3)) - 1.0)
         ok_mass = ok_mass and mass_rel <= 1e-3
 
@@ -177,11 +176,11 @@ def test_criterion_7_wigner_sanity():
         # covariance-derived precisions 1/var
         center = 100
         w0 = grid.values[center, center]
-        step = float(grid.x_axis[1] - grid.x_axis[0])
+        step = float(grid.axis[1] - grid.axis[0])
         k_plus = center + max(1, min(100, round(2.0 * math.exp(kappa) / math.sqrt(2) / step)))
         k_minus = center + max(1, min(100, round(2.0 * math.exp(-kappa) / math.sqrt(2) / step)))
-        x_p = float(grid.x_axis[k_plus])
-        x_m = float(grid.x_axis[k_minus])
+        x_p = float(grid.axis[k_plus])
+        x_m = float(grid.axis[k_minus])
         lam_plus = -math.log(grid.values[k_plus, k_plus] / w0) / x_p**2
         lam_minus = -math.log(grid.values[k_minus, 2 * center - k_minus] / w0) / x_m**2
         ok_render = (ok_render

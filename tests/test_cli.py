@@ -552,6 +552,21 @@ class TestCliContract:
                        "--output", str(f_cfg), "--quiet")[0] == 0
         assert f_flag.read_bytes() == f_cfg.read_bytes()
 
+    @pytest.mark.parametrize("flags", [(), ("--kappa", "0.5")], ids=["config_only", "flag_too"])
+    def test_config_byte_order_mark_is_skipped(self, tmp_path, flags):
+        # some editors start a UTF-8 file with a byte-order mark, which once became part
+        # of the first key: a missing --kappa, or with the flag an unknown config key
+        text = b"kappa = 0.5\ncutoff = 8\n"
+        written = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_bytes(data)
+            code, _, err = run_cli("state", "--config", str(cfg), *flags,
+                                   "--output", str(out), "--quiet")
+            assert code == 0, err
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa = 0.5\ncutoff = 8\n")
@@ -730,10 +745,19 @@ class TestInputChecks:
          "unknown config keys: band_center"),
         (("wigner", "--config", "{tmp}/run.cfg"), "kappa = 0.5\nx-range = -1,1\n",
          "unknown config keys: x_range"),
+        # a misspelt required key was reported as the missing key it was meant to be
+        (("state", "--config", "{tmp}/run.cfg"), "kapa = 0.5\n", "unknown config keys: kapa"),
+        # a key set twice silently took its last value; keys fold case and '-' to '_'
+        (("state", "--config", "{tmp}/run.cfg"), "kappa = 0.5\nKAPPA = 3\ncutoff = 2\n",
+         "run.cfg:2: key kappa is already set on line 1"),
+        (("detect", "--config", "{tmp}/run.cfg"),
+         "eta = 0.1\nn-s = 0.1\nn-b = 1\n# background\nn_b = 2\npulses = 10\n",
+         "run.cfg:5: key n_b is already set on line 3"),
     ], ids=["number", "integer", "boolean", "pair", "list", "choice", "config_missing",
             "config_not_utf8", "config_line", "required", "sweep_var", "sweep_bounds", "sweep_steps", "output",
             "mixing", "shape", "wigner_range_inf", "wigner_fixed_nan", "qcb_kappa_sweep_n_s",
-            "phase_nan", "config_band_center", "config_x_range"])
+            "phase_nan", "config_band_center", "config_x_range", "config_misspelt_required",
+            "config_repeated_key", "config_repeated_folded_key"])
     def test_rejected(self, argv, config, message, tmp_path, capsys):
         if isinstance(config, bytes):
             (tmp_path / "run.cfg").write_bytes(config)

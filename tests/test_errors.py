@@ -56,7 +56,7 @@ def test_minimum():
     (lambda: qi_channel(0.1, 48, 10, -1), "noise_cutoff"),
     (lambda: build_classical_hypotheses(0.1, 0.5, 1.0, math.inf), "cutoff"),
     (lambda: spectrum_sweep(SpectrumProfile(0.5, 12e9, 8e9), steps=math.inf), "steps"),
-    (lambda: wigner_grid(tmsv_covariance(SqueezeParam(0.5)), samples=(math.nan, 3)), "samples"),
+    (lambda: wigner_grid(tmsv_covariance(SqueezeParam(0.5)), samples=math.nan), "samples"),
 ], ids=["thermal", "tmsv", "qi_signal", "qi_noise", "classical", "spectrum",
         "wigner"])
 def test_each_layer_names_the_count(call, name):

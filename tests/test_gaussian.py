@@ -51,7 +51,6 @@ class TestTmsvCovariance:
     def test_vacuum_limit(self):
         state = tmsv_covariance(SqueezeParam(0.0))
         np.testing.assert_array_equal(state.cov, np.eye(4))
-        np.testing.assert_array_equal(state.mean, np.zeros(4))
 
     def test_kappa_half_structure(self):
         # diagonals cosh(1); cross correlations of magnitude sinh(1) in
@@ -114,7 +113,7 @@ class TestWignerDensity:
         assert val == pytest.approx(0.00342808277153, rel=1e-10)
 
     def test_degenerate_covariance_rejected(self):
-        state = TwoModeGaussianState(np.zeros(4), np.zeros((4, 4)))
+        state = TwoModeGaussianState(np.zeros((4, 4)))
         with pytest.raises(DegenerateStateError):
             wigner_density(state, np.zeros(4))
 
@@ -133,7 +132,7 @@ class TestUncertaintyCheck:
         assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
     def test_subvacuum_isotropic_fails(self):
-        state = TwoModeGaussianState(np.zeros(4), 0.5 * np.eye(4))
+        state = TwoModeGaussianState(0.5 * np.eye(4))
         report = uncertainty_check(state)
         assert not report.passed
         assert report.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
@@ -144,7 +143,7 @@ class TestUncertaintyCheck:
 
 class TestWignerGrid:
     def test_vacuum_peak_at_center(self):
-        grid = wigner_grid(vacuum_state(), plane=(0, 1), samples=(81, 81))
+        grid = wigner_grid(vacuum_state(), plane=(0, 1), samples=81)
         assert grid.values.max() == pytest.approx(WIGNER_PEAK, rel=1e-12)
         assert grid.values[40, 40] == grid.values.max()
 
@@ -160,9 +159,9 @@ class TestWignerGrid:
         assert eigvals[1] == pytest.approx(math.exp(2 * kappa), rel=1e-12)
         assert abs(eigvecs[:, 0] @ [1, 1]) / math.sqrt(2) == pytest.approx(1.0, abs=1e-12)
 
-        grid = wigner_grid(state, plane=(0, 3), x_range=(-4, 4), y_range=(-4, 4), samples=(81, 81))
+        grid = wigner_grid(state, plane=(0, 3), axis_range=(-4, 4), samples=81)
         center = grid.values[40, 40]
-        x = float(grid.x_axis[60])
+        x = float(grid.axis[60])
         along = -math.log(grid.values[60, 60] / center) / x**2
         across = -math.log(grid.values[60, 20] / center) / x**2
         assert along == pytest.approx(math.exp(-2 * kappa), rel=1e-9)
@@ -174,18 +173,17 @@ class TestWignerGrid:
         state = tmsv_covariance(SqueezeParam(kappa))
         sigma = math.sqrt(max(state.cov[plane[0], plane[0]], state.cov[plane[1], plane[1]]))
         lim = 6.0 * sigma
-        grid = wigner_grid(state, plane=plane, x_range=(-lim, lim), y_range=(-lim, lim),
-                           samples=(201, 201))
+        grid = wigner_grid(state, plane=plane, axis_range=(-lim, lim), samples=201)
         assert riemann_mass(grid) == pytest.approx(slice_mass(state, plane), rel=1e-3)
 
     def test_nonphysical_state_rejected(self):
-        state = TwoModeGaussianState(np.zeros(4), 0.25 * np.eye(4))
+        state = TwoModeGaussianState(0.25 * np.eye(4))
         with pytest.raises(InvalidStateError):
             wigner_grid(state)
 
     def test_arrays_are_read_only(self):
-        grid = wigner_grid(vacuum_state(), samples=(5, 3))
-        for name in ("x_axis", "y_axis", "values"):
+        grid = wigner_grid(vacuum_state(), samples=5)
+        for name in ("axis", "values"):
             array = getattr(grid, name)
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
@@ -193,29 +191,25 @@ class TestWignerGrid:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            wigner_grid(vacuum_state(), samples=(1, 10))
+            wigner_grid(vacuum_state(), samples=1)
 
     def test_fractional_samples_rejected(self):
         # numpy's linspace raised TypeError on 2.5 points
         with pytest.raises(InvalidArgumentError, match="samples must be an integer"):
-            wigner_grid(vacuum_state(), samples=(2.5, 3))
+            wigner_grid(vacuum_state(), samples=2.5)
 
     def test_descending_axis_accepted(self):
-        grid = wigner_grid(vacuum_state(), x_range=(2.0, -2.0), samples=(5, 3))
-        np.testing.assert_array_equal(grid.x_axis, [2.0, 1.0, 0.0, -1.0, -2.0])
+        grid = wigner_grid(vacuum_state(), axis_range=(2.0, -2.0), samples=5)
+        np.testing.assert_array_equal(grid.axis, [2.0, 1.0, 0.0, -1.0, -2.0])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: TwoModeGaussianState(np.zeros(3), np.eye(4)), "mean must have shape (4,)"),
-    (lambda: TwoModeGaussianState(np.zeros(4), np.eye(3)), "cov must have shape (4, 4)"),
-    (lambda: TwoModeGaussianState([0.0, 0.0, math.nan, 0.0], np.eye(4)), "must be finite"),
-    (lambda: TwoModeGaussianState(np.zeros(4), np.diag([1.0, 1.0, 1.0, math.inf])),
-     "must be finite"),
-    (lambda: TwoModeGaussianState(np.zeros(4), np.eye(4) + np.eye(4, k=1)),
-     "cov must be symmetric"),
+    (lambda: TwoModeGaussianState(np.eye(3)), "cov must have shape (4, 4)"),
+    (lambda: TwoModeGaussianState(np.diag([1.0, 1.0, 1.0, math.inf])), "cov must be finite"),
+    (lambda: TwoModeGaussianState(np.eye(4) + np.eye(4, k=1)), "cov must be symmetric"),
     # cov - cov.T overflowed with a RuntimeWarning before the inf asymmetry failed the check
-    (lambda: TwoModeGaussianState(np.zeros(4), [[1.0, MAX, 0.0, 0.0], [-MAX, 1.0, 0.0, 0.0],
-                                                [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    (lambda: TwoModeGaussianState([[1.0, MAX, 0.0, 0.0], [-MAX, 1.0, 0.0, 0.0],
+                                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
      "cov must be symmetric within 1e-12, asymmetry inf"),
     (lambda: quadrature_variance(vacuum_state(), [1.0, 0.0, 0.0]), "coeffs must have shape (4,)"),
     (lambda: wigner_density(vacuum_state(), [0.0, 0.0, 0.0]), "point must be 4 finite numbers"),
@@ -225,15 +219,16 @@ class TestWignerGrid:
     (lambda: wigner_grid(vacuum_state(), plane=(0, 4)), "plane must be two distinct indices"),
     # a fractional index passed the range check and raised numpy's bare IndexError
     (lambda: wigner_grid(vacuum_state(), plane=(0.5, 1)), "plane must be two distinct indices"),
+    # one sample count serves both axes
+    (lambda: wigner_grid(vacuum_state(), samples=(3,)), "samples must be an integer >= 2"),
     # slice_mass raised a bare numpy broadcast ValueError on these two planes
     (lambda: slice_mass(vacuum_state(), (0, 0)), "plane must be two distinct indices"),
     (lambda: slice_mass(vacuum_state(), (0, 7)), "plane must be two distinct indices"),
     # and returned 0.0 for a NaN fixed value
     (lambda: slice_mass(vacuum_state(), (0, 1), (math.nan, 0)), "fixed_values must be finite"),
-], ids=["mean_shape", "cov_shape", "mean_nan", "cov_inf", "cov_asymmetric",
-        "cov_asymmetry_overflow", "coeffs_shape",
+], ids=["cov_shape", "cov_inf", "cov_asymmetric", "cov_asymmetry_overflow", "coeffs_shape",
         "point_shape", "point_nan", "plane_repeated", "plane_out_of_range", "plane_fractional",
-        "slice_plane_repeated", "slice_plane_out_of_range", "slice_fixed_nan"])
+        "samples_pair", "slice_plane_repeated", "slice_plane_out_of_range", "slice_fixed_nan"])
 def test_malformed_input_rejected(call, message):
     with pytest.raises(InvalidArgumentError) as exc:
         call()
@@ -242,15 +237,13 @@ def test_malformed_input_rejected(call, message):
 
 # a third value was ignored, and a single one raised a bare unpacking or broadcast ValueError
 @pytest.mark.parametrize("call, name", [
-    (lambda: wigner_grid(vacuum_state(), x_range=(-4, 4, 9)), "x_range"),
-    (lambda: wigner_grid(vacuum_state(), y_range=(1,)), "y_range"),
+    (lambda: wigner_grid(vacuum_state(), axis_range=(-4, 4, 9)), "axis_range"),
     (lambda: wigner_grid(vacuum_state(), fixed_values=(0, 0, 5)), "fixed_values"),
-    (lambda: wigner_grid(vacuum_state(), samples=(3,)), "samples"),
     (lambda: wigner_grid(vacuum_state(), plane=(0,)), "plane"),
     (lambda: wigner_grid(vacuum_state(), plane=(0, 1, 2)), "plane"),
     (lambda: slice_mass(vacuum_state(), (0, 1), (0, 0, 7)), "fixed_values"),
     (lambda: slice_mass(vacuum_state(), (0, 1, 2)), "plane"),
-], ids=["x_range", "y_range", "fixed", "samples", "plane_short", "plane_long",
+], ids=["axis_range", "fixed", "plane_short", "plane_long",
         "slice_fixed", "slice_plane"])
 def test_pair_of_another_length_rejected(call, name):
     with pytest.raises(InvalidArgumentError, match=f"^{name} must be a pair, got "):
@@ -282,7 +275,7 @@ def test_joint_quadrature_variance_product(kappa):
 )
 def test_wigner_nonnegative_for_physical_states(kappa, noise, point):
     base = tmsv_covariance(SqueezeParam(kappa))
-    state = TwoModeGaussianState(base.mean, base.cov + noise * np.eye(4))
+    state = TwoModeGaussianState(base.cov + noise * np.eye(4))
     assert uncertainty_check(state).passed
     assert wigner_density(state, np.array(point)) >= 0.0
 
@@ -298,24 +291,21 @@ _ENDS = st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).filter(lambda 
     phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
     plane=st.sampled_from(list(itertools.permutations(range(4), 2))),
     fixed=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-    x_range=_ENDS,
-    y_range=_ENDS,
-    samples=st.tuples(st.integers(2, 9), st.integers(2, 9)),
-    mean=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    axis_range=_ENDS,
+    samples=st.integers(2, 9),
 )
-def test_slice_form_matches_point_form(kappa, phase, plane, fixed, x_range, y_range, samples,
-                                       mean):
+def test_slice_form_matches_point_form(kappa, phase, plane, fixed, axis_range, samples):
     # the slice's 2-D quadratic form, summed over the axes, against the 4-D form
     # solved at every grid point; each rounds its terms, of size up to cond(cov)
     # times the form, so the two agree to a multiple of eps * cond(cov) * (1 + quad)
     # (the worst seen in 15,000 random slices was 88 of it)
-    state = TwoModeGaussianState(mean, tmsv_covariance(SqueezeParam(kappa, phase)).cov)
-    grid = wigner_grid(state, plane, x_range, y_range, samples, fixed)
-    points = np.empty((*samples, 4))
-    points[..., plane[0]] = grid.x_axis[:, None]
-    points[..., plane[1]] = grid.y_axis[None, :]
+    state = tmsv_covariance(SqueezeParam(kappa, phase))
+    grid = wigner_grid(state, plane, axis_range, samples, fixed)
+    points = np.empty((samples, samples, 4))
+    points[..., plane[0]] = grid.axis[:, None]
+    points[..., plane[1]] = grid.axis[None, :]
     points[..., [k for k in range(4) if k not in plane]] = fixed
-    diff = points.reshape(-1, 4) - state.mean
+    diff = points.reshape(-1, 4)
     quad = np.einsum("ni,ni->n", diff, np.linalg.solve(state.cov, diff.T).T)
     want = np.exp(-quad / 2) / (4 * math.pi**2 * math.sqrt(np.linalg.det(state.cov)))
     bound = 256 * np.finfo(float).eps * np.linalg.cond(state.cov) * (1.0 + quad)

@@ -474,6 +474,13 @@ class TestHypothesisBuilders:
         with pytest.raises(InvalidArgumentError):
             HypothesisPair((4,), p0, (([np.arange(4)], [np.eye(4) / 2]),))
 
+    def test_negative_p0_rejected(self):
+        # p0 is rho0's spectrum: a negative entry, even one at rounding size, is no
+        # state's (the Chernoff bound once clipped it and recorded the clipped mass)
+        p0 = np.array([0.5 + 1e-12, 0.5, -1e-12, 0.0])
+        with pytest.raises(InvalidStateError, match="rho0 has eigenvalue -1e-12 below 0"):
+            HypothesisPair((4,), p0, (([np.arange(4)], [np.eye(4) / 2]),))
+
     def test_stack_must_match_its_index(self):
         with pytest.raises(InvalidArgumentError, match="does not match its index"):
             HypothesisPair((2,), np.full(2, 0.5), (([np.arange(2)], [np.eye(3) / math.sqrt(3)]),))
